@@ -283,7 +283,11 @@ func (s *server) buildStart(r *run, n int, resume *obs.SegmentLog, seg **obs.Seg
 				}
 				*seg = ss
 			}
-			sink = obs.NewFanout(r.sink, ss)
+			// Spill first: Fanout finalizes in order, so the manifest is
+			// committed before the live sink closes its SSE streams — a
+			// client that has read the finalize frame finds the spill
+			// complete (when the first commit attempt succeeds).
+			sink = obs.NewFanout(ss, r.sink)
 		}
 		m, err := s.buildMachine(n, sink)
 		if err != nil {
@@ -1237,7 +1241,10 @@ func b2i(b bool) int {
 // Last-Event-ID (or ?after=N) and resumes exactly where it left off, no
 // duplicate or missing frames: the backlog past that point is served first,
 // then the live feed, then a final `event: finalize` frame when the run's
-// timeline closes. Sequence numbers survive failover because the surviving
+// timeline closes. The finalize frame's data carries the run's endCycle and
+// frames, the full stream length (ff-jumps included), so a client that lost
+// frames at the tail — which leaves no id gap — can tell without
+// reconnecting. Sequence numbers survive failover because the surviving
 // worker's replay reproduces the identical stream. Slow subscribers shed
 // live frames (counted in oclmon_sse_dropped_total) instead of backing up
 // the sink; the resulting id gap tells the client what to re-fetch. An idle
@@ -1299,6 +1306,7 @@ live:
 			fl.Flush()
 		}
 	}
-	fmt.Fprintf(w, "event: finalize\ndata: {\"endCycle\":%d}\n\n", r.sink.stats().cycle)
+	st := r.sink.stats()
+	fmt.Fprintf(w, "event: finalize\ndata: {\"endCycle\":%d,\"frames\":%d}\n\n", st.cycle, st.events+st.ffJumps)
 	fl.Flush()
 }

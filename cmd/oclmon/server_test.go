@@ -599,6 +599,79 @@ func TestSSEKeepaliveFrames(t *testing.T) {
 	}
 }
 
+// TestSSEFinalizeAfterSpillCommit pins the live stream's closing contract on
+// a spilled run: once a client has read the finalize frame, the run's spill
+// manifest is already committed complete, and the frame's "frames" count is
+// the full stream length (ff-jumps included) — the event lines the spill
+// holds — so a client that received fewer knows frames were shed.
+func TestSSEFinalizeAfterSpillCommit(t *testing.T) {
+	root := t.TempDir()
+	sup := supervise.New(supervise.Config{Slots: 1})
+	defer sup.Close()
+	srv := newServer(serverConfig{n: 1024, sampleEvery: 1000, spillDir: root, segLines: 64}, sup)
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	r, err := srv.submit("", "", 1024, supervise.Limits{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/runs/" + r.id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var fin struct {
+		EndCycle int64 `json:"endCycle"`
+		Frames   int   `json:"frames"`
+	}
+	received := 0
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if strings.HasPrefix(sc.Text(), "id: ") {
+			received++
+		}
+		if sc.Text() != "event: finalize" {
+			continue
+		}
+		if !sc.Scan() {
+			t.Fatal("stream ended inside the finalize frame")
+		}
+		data, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			t.Fatalf("finalize frame data line = %q", sc.Text())
+		}
+		if err := json.Unmarshal([]byte(data), &fin); err != nil {
+			t.Fatalf("finalize data %q: %v", data, err)
+		}
+		break
+	}
+	if fin.EndCycle == 0 {
+		t.Fatal("no finalize frame")
+	}
+	dir := filepath.Join(root, r.id)
+	man, err := obs.LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !man.Complete || man.EndCycle != fin.EndCycle {
+		t.Fatalf("after finalize frame: manifest complete=%v endCycle=%d, stream endCycle %d",
+			man.Complete, man.EndCycle, fin.EndCycle)
+	}
+	log, err := obs.LoadSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := 0
+	for _, l := range log.Lines {
+		if bytes.HasPrefix(l, []byte(`{"e":`)) {
+			events++
+		}
+	}
+	if fin.Frames != events || received > fin.Frames {
+		t.Fatalf("finalize frames=%d, spill holds %d events, client received %d", fin.Frames, events, received)
+	}
+}
+
 func scrape(t *testing.T, url string) string {
 	t.Helper()
 	resp, err := http.Get(url)

@@ -1,8 +1,7 @@
 package main
 
 import (
-	"encoding/json"
-	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -110,15 +109,12 @@ func (s *liveSink) retire(dropped int64, err error) {
 // sseFrame renders one event as an SSE frame. The id line carries the
 // event's stream sequence number so clients can resume with Last-Event-ID.
 func sseFrame(seq int64, e obs.Event) []byte {
-	buf, err := json.Marshal(e)
-	if err != nil {
-		return nil
-	}
-	msg := make([]byte, 0, len(buf)+32)
-	msg = append(msg, fmt.Sprintf("id: %d\ndata: ", seq)...)
-	msg = append(msg, buf...)
-	msg = append(msg, "\n\n"...)
-	return msg
+	msg := make([]byte, 0, 160)
+	msg = append(msg, "id: "...)
+	msg = strconv.AppendInt(msg, seq, 10)
+	msg = append(msg, "\ndata: "...)
+	msg = obs.AppendEventJSON(msg, &e)
+	return append(msg, "\n\n"...)
 }
 
 // broadcast fans one event out to the SSE subscribers. Slow subscribers lose
@@ -132,9 +128,6 @@ func (s *liveSink) broadcast(seq int64, e obs.Event) {
 		return
 	}
 	msg := sseFrame(seq, e)
-	if msg == nil {
-		return
-	}
 	for ch := range s.subs {
 		select {
 		case ch <- msg:
@@ -157,9 +150,7 @@ func (s *liveSink) subscribe(after int64) (backlog [][]byte, ch <-chan []byte, c
 		after = -1
 	}
 	for seq := after + 1; seq < int64(len(s.stream)); seq++ {
-		if msg := sseFrame(seq, s.stream[seq]); msg != nil {
-			backlog = append(backlog, msg)
-		}
+		backlog = append(backlog, sseFrame(seq, s.stream[seq]))
 	}
 	if s.finalized {
 		close(c)

@@ -258,6 +258,13 @@ const recBytes = recWords*8 + 4
 // codec fuzz target checks (checksums are functions of the data, so the
 // identity survives them).
 func (l *FlatLog) AppendFlat(buf []byte) []byte {
+	size := len(flatMagic) + 4 + 4 + 4 + len(l.Records)*recBytes
+	for _, s := range l.Strings[1:] {
+		size += 4 + len(s)
+	}
+	if cap(buf)-len(buf) < size {
+		buf = append(make([]byte, 0, len(buf)+size), buf...)
+	}
 	buf = append(buf, flatMagic...)
 	strStart := len(buf)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(l.Strings)))
@@ -268,14 +275,13 @@ func (l *FlatLog) AppendFlat(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, Checksum(buf[strStart:]))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(l.Records)))
 	var w [recWords]uint64
-	var rec [recWords * 8]byte
 	for _, f := range l.Records {
 		packRecord(w[:], f)
-		for j, x := range w {
-			binary.LittleEndian.PutUint64(rec[j*8:], x)
+		start := len(buf)
+		for _, x := range w {
+			buf = binary.LittleEndian.AppendUint64(buf, x)
 		}
-		buf = append(buf, rec[:]...)
-		buf = binary.LittleEndian.AppendUint32(buf, Checksum(rec[:]))
+		buf = binary.LittleEndian.AppendUint32(buf, Checksum(buf[start:]))
 	}
 	return buf
 }

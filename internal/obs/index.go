@@ -75,22 +75,26 @@ func FlatSegmentName(segFile string) string {
 // and the rebuild path (BuildSegArtifacts), which is what makes the two
 // byte-identical.
 type segIndexBuilder struct {
-	tab        internTable
-	records    []FlatRecord
-	kinds      map[string]int
-	tracks     map[string]bool
-	names      map[string]bool
+	tab     internTable
+	records []FlatRecord
+	// use tallies how each interned string serves the segment's events,
+	// indexed by its intern ID — the kind counts and track/name sets without
+	// a string-keyed map lookup per event.
+	use        []idUse
 	samples    int
 	firstCycle int64
 	lastCycle  int64
 }
 
+// idUse is one interned string's role in a segment's events.
+type idUse struct {
+	kind         int // events of this kind
+	track, named bool
+}
+
 func newSegIndexBuilder() *segIndexBuilder {
 	return &segIndexBuilder{
 		tab:        newInternTable(),
-		kinds:      map[string]int{},
-		tracks:     map[string]bool{},
-		names:      map[string]bool{},
 		firstCycle: -1,
 		lastCycle:  -1,
 	}
@@ -116,9 +120,12 @@ func (b *segIndexBuilder) addEvent(e *Event) {
 		rec.Arg = uint64(b.tab.intern(e.Detail))
 	}
 	b.records = append(b.records, rec)
-	b.kinds[e.Kind]++
-	b.tracks[e.Track] = true
-	b.names[e.Name] = true
+	for len(b.use) < len(b.tab.strs) {
+		b.use = append(b.use, idUse{})
+	}
+	b.use[rec.Kind].kind++
+	b.use[rec.Track].track = true
+	b.use[rec.Name].named = true
 	if b.firstCycle < 0 || e.Start < b.firstCycle {
 		b.firstCycle = e.Start
 	}
@@ -143,21 +150,24 @@ func (b *segIndexBuilder) finish(seg SegmentInfo) (SegIndex, *FlatLog) {
 		FirstCycle: b.firstCycle,
 		LastCycle:  b.lastCycle,
 	}
-	if len(b.kinds) > 0 {
-		idx.Kinds = b.kinds
-		idx.Tracks = setToSorted(b.tracks)
-		idx.Names = setToSorted(b.names)
+	if len(b.records) > 0 {
+		idx.Kinds = map[string]int{}
+		for id, u := range b.use {
+			s := b.tab.strs[id]
+			if u.kind > 0 {
+				idx.Kinds[s] = u.kind
+			}
+			if u.track {
+				idx.Tracks = append(idx.Tracks, s)
+			}
+			if u.named {
+				idx.Names = append(idx.Names, s)
+			}
+		}
+		sort.Strings(idx.Tracks)
+		sort.Strings(idx.Names)
 	}
 	return idx, &FlatLog{Strings: b.tab.strs, Records: b.records}
-}
-
-func setToSorted(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // writeSegArtifacts commits both sidecars with temp-file + rename, matching

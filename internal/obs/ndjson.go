@@ -48,8 +48,9 @@ type ndjsonFinal struct {
 // sticky and reported by Finalize; after the first error the sink goes quiet
 // rather than wedging the simulation.
 type NDJSONSink struct {
-	bw  *bufio.Writer
-	err error
+	bw   *bufio.Writer
+	line []byte // reused encode buffer: steady-state lines allocate nothing
+	err  error
 }
 
 // NewNDJSONSink starts a spill stream on w, writing the header line
@@ -57,34 +58,36 @@ type NDJSONSink struct {
 // replay can rebuild Timeline.Design and Series.SampleEvery.
 func NewNDJSONSink(w io.Writer, design string, sampleEvery int64) *NDJSONSink {
 	s := &NDJSONSink{bw: bufio.NewWriter(w)}
-	s.writeLine(ndjsonHeader{Version: 1, Design: design, SampleEvery: sampleEvery})
+	s.put(appendHeaderLine(s.line[:0], design, sampleEvery))
 	return s
 }
 
-func (s *NDJSONSink) writeLine(v any) {
-	if s.err != nil {
-		return
-	}
-	buf, err := json.Marshal(v)
-	if err != nil {
-		s.err = err
-		return
-	}
-	buf = append(buf, '\n')
-	if _, err := s.bw.Write(buf); err != nil {
-		s.err = err
+// put lands one encoded line (keeping its buffer for reuse) unless an
+// earlier write failed.
+func (s *NDJSONSink) put(line []byte) {
+	s.line = line
+	if s.err == nil {
+		s.err = putLine(s.bw, line)
 	}
 }
 
+// putLine writes line and its newline terminator.
+func putLine(bw *bufio.Writer, line []byte) error {
+	if _, err := bw.Write(line); err != nil {
+		return err
+	}
+	return bw.WriteByte('\n')
+}
+
 // Event implements Sink.
-func (s *NDJSONSink) Event(e Event) { s.writeLine(ndjsonLine{E: &e}) }
+func (s *NDJSONSink) Event(e Event) { s.put(appendEventLine(s.line[:0], &e)) }
 
 // Sample implements Sink.
-func (s *NDJSONSink) Sample(sm Sample) { s.writeLine(ndjsonLine{S: &sm}) }
+func (s *NDJSONSink) Sample(sm Sample) { s.put(appendSampleLine(s.line[:0], &sm)) }
 
 // Finalize writes the terminal line, flushes, and reports any sticky error.
 func (s *NDJSONSink) Finalize(endCycle int64) error {
-	s.writeLine(ndjsonLine{Fin: &ndjsonFinal{EndCycle: endCycle}})
+	s.put(appendFinLine(s.line[:0], endCycle))
 	if err := s.bw.Flush(); err != nil && s.err == nil {
 		s.err = err
 	}

@@ -27,9 +27,9 @@ type GCEntry struct {
 // GCReport is one collection pass's outcome.
 type GCReport struct {
 	// TotalBytes is the root's size before collection, BytesAfter after.
-	TotalBytes int64 `json:"totalBytes"`
-	BytesAfter int64 `json:"bytesAfter"`
-	Budget     int64 `json:"budget"`
+	TotalBytes int64     `json:"totalBytes"`
+	BytesAfter int64     `json:"bytesAfter"`
+	Budget     int64     `json:"budget"`
 	Entries    []GCEntry `json:"entries,omitempty"`
 	Evicted    int       `json:"evicted"`
 	// OverBudget reports the root still exceeds the budget after evicting

@@ -164,6 +164,7 @@ type SegmentSink struct {
 	f       File
 	cw      *crcWriter
 	bw      *bufio.Writer
+	line    []byte // reused encode buffer: steady-state lines allocate nothing
 	lines   int
 	bytes   int64
 	last    int64
@@ -260,12 +261,7 @@ func (s *SegmentSink) open() error {
 	s.bw = bufio.NewWriter(s.cw)
 	s.lines, s.bytes, s.last = 0, 0, 0
 	s.art = newSegIndexBuilder()
-	hdr, err := json.Marshal(ndjsonHeader{Version: 1, Design: s.cfg.Design, SampleEvery: s.cfg.SampleEvery})
-	if err != nil {
-		return err
-	}
-	_, err = s.bw.Write(append(hdr, '\n'))
-	return err
+	return putLine(s.bw, appendHeaderLine(nil, s.cfg.Design, s.cfg.SampleEvery))
 }
 
 // seal commits the open segment: flush, fsync, close, atomic rename, and a
@@ -317,7 +313,7 @@ type stagedArtifacts struct {
 	flat *FlatLog
 }
 
-// append lands one marshalled line and reports whether it was appended to
+// append lands one encoded line and reports whether it was appended to
 // the open segment — false while verifying the sealed durable prefix (a
 // resumed run's replayed lines must not re-feed the index builder) or after
 // a sticky error; true for salvaged-tail lines, which are re-landed durably.
@@ -357,7 +353,7 @@ func (s *SegmentSink) append(line []byte, cycle int64) bool {
 			return false
 		}
 	}
-	if _, err := s.bw.Write(append(line, '\n')); err != nil {
+	if err := putLine(s.bw, line); err != nil {
 		s.werr = err
 		return false
 	}
@@ -367,18 +363,6 @@ func (s *SegmentSink) append(line []byte, cycle int64) bool {
 		s.last = cycle
 	}
 	return true
-}
-
-func (s *SegmentSink) appendLine(v any, cycle int64) bool {
-	if s.werr != nil {
-		return false
-	}
-	buf, err := json.Marshal(v)
-	if err != nil {
-		s.werr = err
-		return false
-	}
-	return s.append(buf, cycle)
 }
 
 // maybeRotate seals the open segment once a size threshold trips.
@@ -395,7 +379,11 @@ func (s *SegmentSink) maybeRotate() {
 
 // Event implements Sink.
 func (s *SegmentSink) Event(e Event) {
-	if s.appendLine(ndjsonLine{E: &e}, e.End) {
+	if s.werr != nil {
+		return
+	}
+	s.line = appendEventLine(s.line[:0], &e)
+	if s.append(s.line, e.End) {
 		s.art.addEvent(&e)
 	}
 	s.maybeRotate()
@@ -403,7 +391,11 @@ func (s *SegmentSink) Event(e Event) {
 
 // Sample implements Sink.
 func (s *SegmentSink) Sample(sm Sample) {
-	if s.appendLine(ndjsonLine{S: &sm}, sm.Cycle) {
+	if s.werr != nil {
+		return
+	}
+	s.line = appendSampleLine(s.line[:0], &sm)
+	if s.append(s.line, sm.Cycle) {
 		s.art.addSample()
 	}
 	s.maybeRotate()
@@ -436,12 +428,8 @@ func (s *SegmentSink) Finalize(endCycle int64) error {
 			}
 		}
 		if s.werr == nil {
-			buf, err := json.Marshal(ndjsonLine{Fin: &ndjsonFinal{EndCycle: endCycle}})
-			if err != nil {
-				s.werr = err
-			} else if _, err := s.bw.Write(append(buf, '\n')); err != nil {
-				s.werr = err
-			}
+			s.line = appendFinLine(s.line[:0], endCycle)
+			s.werr = putLine(s.bw, s.line)
 		}
 	}
 	return s.commit()

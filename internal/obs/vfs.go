@@ -46,7 +46,7 @@ func (osFS) Create(name string) (File, error) { return os.Create(name) }
 func (osFS) WriteFile(name string, data []byte, perm os.FileMode) error {
 	return os.WriteFile(name, data, perm)
 }
-func (osFS) Rename(oldname, newname string) error          { return os.Rename(oldname, newname) }
-func (osFS) Remove(name string) error                      { return os.Remove(name) }
-func (osFS) MkdirAll(path string, perm os.FileMode) error  { return os.MkdirAll(path, perm) }
-func (osFS) ReadFile(name string) ([]byte, error)          { return os.ReadFile(name) }
+func (osFS) Rename(oldname, newname string) error         { return os.Rename(oldname, newname) }
+func (osFS) Remove(name string) error                     { return os.Remove(name) }
+func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
+func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }

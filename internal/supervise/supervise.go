@@ -347,19 +347,7 @@ func (s *Supervisor) worker() {
 		s.mu.Lock()
 		s.stats.Running++
 		s.mu.Unlock()
-		out := s.execute(spec)
-		s.mu.Lock()
-		s.stats.Running--
-		switch out.State {
-		case StateCompleted:
-			s.stats.Completed++
-		default:
-			s.stats.Failed++
-		}
-		if out.PanicValue != nil {
-			s.stats.Panics++
-		}
-		s.mu.Unlock()
+		s.execute(spec)
 		if s.cfg.Quota != nil {
 			// Every spec on the channel holds a quota acquisition (Submit
 			// released the shed ones before they got here).
@@ -368,11 +356,11 @@ func (s *Supervisor) worker() {
 	}
 }
 
-// execute runs one spec to a terminal state. Panics anywhere in Start, the
-// drive loop, or Done are converted into StateFailed with a best-effort
-// ReasonPanic diagnostic — a crashing run must never take the supervisor
-// down.
-func (s *Supervisor) execute(spec *Spec) Outcome {
+// execute runs one spec to a terminal state, counts it in Stats, and hands
+// it to Done. Panics anywhere in Start or the drive loop are converted into
+// StateFailed with a best-effort ReasonPanic diagnostic, and a panicking Done
+// is swallowed — a crashing run must never take the supervisor down.
+func (s *Supervisor) execute(spec *Spec) {
 	out := Outcome{State: StateFailed}
 	started := s.cfg.Now()
 	var m *sim.Machine
@@ -400,13 +388,25 @@ func (s *Supervisor) execute(spec *Spec) Outcome {
 		out.Cycles = safeCycle(m)
 	}
 	s.recordBreaker(spec.Workload, out.State == StateCompleted)
+	// Count the outcome before Done fires, so a caller that reads Stats
+	// once its outcome arrived sees the run counted.
+	s.mu.Lock()
+	s.stats.Running--
+	if out.State == StateCompleted {
+		s.stats.Completed++
+	} else {
+		s.stats.Failed++
+	}
+	if out.PanicValue != nil {
+		s.stats.Panics++
+	}
+	s.mu.Unlock()
 	if spec.Done != nil {
 		func() {
 			defer func() { recover() }() // a crashing callback is the caller's bug, not our outage
 			spec.Done(m, out)
 		}()
 	}
-	return out
 }
 
 // drive advances the machine in bounded slices until it completes, fails

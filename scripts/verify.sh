@@ -6,19 +6,22 @@ set -eux
 
 cd "$(dirname "$0")/.."
 
+test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go test -race ./...
 
 # Fuzz smoke: a few seconds each on the parser fuzz targets (spec parser,
-# NDJSON replay, and the flat binary codec). Any crasher fails the gate; the
-# seed corpora alone already ran under `go test` above.
+# NDJSON replay, and the flat binary codec) and on the spill line encoder's
+# identity with encoding/json. Any crasher fails the gate; the seed corpora
+# alone already ran under `go test` above.
 go test ./internal/fault -run '^$' -fuzz 'FuzzParseSpec$' -fuzztime 5s
 go test ./internal/fault -run '^$' -fuzz 'FuzzParseSpecs$' -fuzztime 5s
 go test ./internal/obs -run '^$' -fuzz 'FuzzReplayNDJSON$' -fuzztime 5s
 go test ./internal/obs -run '^$' -fuzz 'FuzzFlatCodec$' -fuzztime 5s
 go test ./internal/obs -run '^$' -fuzz 'FuzzManifest$' -fuzztime 5s
 go test ./internal/obs -run '^$' -fuzz 'FuzzSegIndex$' -fuzztime 5s
+go test ./internal/obs -run '^$' -fuzz 'FuzzLineCodec$' -fuzztime 5s
 go test ./internal/obs/query -run '^$' -fuzz 'FuzzParseBreaks$' -fuzztime 5s
 go test ./internal/obs/query -run '^$' -fuzz 'FuzzParseQuery$' -fuzztime 5s
 
