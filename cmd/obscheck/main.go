@@ -7,8 +7,9 @@
 // -fsck runs the durability scrubber over a segmented spill directory:
 // every sealed segment's fingerprint is verified, commit debris and sidecar
 // staleness are classified, and with -repair the recoverable damage is fixed
-// in place — byte-identically, via deterministic re-execution when the
-// manifest records a known workload. Exit status 1 means damage remains.
+// in place — byte-identically, by re-executing the run spec the manifest
+// records (any workload in the workload registry: oclprof's, oclmon's,
+// simbench). Exit status 1 means damage remains.
 //
 //	go run ./cmd/obscheck -timeline t.json -metrics m.json
 //	go run ./cmd/obscheck -fsck spill/ -repair -fsck-report fsck.json
@@ -24,11 +25,11 @@ import (
 	"path/filepath"
 	"time"
 
-	"oclfpga/internal/experiments"
 	"oclfpga/internal/obs"
 	"oclfpga/internal/obs/analyze"
 	"oclfpga/internal/obs/diff"
 	"oclfpga/internal/obs/scrub"
+	"oclfpga/internal/workload"
 )
 
 var (
@@ -102,17 +103,6 @@ func main() {
 	}
 }
 
-// rebuildFor resolves the deterministic re-execution hook for a spill from
-// the workload its manifest recorded. Unknown workloads get no hook: fsck
-// still performs every derived repair, and segment-body damage is reported
-// as needing re-execution by a caller that owns the workload.
-func rebuildFor(man *obs.Manifest) scrub.Rebuild {
-	if man != nil && man.Meta["workload"] == "simbench" {
-		return experiments.SimBenchRebuild
-	}
-	return nil
-}
-
 // fsckReport is the machine-readable scrub verdict -fsck-report emits — the
 // artifact CI uploads from the disk-chaos smoke.
 type fsckReport struct {
@@ -153,7 +143,7 @@ func fsck(dir string, repair bool, reportOut string) bool {
 	}
 	healthy, remaining := rep.Healthy, rep.Damage
 	if repair && !healthy {
-		res, err := scrub.Repair(dir, rebuildFor(rep.Manifest))
+		res, err := scrub.Repair(dir, workload.Rebuild)
 		if res != nil {
 			out.Repair = res
 			remaining = res.Remaining

@@ -13,14 +13,15 @@ import (
 	"oclfpga/internal/obs"
 )
 
-// TestMain builds obscheck plus the oclprof that produces its inputs; the
-// tests then run the real validation pipeline end to end: artifacts from one
-// binary gated by the other, exit codes asserted on both the accept and
-// reject paths.
+// TestMain builds obscheck plus the oclprof and oclmon that produce its
+// inputs; the tests then run the real validation pipeline end to end:
+// artifacts from one binary gated by the other, exit codes asserted on both
+// the accept and reject paths.
 
 var (
 	obscheckBin string
 	oclprofBin  string
+	oclmonBin   string
 )
 
 func TestMain(m *testing.M) {
@@ -31,7 +32,8 @@ func TestMain(m *testing.M) {
 	}
 	obscheckBin = filepath.Join(dir, "obscheck")
 	oclprofBin = filepath.Join(dir, "oclprof")
-	for bin, pkg := range map[string]string{obscheckBin: ".", oclprofBin: "../oclprof"} {
+	oclmonBin = filepath.Join(dir, "oclmon")
+	for bin, pkg := range map[string]string{obscheckBin: ".", oclprofBin: "../oclprof", oclmonBin: "../oclmon"} {
 		if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
 			fmt.Fprintf(os.Stderr, "build %s: %v\n%s", pkg, err, out)
 			os.RemoveAll(dir)

@@ -1,0 +1,168 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"oclfpga/internal/experiments"
+	"oclfpga/internal/obs"
+	"oclfpga/internal/obs/query"
+)
+
+// TestRebuildMatrix is the cross-tool contract of the shared run spec: every
+// spill writer — oclprof on each workload (traced, instrumented and
+// fault-injected runs included), the oclmon server, and the simbench
+// fixture — records a spec that both oclprof -scrub and obscheck -fsck
+// -repair re-execute into a byte-identical segment, and that oclprof
+// -at-cycle rewinds through a hash-verified recorded checkpoint.
+func TestRebuildMatrix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("records and re-executes a dozen spills")
+	}
+	root := t.TempDir()
+	type writer struct {
+		name  string
+		write func(dir string)
+	}
+	var writers []writer
+	for _, args := range [][]string{
+		{"-workload", "matvec-st"},
+		{"-workload", "matvec-nd", "-order"},
+		{"-workload", "matmul", "-stallmon", "-trace"},
+		{"-workload", "matmul", "-watch", "-trace"},
+		{"-workload", "chase", "-timestamps", "hdl"},
+		{"-workload", "vecadd", "-device", "a10"},
+		{"-workload", "fir", "-stallmon", "-trace"},
+		{"-workload", "chanstall", "-chandepthopt"},
+		{"-workload", "chanstall", "-inject", "freeze-read:pipe@500+300"},
+	} {
+		args := args
+		writers = append(writers, writer{"oclprof " + strings.Join(args, " "), func(dir string) {
+			args := append(args, "-log=false", "-sample-every", "500", "-checkpoint-every", "512",
+				"-seg-lines", "64", "-spill-dir", dir)
+			if _, stderr, code := runCmd(t, oclprofBin, args...); code != 0 {
+				t.Fatalf("oclprof %v exited %d\n%s", args, code, stderr)
+			}
+		}})
+	}
+	writers = append(writers,
+		writer{"oclmon", func(dir string) { oclmonSpill(t, dir) }},
+		writer{"simbench", func(dir string) {
+			if _, err := experiments.SpillSimBench(256, dir, 128, 2048, 64); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	)
+	for i, w := range writers {
+		t.Run(w.name, func(t *testing.T) {
+			dir := filepath.Join(root, fmt.Sprint(i))
+			w.write(dir)
+			checkRewind(t, dir)
+			man, err := obs.LoadManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(man.Segments) < 2 {
+				t.Fatalf("fixture has %d segments; need a sealed one to rot", len(man.Segments))
+			}
+			seg := man.Segments[0].File
+			clean, err := os.ReadFile(filepath.Join(dir, seg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tool := range []struct {
+				name string
+				bin  string
+				args func(d string) []string
+			}{
+				{"oclprof -scrub", oclprofBin, func(d string) []string { return []string{"-scrub", "-spill-dir", d} }},
+				{"obscheck -fsck -repair", obscheckBin, func(d string) []string { return []string{"-q", "-fsck", d, "-repair"} }},
+			} {
+				d := filepath.Join(root, fmt.Sprintf("%d-%s", i, strings.Fields(tool.name)[0]))
+				copyDir(t, dir, d)
+				if err := obs.FlipByte(filepath.Join(d, seg), 33); err != nil {
+					t.Fatal(err)
+				}
+				if stdout, stderr, code := runCmd(t, tool.bin, tool.args(d)...); code != 0 {
+					t.Fatalf("%s exited %d\nstdout: %s\nstderr: %s", tool.name, code, stdout, stderr)
+				}
+				if got, err := os.ReadFile(filepath.Join(d, seg)); err != nil || !bytes.Equal(got, clean) {
+					t.Fatalf("%s: repaired %s is not byte-identical (%v)", tool.name, seg, err)
+				}
+			}
+		})
+	}
+}
+
+// checkRewind rewinds the spill's recorded spec one cycle past a middle
+// checkpoint: the checkpoint's design and state hashes must verify.
+func checkRewind(t *testing.T, dir string) {
+	t.Helper()
+	cks, err := query.Checkpoints(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cks) == 0 {
+		t.Fatal("spill recorded no checkpoints")
+	}
+	ck := cks[len(cks)/2]
+	stdout, stderr, code := runCmd(t, oclprofBin, "-at-cycle", fmt.Sprint(ck.Cycle+1), "-spill-dir", dir)
+	want := fmt.Sprintf("checkpoint at cycle %d verified", ck.Cycle)
+	if code != 0 || !strings.Contains(stderr, want) || !strings.Contains(stdout, fmt.Sprintf(`"cycle": %d`, ck.Cycle+1)) {
+		t.Fatalf("at-cycle rewind exited %d, want %q\nstdout: %.300s\nstderr: %s", code, want, stdout, stderr)
+	}
+}
+
+// oclmonSpill hosts one supervised, checkpointed run on a real oclmon server
+// and returns once its spill under dir is complete.
+func oclmonSpill(t *testing.T, dir string) {
+	t.Helper()
+	root := filepath.Join(t.TempDir(), "spill")
+	cmd := exec.Command(oclmonBin, "-addr", "localhost:0", "-runs", "1", "-n", "1024", "-sample-every", "500",
+		"-checkpoint-every", "4096", "-seg-lines", "64", "-spill-dir", root)
+	var logs bytes.Buffer
+	cmd.Stderr = &logs
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	}()
+	run := filepath.Join(root, "run1")
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		if man, err := obs.LoadManifest(run); err == nil && man.Complete {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("oclmon run did not complete\n%s", logs.String())
+		}
+	}
+	copyDir(t, run, dir)
+}
+
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dst, 0o777); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -78,7 +78,6 @@ import (
 	"time"
 
 	"oclfpga/internal/fleet"
-	"oclfpga/internal/kir"
 	"oclfpga/internal/supervise"
 )
 
@@ -107,42 +106,6 @@ var (
 	flagLeaseTTL   = flag.Duration("lease-ttl", 10*time.Second, "spill-dir ownership lease TTL in worker mode")
 	flagTenants    = flag.String("tenant-weights", "", "per-tenant admission weights, e.g. a=3,b=1 (enables the weighted quota; capacity = slots+queue)")
 )
-
-// buildWorkload is the monitored design: the stall-heavy producer/consumer
-// pair from the throughput benchmark — a fast producer backing up a depth-4
-// channel into a consumer whose dependent table loads serialize DRAM row
-// misses. Under the congested MemConfig in buildStart, n items cost roughly
-// 400 cycles each, so the default -n runs for several million cycles.
-func buildWorkload(n int) *kir.Program {
-	const (
-		tblElems = 1 << 14
-		stride1  = 1031
-		stride2  = 523
-	)
-	p := kir.NewProgram("oclmon")
-	pipe := p.AddChan("pipe", 4, kir.I32)
-
-	prod := p.AddKernel("producer", kir.SingleTask)
-	src := prod.AddGlobal("src", kir.I32)
-	pb := prod.NewBuilder()
-	pb.ForN("i", int64(n), nil, func(lb *kir.Builder, i kir.Val, _ []kir.Val) []kir.Val {
-		lb.ChanWrite(pipe, lb.Load(src, i))
-		return nil
-	})
-
-	cons := p.AddKernel("consumer", kir.SingleTask)
-	tbl := cons.AddGlobal("tbl", kir.I32)
-	dst := cons.AddGlobal("dst", kir.I32)
-	cb := cons.NewBuilder()
-	cb.ForN("i", int64(n), []kir.Val{cb.Ci32(0)}, func(lb *kir.Builder, i kir.Val, c []kir.Val) []kir.Val {
-		v := lb.ChanRead(pipe)
-		w := lb.Load(tbl, lb.And(lb.Add(c[0], lb.Mul(i, lb.Ci32(stride1))), lb.Ci32(tblElems-1)))
-		w2 := lb.Load(tbl, lb.And(lb.Mul(lb.Add(w, i), lb.Ci32(stride2)), lb.Ci32(tblElems-1)))
-		lb.Store(dst, i, lb.Div(lb.Add(v, w2), lb.Ci32(2)))
-		return []kir.Val{w2}
-	})
-	return p
-}
 
 // parseTenantWeights parses "a=3,b=1" into a weight map.
 func parseTenantWeights(s string) (map[string]int, error) {
@@ -211,7 +174,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for i := 0; i < *flagRuns; i++ {
-		if _, err := srv.submit("", "", *flagN, supervise.Limits{}, nil); err != nil {
+		if _, err := srv.admit(*flagN, "", supervise.Limits{}); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -14,11 +13,7 @@ import (
 	"sync"
 	"time"
 
-	"oclfpga/internal/device"
 	"oclfpga/internal/fleet"
-	"oclfpga/internal/hls"
-	"oclfpga/internal/kir"
-	"oclfpga/internal/mem"
 	"oclfpga/internal/obs"
 	"oclfpga/internal/obs/analyze"
 	"oclfpga/internal/obs/diff"
@@ -26,6 +21,7 @@ import (
 	"oclfpga/internal/obs/scrub"
 	"oclfpga/internal/sim"
 	"oclfpga/internal/supervise"
+	"oclfpga/internal/workload"
 )
 
 // serverConfig is everything the HTTP layer needs to host supervised runs.
@@ -80,7 +76,9 @@ type run struct {
 	sink      *liveSink
 	spill     string // this run's spill directory ("" when not spilling)
 	recovered bool   // rebuilt or resumed from a spill at startup
-	items     int    // workload size n — the at-cycle rewind's rebuild parameter
+	// spec is the run's recipe — the one its spill records — which the
+	// at-cycle rewind re-executes; nil when the spill's spec is unusable.
+	spec *workload.RunSpec
 	// quarantinedSpill marks a run whose spill the boot scrubber could not
 	// repair: the directory carries a quarantine marker and the run is hosted
 	// only as a degraded verdict (no telemetry, no query surface).
@@ -256,13 +254,14 @@ func (s *server) newID() string {
 }
 
 // buildStart constructs the supervised Start closure for a fresh or resumed
-// run: compile, attach the live sink (and segment spill, fanned out), build
-// buffers, launch. It runs inside the supervisor worker so compile/launch
-// panics are isolated like run panics. seg receives the spill sink for the
-// FinalizeRetry hook.
-func (s *server) buildStart(r *run, n int, resume *obs.SegmentLog, seg **obs.SegmentSink) func() (*sim.Machine, error) {
+// run: build the run's spec with the live sink attached (and the segment
+// spill, fanned out) — compile, buffers, launch. The supervisor then drives
+// the machine on the slice schedule supervise.Replay reproduces. It runs
+// inside the supervisor worker so compile/launch panics are isolated like
+// run panics. seg receives the spill sink for the FinalizeRetry hook.
+func (s *server) buildStart(r *run, resume *obs.SegmentLog, seg **obs.SegmentSink) func() (*sim.Machine, error) {
 	if s.cfg.startHook != nil {
-		hook := s.cfg.startHook(n)
+		hook := s.cfg.startHook(r.spec.N)
 		return func() (*sim.Machine, error) {
 			r.setState(supervise.StateRunning)
 			return hook()
@@ -274,10 +273,7 @@ func (s *server) buildStart(r *run, n int, resume *obs.SegmentLog, seg **obs.Seg
 			ss := *seg // fresh runs: created eagerly at admission
 			if ss == nil {
 				var err error
-				ss, err = obs.NewResumeSink(obs.SegmentConfig{
-					Dir: r.spill, Design: "oclmon", SampleEvery: s.cfg.sampleEvery,
-					MaxLines: s.cfg.segLines, MaxBytes: s.cfg.segBytes, FS: s.cfg.fs,
-				}, resume)
+				ss, err = obs.NewResumeSink(s.segmentConfig(r), resume)
 				if err != nil {
 					return nil, err
 				}
@@ -289,63 +285,34 @@ func (s *server) buildStart(r *run, n int, resume *obs.SegmentLog, seg **obs.Seg
 			// complete (when the first commit attempt succeeds).
 			sink = obs.NewFanout(ss, r.sink)
 		}
-		m, err := s.buildMachine(n, sink)
+		b, err := r.spec.Build(r.spec.Observe(sink))
 		if err != nil {
 			return nil, err
 		}
 		r.setState(supervise.StateRunning)
-		return m, nil
+		return b.M, nil
 	}
 }
 
-// buildMachine compiles the standard oclmon workload and stages its buffers
-// and launches — the deterministic machine rebuilt identically by the
-// supervisor's Start closure, crash recovery, and the at-cycle rewind
-// endpoint. sink may be nil: observability is then left off entirely, which
-// does not change the machine's state evolution (the recorder is strictly
-// read-only), only whether it is recorded.
-func (s *server) buildMachine(n int, sink obs.Sink) (*sim.Machine, error) {
-	d, err := hls.Compile(buildWorkload(n), device.StratixV(), hls.Options{})
-	if err != nil {
-		return nil, err
-	}
-	var ocfg *obs.Config
-	if sink != nil {
-		ocfg = &obs.Config{SampleEvery: s.cfg.sampleEvery, CheckpointEvery: s.cfg.ckptEvery, Sink: sink}
-	}
-	m := sim.New(d, sim.Options{
-		// The supervisor's cycle budget is the operative ceiling here;
-		// leaving the sim's own 20M-cycle default in place would fail
-		// long runs with max-cycles before the budget ever applies.
-		MaxCycles:          math.MaxInt64 / 2,
-		DisableFastForward: s.cfg.noFF,
-		MemConfig:          mem.Config{RowHitLat: 60, RowMissLat: 200},
-		Observe:            ocfg,
-	})
-	src, err := m.NewBuffer("src", kir.I32, n)
-	if err != nil {
-		return nil, err
-	}
-	tbl, err := m.NewBuffer("tbl", kir.I32, 1<<14)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := m.NewBuffer("dst", kir.I32, n); err != nil {
-		return nil, err
-	}
-	for i := range src.Data {
-		src.Data[i] = int64(i + 1)
-	}
-	for i := range tbl.Data {
-		tbl.Data[i] = int64(i % 97)
-	}
-	if _, err := m.Launch("producer", sim.Args{"src": src}); err != nil {
-		return nil, err
-	}
-	if _, err := m.Launch("consumer", sim.Args{"tbl": tbl, "dst": m.Buffer("dst")}); err != nil {
-		return nil, err
-	}
-	return m, nil
+// segmentConfig is the spill configuration recording r: its spec plus this
+// server's rotation thresholds and filesystem.
+func (s *server) segmentConfig(r *run) obs.SegmentConfig {
+	cfg := r.spec.SegmentConfig(r.spill)
+	cfg.MaxLines, cfg.MaxBytes, cfg.FS = s.cfg.segLines, s.cfg.segBytes, s.cfg.fs
+	return cfg
+}
+
+// admit submits a fresh run of this server's workload. Its spec records the
+// server's run shape and the drive limits the supervisor resolves lim to —
+// RunFor slice boundaries cut fast-forward jumps, so the recorded stream
+// depends on slice and cycle budget (supervise.Replay).
+func (s *server) admit(n int, tenant string, lim supervise.Limits) (*run, error) {
+	eff := s.sup.EffectiveLimits(lim)
+	return s.submit("", workload.RunSpec{
+		Workload: "oclmon", N: n, Tenant: tenant,
+		SampleEvery: s.cfg.sampleEvery, CheckpointEvery: s.cfg.ckptEvery, DisableFF: s.cfg.noFF,
+		Limits: supervise.Limits{Slice: eff.Slice, CycleBudget: eff.CycleBudget},
+	}, lim, nil)
 }
 
 // submit admits one run through the supervisor. resume carries the durable
@@ -354,16 +321,16 @@ func (s *server) buildMachine(n int, sink obs.Sink) (*sim.Machine, error) {
 // which for an adopted run lives under the dead peer's root). Shed
 // submissions (ErrSaturated, ErrTenantSaturated) leave no trace in the
 // registry; quarantined ones are recorded in their terminal state.
-func (s *server) submit(id, tenant string, n int, lim supervise.Limits, resume *obs.SegmentLog) (*run, error) {
+func (s *server) submit(id string, spec workload.RunSpec, lim supervise.Limits, resume *obs.SegmentLog) (*run, error) {
 	if id == "" {
 		id = s.newID()
 	}
-	if tenant == "" {
-		tenant = "default"
+	if spec.Tenant == "" {
+		spec.Tenant = "default"
 	}
 	r := &run{
-		id: id, workload: "oclmon", tenant: tenant, recovered: resume != nil, items: n,
-		sink:  newLiveSink("oclmon", s.cfg.sampleEvery),
+		id: id, workload: spec.Workload, tenant: spec.Tenant, recovered: resume != nil, spec: &spec,
+		sink:  newLiveSink(spec.Workload, spec.SampleEvery),
 		state: supervise.StateQueued,
 	}
 	if resume != nil {
@@ -382,21 +349,9 @@ func (s *server) submit(id, tenant string, n int, lim supervise.Limits, resume *
 		// directory the durable admission record: a worker killed while this
 		// run is still queued leaves a recoverable (empty-prefix) log, so a
 		// takeover re-executes it instead of silently dropping acknowledged
-		// work.
-		// The Meta records everything a byte-identical re-execution needs:
-		// the workload recipe (workload, n) and the resolved drive limits —
-		// RunFor slice boundaries cut fast-forward jumps, so the recorded
-		// stream depends on slice and cycle budget (supervise.Replay).
-		eff := s.sup.EffectiveLimits(lim)
-		ss, err := obs.NewSegmentSink(obs.SegmentConfig{
-			Dir: r.spill, Design: "oclmon", SampleEvery: s.cfg.sampleEvery,
-			Meta: map[string]string{
-				"workload": r.workload, "n": strconv.Itoa(n), "tenant": tenant,
-				"slice":        strconv.FormatInt(eff.Slice, 10),
-				"cycle-budget": strconv.FormatInt(eff.CycleBudget, 10),
-			},
-			MaxLines: s.cfg.segLines, MaxBytes: s.cfg.segBytes, FS: s.cfg.fs,
-		})
+		// work. The manifest's Meta records the run's spec: everything a
+		// byte-identical re-execution needs.
+		ss, err := obs.NewSegmentSink(s.segmentConfig(r))
 		if err != nil {
 			// A half-born spill stub must not survive to be "recovered" as a
 			// crashed run on the next boot.
@@ -407,8 +362,8 @@ func (s *server) submit(id, tenant string, n int, lim supervise.Limits, resume *
 	}
 	s.addRun(r)
 	err := s.sup.Submit(supervise.Spec{
-		ID: id, Workload: r.workload, Tenant: tenant, Limits: lim,
-		Start: s.buildStart(r, n, resume, &seg),
+		ID: id, Workload: r.workload, Tenant: r.tenant, Limits: lim,
+		Start: s.buildStart(r, resume, &seg),
 		Done:  func(m *sim.Machine, out supervise.Outcome) { r.finish(m, out) },
 		FinalizeRetry: func() error {
 			if seg == nil {
@@ -446,52 +401,6 @@ func (s *server) recoverSpills() error {
 		s.gcSpill()
 	}
 	return err
-}
-
-// rebuildSpill is the scrub.Rebuild hook for this server's own workload: a
-// spill whose manifest says it recorded the standard oclmon workload is
-// regenerated by deterministic re-execution through the repair sink, which
-// accepts the stream only if every segment comes back byte-identical to its
-// manifest checksum. The server must be running the same flags the spill was
-// recorded under — the same contract crash recovery already relies on.
-func (s *server) rebuildSpill(man *obs.Manifest, sink obs.Sink) error {
-	if man.Meta["workload"] != "oclmon" {
-		return fmt.Errorf("no rebuild recipe for workload %q", man.Meta["workload"])
-	}
-	if s.cfg.startHook != nil {
-		return errors.New("runs are hook-injected; no deterministic rebuild")
-	}
-	n := s.cfg.n
-	if v, err := strconv.Atoi(man.Meta["n"]); err == nil && v > 0 {
-		n = v
-	}
-	m, err := s.buildMachine(n, sink)
-	if err != nil {
-		return err
-	}
-	// Re-execute under the drive limits the original run resolved to (recorded
-	// in the Meta; a pre-limits spill falls back to the defaults every boot run
-	// uses): the supervised original's RunFor boundaries cut fast-forward
-	// jumps, so only the same slice schedule regenerates the same bytes.
-	if err := supervise.Replay(limitsFromMeta(man.Meta), m); err != nil {
-		return err
-	}
-	m.Timeline() // forces the recorder's Finalize through to the sink
-	return nil
-}
-
-// limitsFromMeta restores the stream-shaping drive limits a spill was
-// recorded under. Zero values (absent keys — spills from before the limits
-// were persisted) resolve to the supervisor defaults downstream.
-func limitsFromMeta(meta map[string]string) supervise.Limits {
-	var lim supervise.Limits
-	if v, err := strconv.ParseInt(meta["slice"], 10, 64); err == nil && v > 0 {
-		lim.Slice = v
-	}
-	if v, err := strconv.ParseInt(meta["cycle-budget"], 10, 64); err == nil && v > 0 {
-		lim.CycleBudget = v
-	}
-	return lim
 }
 
 // addQuarantined hosts an unrepairable spill as a degraded terminal run: the
@@ -580,7 +489,9 @@ func (s *server) recoverDir(root string) ([]string, error) {
 			// Boot scrub: repair what we can (derived artifacts plus corrupt
 			// segments via deterministic re-execution), quarantine what we
 			// cannot — a damaged spill must never be served as a wrong answer.
-			res, rerr := scrub.Repair(dir, s.rebuildSpill)
+			// The rebuild re-executes the spec the manifest records, never
+			// this server's current flags.
+			res, rerr := scrub.Repair(dir, workload.Rebuild)
 			if rerr != nil || !res.Healthy {
 				reason := fmt.Sprintf("%d findings unrepaired", len(rep.Damage))
 				if rerr != nil {
@@ -607,8 +518,8 @@ func (s *server) recoverDir(root string) ([]string, error) {
 				sink:  newLiveSink(slog.Manifest.Design, slog.Manifest.SampleEvery),
 				state: supervise.StateCompleted,
 			}
-			if v, err := strconv.Atoi(slog.Manifest.Meta["n"]); err == nil && v > 0 {
-				r.items = v // at-cycle rewind needs the workload size to rebuild
+			if spec, err := workload.SpecFromManifest(&slog.Manifest); err == nil {
+				r.spec = &spec // the at-cycle rewind re-executes it
 			}
 			if err := slog.Feed(r.sink); err != nil {
 				log.Printf("oclmon: spill %s: %v", dir, err)
@@ -622,17 +533,18 @@ func (s *server) recoverDir(root string) ([]string, error) {
 				id, len(slog.Lines), slog.Manifest.EndCycle)
 			continue
 		}
-		n := s.cfg.n
-		if v, err := strconv.Atoi(slog.Manifest.Meta["n"]); err == nil && v > 0 {
-			n = v
+		spec, err := workload.SpecFromManifest(&slog.Manifest)
+		if err != nil {
+			log.Printf("oclmon: spill %s: cannot resume: %v", dir, err)
+			continue
 		}
 		log.Printf("oclmon: re-executing crashed run %s: verifying %d durable lines to cycle %d, then resuming",
 			id, len(slog.Lines), slog.LastCycle())
-		// Resume under the drive limits the original run recorded: the resume
+		// Resume the recorded spec under its recorded drive limits: the resume
 		// sink byte-verifies the durable prefix against the re-executed
 		// stream, and the stream's fast-forward jump cuts follow the slice
 		// schedule those limits produce.
-		if _, err := s.submit(id, slog.Manifest.Meta["tenant"], n, limitsFromMeta(slog.Manifest.Meta), slog); err != nil {
+		if _, err := s.submit(id, spec, spec.Limits, slog); err != nil {
 			log.Printf("oclmon: recover %s: %v", id, err)
 			continue
 		}
@@ -924,7 +836,7 @@ func (s *server) handleQuery(w http.ResponseWriter, req *http.Request, r *run) {
 }
 
 // handleAtCycle answers GET /runs/{id}/at-cycle?n=N with the machine state at
-// cycle N, obtained by deterministic re-execution of the run's workload. When
+// cycle N, obtained by deterministic re-execution of the run's spec. When
 // the spill holds checkpoints, re-execution starts from the nearest one at or
 // before N (hash-verified against the live run's recorded state — a mismatch
 // is a 409, the re-execution diverged and the dump would be a lie); otherwise
@@ -939,46 +851,52 @@ func (s *server) handleAtCycle(w http.ResponseWriter, req *http.Request, r *run)
 		http.Error(w, "bad n", http.StatusBadRequest)
 		return
 	}
-	if r.items <= 0 {
-		http.Error(w, "workload size unknown for this run", http.StatusNotFound)
+	if r.spec == nil {
+		http.Error(w, "no recorded run spec for this run", http.StatusNotFound)
 		return
 	}
-	m, err := s.buildMachine(r.items, nil)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
+	var want *obs.Checkpoint
 	if r.spill != "" {
-		cks, err := query.Checkpoints(r.spill)
-		if err == nil {
-			var want *obs.Checkpoint
+		if cks, err := query.Checkpoints(r.spill); err == nil {
 			for i := range cks {
-				if cks[i].Cycle <= target && (want == nil || cks[i].Cycle > want.Cycle) {
+				if cks[i].Cycle > 0 && cks[i].Cycle <= target && (want == nil || cks[i].Cycle > want.Cycle) {
 					want = &cks[i]
-				}
-			}
-			if want != nil && want.Cycle > 0 {
-				if err := m.RunTo(want.Cycle); err != nil {
-					http.Error(w, err.Error(), http.StatusInternalServerError)
-					return
-				}
-				if m.DesignHash() != want.DesignHash || m.StateHash() != want.StateHash {
-					http.Error(w, fmt.Sprintf(
-						"divergent re-execution at checkpoint cycle %d (recorded state %016x, rebuilt %016x)",
-						want.Cycle, want.StateHash, m.StateHash()), http.StatusConflict)
-					return
 				}
 			}
 		}
 	}
-	if err := m.RunTo(target); err != nil {
+	cycles := []int64{target}
+	if want != nil {
+		cycles = append(cycles, want.Cycle)
+	}
+	var state *sim.MachineState
+	var diverged error
+	err = r.spec.Inspect(cycles, func(m *sim.Machine, c int64) error {
+		if want != nil && c == want.Cycle && (m.DesignHash() != want.DesignHash || m.StateHash() != want.StateHash) {
+			diverged = fmt.Errorf("divergent re-execution at checkpoint cycle %d (recorded state %016x, rebuilt %016x)",
+				want.Cycle, want.StateHash, m.StateHash())
+			return diverged
+		}
+		if c == target {
+			state = m.StateDump()
+		}
+		return nil
+	})
+	switch {
+	case diverged != nil:
+		http.Error(w, diverged.Error(), http.StatusConflict)
+		return
+	case err != nil:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	case state == nil:
+		http.Error(w, fmt.Sprintf("re-execution never reached cycle %d", target), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(m.StateDump()); err != nil {
+	if err := enc.Encode(state); err != nil {
 		log.Printf("at-cycle %s: %v", r.id, err)
 	}
 }
@@ -1020,7 +938,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		}
 		lim.WallClock = p
 	}
-	r, err := s.submit("", tenant, n, lim, nil)
+	r, err := s.admit(n, tenant, lim)
 	switch {
 	case errors.Is(err, supervise.ErrSaturated), errors.Is(err, supervise.ErrTenantSaturated):
 		w.Header().Set("Retry-After", s.retryAfter())

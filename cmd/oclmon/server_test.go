@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,54 +16,25 @@ import (
 	"testing"
 	"time"
 
-	"oclfpga/internal/device"
-	"oclfpga/internal/hls"
-	"oclfpga/internal/kir"
-	"oclfpga/internal/mem"
 	"oclfpga/internal/obs"
 	"oclfpga/internal/obs/diff"
 	"oclfpga/internal/obs/scrub"
 	"oclfpga/internal/sim"
 	"oclfpga/internal/supervise"
+	"oclfpga/internal/workload"
 )
 
-// launchWorkload builds, buffers, and launches the oclmon workload on a
-// fresh machine — the same wiring as server.buildStart, shared by the
-// recovery tests that need to drive a machine by hand.
+// launchWorkload builds the oclmon workload's spec for n items on a fresh
+// machine recording into sink (nil: buffered only) — the recovery tests drive
+// it by hand.
 func launchWorkload(t *testing.T, n int, sink obs.Sink) *sim.Machine {
 	t.Helper()
-	d, err := hls.Compile(buildWorkload(n), device.StratixV(), hls.Options{})
+	spec := workload.RunSpec{Workload: "oclmon", N: n, SampleEvery: 1000}
+	r, err := spec.Build(spec.Observe(sink))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := sim.New(d, sim.Options{
-		MemConfig: mem.Config{RowHitLat: 60, RowMissLat: 200},
-		Observe:   &obs.Config{SampleEvery: 1000, Sink: sink},
-	})
-	src, err := m.NewBuffer("src", kir.I32, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := m.NewBuffer("tbl", kir.I32, 1<<14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.NewBuffer("dst", kir.I32, n); err != nil {
-		t.Fatal(err)
-	}
-	for i := range src.Data {
-		src.Data[i] = int64(i + 1)
-	}
-	for i := range tbl.Data {
-		tbl.Data[i] = int64(i % 97)
-	}
-	if _, err := m.Launch("producer", sim.Args{"src": src}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Launch("consumer", sim.Args{"tbl": tbl, "dst": m.Buffer("dst")}); err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return r.M
 }
 
 func waitState(t *testing.T, srv *server, id string, want supervise.State) {
@@ -352,7 +324,7 @@ func TestQueryAndAtCycleEndpoints(t *testing.T) {
 	srv := newServer(serverConfig{
 		n: 256, sampleEvery: 1000, spillDir: root, segLines: 64, ckptEvery: 4096,
 	}, sup)
-	if _, err := srv.submit("", "", 256, supervise.Limits{}, nil); err != nil {
+	if _, err := srv.admit(256, "", supervise.Limits{}); err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, srv, "run1", supervise.StateCompleted)
@@ -442,7 +414,7 @@ func TestDiffAndBaselineEndpoints(t *testing.T) {
 	defer sup.Close()
 	srv := newServer(serverConfig{n: 256, sampleEvery: 1000}, sup)
 	for i := 0; i < 2; i++ {
-		if _, err := srv.submit("", "", 256, supervise.Limits{}, nil); err != nil {
+		if _, err := srv.admit(256, "", supervise.Limits{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -611,7 +583,7 @@ func TestSSEFinalizeAfterSpillCommit(t *testing.T) {
 	srv := newServer(serverConfig{n: 1024, sampleEvery: 1000, spillDir: root, segLines: 64}, sup)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
-	r, err := srv.submit("", "", 1024, supervise.Limits{}, nil)
+	r, err := srv.admit(1024, "", supervise.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -696,17 +668,18 @@ func grepMetrics(body, substr string) string {
 	return strings.Join(out, "\n")
 }
 
-// completeSpilledRun hosts one run to completion on a throwaway server so the
-// durability tests get a real, complete spill directory to damage.
-func completeSpilledRun(t *testing.T, root string, n int) string {
+// completeSpilledRun hosts one run to completion on a throwaway server
+// (checkpointing every ckptEvery cycles) so the durability tests get a real,
+// complete spill directory to damage.
+func completeSpilledRun(t *testing.T, root string, n int, ckptEvery int64) string {
 	t.Helper()
 	sup := supervise.New(supervise.Config{Slots: 1})
 	defer sup.Close()
-	srv := newServer(serverConfig{n: n, sampleEvery: 1000, spillDir: root, segLines: 64}, sup)
+	srv := newServer(serverConfig{n: n, sampleEvery: 1000, spillDir: root, segLines: 64, ckptEvery: ckptEvery}, sup)
 	// A small slice forces RunFor boundaries to cut fast-forward jumps, so
-	// these fixtures only repair byte-identically if the scrubber restores
-	// the drive limits from the spill Meta (limitsFromMeta + supervise.Replay).
-	r, err := srv.submit("", "", n, supervise.Limits{Slice: 500}, nil)
+	// these fixtures only repair byte-identically if the scrubber re-executes
+	// under the drive limits the spill's run spec records (supervise.Replay).
+	r, err := srv.admit(n, "", supervise.Limits{Slice: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -720,7 +693,7 @@ func completeSpilledRun(t *testing.T, root string, n int) string {
 // byte-identically, and then serve the run as if nothing happened.
 func TestBootScrubRepairsDamagedSpill(t *testing.T) {
 	root := t.TempDir()
-	dir := completeSpilledRun(t, root, 256)
+	dir := completeSpilledRun(t, root, 256, 0)
 	man, err := obs.LoadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -778,6 +751,57 @@ func TestBootScrubRepairsDamagedSpill(t *testing.T) {
 	}
 }
 
+// TestBootScrubRebuildsFromRecordedSpec: the boot scrub re-executes the run
+// spec the spill recorded, never this boot's flags. A spill recorded with a
+// checkpoint grid is rotted and rebooted under -checkpoint-every 0 and a
+// different -sample-every and -n: the segment must still come back
+// byte-identical, and the at-cycle rewind must verify the recorded
+// checkpoints against the recorded spec.
+func TestBootScrubRebuildsFromRecordedSpec(t *testing.T) {
+	root := t.TempDir()
+	dir := completeSpilledRun(t, root, 256, 2048)
+	man, err := obs.LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := filepath.Join(dir, man.Segments[0].File)
+	clean, err := os.ReadFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.FlipByte(first, 30); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	log.SetOutput(io.MultiWriter(os.Stderr, &logs))
+	defer log.SetOutput(os.Stderr)
+	sup := supervise.New(supervise.Config{Slots: 1})
+	defer sup.Close()
+	srv := newServer(serverConfig{n: 64, sampleEvery: 250, spillDir: root, segLines: 64}, sup)
+	if err := srv.recoverSpills(); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(logs.String(), "boot scrub repaired") {
+		t.Fatalf("no boot scrub repair logged:\n%s", logs.String())
+	}
+	if got, err := os.ReadFile(first); err != nil || !bytes.Equal(clean, got) {
+		t.Fatalf("re-executed segment is not byte-identical to the original (%v)", err)
+	}
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	if m := scrape(t, ts.URL+"/metrics"); !strings.Contains(m, "\noclmon_runs_quarantined 0\n") {
+		t.Fatalf("quarantine gauge: %s", grepMetrics(m, "oclmon_runs_quarantined"))
+	}
+	var st struct {
+		Cycle int64 `json:"cycle"`
+	}
+	body := scrape(t, ts.URL+"/runs/run1/at-cycle?n=5000")
+	if err := json.Unmarshal([]byte(body), &st); err != nil || st.Cycle != 5000 {
+		t.Fatalf("at-cycle from the recorded spec: %v\n%s", err, body)
+	}
+}
+
 // TestBootScrubQuarantinesUnrepairableSpill poisons the rebuild recipe and
 // rots a segment: with no way to regenerate trustworthy bytes, the boot scrub
 // must quarantine the spill — degraded verdict in /runs, a gauge in /metrics,
@@ -785,7 +809,7 @@ func TestBootScrubRepairsDamagedSpill(t *testing.T) {
 // never serve the corrupt telemetry.
 func TestBootScrubQuarantinesUnrepairableSpill(t *testing.T) {
 	root := t.TempDir()
-	dir := completeSpilledRun(t, root, 256)
+	dir := completeSpilledRun(t, root, 256, 0)
 	manPath := filepath.Join(dir, "manifest.json")
 	raw, err := os.ReadFile(manPath)
 	if err != nil {
@@ -872,7 +896,7 @@ func TestSpillGCEnforcesBudget(t *testing.T) {
 	defer sup.Close()
 	srv := newServer(serverConfig{n: 256, sampleEvery: 1000, spillDir: root, segLines: 64}, sup)
 	for _, id := range []string{"run1", "run2"} {
-		if _, err := srv.submit("", "", 256, supervise.Limits{}, nil); err != nil {
+		if _, err := srv.admit(256, "", supervise.Limits{}); err != nil {
 			t.Fatal(err)
 		}
 		waitState(t, srv, id, supervise.StateCompleted)

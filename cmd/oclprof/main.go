@@ -16,13 +16,7 @@ import (
 	"io"
 	"log"
 	"os"
-	"strconv"
 
-	"oclfpga/internal/device"
-	"oclfpga/internal/fault"
-	"oclfpga/internal/hls"
-	"oclfpga/internal/host"
-	"oclfpga/internal/kir"
 	"oclfpga/internal/obs"
 	"oclfpga/internal/obs/analyze"
 	"oclfpga/internal/obs/diff"
@@ -60,11 +54,11 @@ var (
 	flagSpillDir = flag.String("spill-dir", "", "stream observability records into crash-safe rotated NDJSON segments under this directory")
 	flagSegLines = flag.Int("seg-lines", 4096, "segment rotation threshold in payload lines (with -spill-dir)")
 	flagSegBytes = flag.Int64("seg-bytes", 1<<20, "segment rotation threshold in payload bytes (with -spill-dir)")
-	flagAtCycle  = flag.Int64("at-cycle", -1, "re-execute to this cycle and dump the machine state as JSON (with -spill-dir: rewind from the nearest recorded checkpoint, hash-verified)")
+	flagAtCycle  = flag.Int64("at-cycle", -1, "re-execute to this cycle and dump the machine state as JSON (with -spill-dir: re-execute the spill's recorded run spec, rewound from its nearest recorded checkpoint, hash-verified)")
 	flagBreak    = flag.String("break", "", "halt re-execution on breakpoint/watchpoint specs: cycle=N | chan:NAME.stall>K | chan:NAME.len>K | unit:NAME.state=S (comma-separated)")
 	flagQueryStr = flag.String("query", "", "answer an event query from -spill-dir via the segment index: 'track=T name=N kind=K cycles=[a,b]'")
 	flagCkptEvry = flag.Int64("checkpoint-every", 0, "emit rewind checkpoints every N cycles into the observability stream (0 = off); with -at-cycle and no -spill-dir, rewind two-phase via this grid")
-	flagScrub    = flag.Bool("scrub", false, "scrub -spill-dir: verify every segment fingerprint and self-heal damage, re-executing the recorded run (manifest Meta) for byte-identical segment repair; exit 1 if damage remains")
+	flagScrub    = flag.Bool("scrub", false, "scrub -spill-dir: verify every segment fingerprint and self-heal damage, re-executing the run spec the manifest records (any registry workload: oclprof's, oclmon's, simbench) for byte-identical segment repair; exit 1 if damage remains")
 	flagDiff     = flag.Bool("diff", false, "compare two stall-attribution JSON files (baseline first): oclprof -diff A.json B.json; exit 3 on a regression")
 	flagDiffSpl  = flag.Bool("diff-spill", false, "compare two completed spill directories (baseline first) via the segment indexes: oclprof -diff-spill dirA dirB; exit 3 on a regression")
 	flagDiffRel  = flag.Float64("diff-rel", 1, "diff verdict relative threshold in percent (with -diff/-diff-spill)")
@@ -97,100 +91,74 @@ func analyzeOn() bool { return *flagAttr != "" || *flagFolded != "" || *flagPpro
 // simulator's recorder streams into it and finishRun closes it.
 var spillFile *os.File
 
-// must unwraps a (value, error) pair, aborting the tool on error — the
-// command-line analogue of the library's error returns.
-func must[T any](v T, err error) T {
-	if err != nil {
-		log.Fatal(err)
+// flagSpec is the run the flags describe.
+func flagSpec() workload.RunSpec {
+	ts := *flagTS
+	if ts == "none" {
+		ts = ""
 	}
-	return v
+	return workload.RunSpec{
+		Workload: *flagWorkload, Device: *flagDevice, Inject: *flagInject,
+		SampleEvery: *flagEvery, CheckpointEvery: *flagCkptEvry, StallLimit: *flagStall,
+		DepthOpt: *flagDepthOpt, StallMon: *flagStallMon, Watch: *flagWatch, Order: *flagInstr,
+		Timestamps: ts, Trace: *flagTrace,
+	}
 }
 
-// rebuildSink, when set, reroutes the next run's observability stream into
-// it instead of the flag-configured sinks — the re-execution path -scrub's
-// byte-identical segment repair drives.
-var rebuildSink obs.Sink
-
-// spillMeta captures every flag the recorded event stream depends on, so a
-// scrubber holding nothing but the spill can re-execute the identical run.
-// SampleEvery lives in the manifest proper; everything else rides in Meta.
-func spillMeta() map[string]string {
-	meta := map[string]string{
-		"workload":  *flagWorkload,
-		"device":    *flagDevice,
-		"ckptEvery": fmt.Sprint(*flagCkptEvry),
+// observeConfig is the recorder the output flags ask for, nil when none
+// does. The spill sinks record spec, so -scrub can re-execute the run.
+func observeConfig(spec workload.RunSpec) *obs.Config {
+	if !observeOn() {
+		return nil
 	}
-	set := func(key, val string) {
-		if val != "" {
-			meta[key] = val
-		}
-	}
-	setBool := func(key string, on bool) {
-		if on {
-			meta[key] = "1"
-		}
-	}
-	set("inject", *flagInject)
-	setBool("chandepthopt", *flagDepthOpt)
-	setBool("stallmon", *flagStallMon)
-	setBool("watch", *flagWatch)
-	setBool("order", *flagInstr)
-	if *flagTS != "none" {
-		meta["timestamps"] = *flagTS
-	}
-	if *flagStall != 0 {
-		meta["stalllimit"] = fmt.Sprint(*flagStall)
-	}
-	return meta
-}
-
-// simOpts builds the simulator options shared by every workload, parsing the
-// -inject fault plan if given. design names the NDJSON spill stream so a
-// replayed timeline matches the in-memory one byte for byte.
-func simOpts(design string) sim.Options {
-	opts := sim.Options{StallLimit: *flagStall}
-	if *flagInject != "" {
-		plan, err := fault.ParseSpecs(*flagInject)
+	var sinks []obs.Sink
+	if *flagSpill != "" {
+		f, err := os.Create(*flagSpill)
 		if err != nil {
 			log.Fatal(err)
 		}
-		opts.Fault = plan
+		spillFile = f
+		sinks = append(sinks, obs.NewNDJSONSink(f, spec.Workload, spec.SampleEvery))
 	}
-	if rebuildSink != nil {
-		opts.Observe = &obs.Config{SampleEvery: *flagEvery, CheckpointEvery: *flagCkptEvry, Sink: rebuildSink}
-		return opts
+	if *flagSpillDir != "" {
+		cfg := spec.SegmentConfig(*flagSpillDir)
+		cfg.MaxLines, cfg.MaxBytes = *flagSegLines, *flagSegBytes
+		seg, err := obs.NewSegmentSink(cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		sinks = append(sinks, seg)
 	}
-	if observeOn() {
-		opts.Observe = &obs.Config{SampleEvery: *flagEvery, CheckpointEvery: *flagCkptEvry}
-		var sinks []obs.Sink
-		if *flagSpill != "" {
-			f, err := os.Create(*flagSpill)
-			if err != nil {
-				log.Fatal(err)
-			}
-			spillFile = f
-			sinks = append(sinks, obs.NewNDJSONSink(f, design, *flagEvery))
-		}
-		if *flagSpillDir != "" {
-			seg, err := obs.NewSegmentSink(obs.SegmentConfig{
-				Dir: *flagSpillDir, Design: design, SampleEvery: *flagEvery,
-				Meta:     spillMeta(),
-				MaxLines: *flagSegLines, MaxBytes: *flagSegBytes,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			sinks = append(sinks, seg)
-		}
-		switch len(sinks) {
-		case 0:
-		case 1:
-			opts.Observe.Sink = sinks[0]
-		default:
-			opts.Observe.Sink = obs.NewFanout(sinks...)
+	var sink obs.Sink
+	switch len(sinks) {
+	case 1:
+		sink = sinks[0]
+	case 2:
+		sink = obs.NewFanout(sinks...)
+	}
+	return spec.Observe(sink)
+}
+
+// start builds spec — compiled, buffers staged, kernels launched, recording
+// into the sinks the flags ask for — and prints the compile report.
+func start(spec workload.RunSpec) *workload.Run {
+	r, err := spec.Build(observeConfig(spec))
+	if err != nil {
+		log.Fatal(err)
+	}
+	d := r.Design
+	if *flagLog {
+		fmt.Fprintln(out, "== compiler log ==")
+		for _, l := range d.Log {
+			fmt.Fprintln(out, "  "+l)
 		}
 	}
-	return opts
+	fmt.Fprintf(out, "== fit: %.1fK ALUTs, %d RAM blocks, %s memory bits, Fmax %.1f MHz ==\n\n",
+		d.Area.LogicK(), d.Area.M20Ks, fmtBits(d.Area.MemBits), d.Area.FmaxMHz)
+	if *flagSched {
+		fmt.Fprintln(out, d.DumpSchedule())
+	}
+	return r
 }
 
 // checkRun handles the outcome of Machine.Run: with -diagnose, a deadlock is
@@ -218,30 +186,17 @@ func checkRun(err error) {
 	log.Fatal(err)
 }
 
-// debugRun intercepts the workload's run when a time-travel mode is active,
-// reporting whether it handled the run (the workload's normal epilogue is
-// skipped). Launches have been made; the machine sits at cycle 0.
-func debugRun(m *sim.Machine) bool {
-	switch {
-	case *flagAtCycle >= 0:
-		runAtCycle(m)
-		return true
-	case *flagBreak != "":
-		runBreak(m)
-		return true
-	}
-	return false
-}
-
-// runAtCycle re-executes to the target cycle and dumps the machine state as
-// the run's single stdout document. With -spill-dir, the rewind starts by
-// fast-forwarding to the nearest recorded checkpoint at or before the target
-// and verifying its design and state hashes — a mismatch means the
-// re-execution is not the spilled run (different arguments, fault plan, or
-// code) and is fatal. With only -checkpoint-every K, the run is split at the
-// same grid cycle unverified. Either way the dump is byte-identical to a
-// plain cycle-0 re-execution's.
-func runAtCycle(m *sim.Machine) {
+// runAtCycle re-executes spec to the target cycle and dumps the machine
+// state as the run's single stdout document. With -spill-dir, spec is the
+// spill's recorded run and the rewind passes through the nearest recorded
+// checkpoint at or before the target, verifying its design and state hashes
+// — a mismatch means the re-execution is not the spilled run (different
+// code, or a spec that misses something the stream depends on) and is
+// fatal. With only -checkpoint-every K, the run is split at the same grid
+// cycle unverified. Either way the dump is byte-identical to a plain cycle-0
+// re-execution's, and the recorded host phases (pre-run monitor start,
+// post-run trace readout) are re-executed where the target lies in them.
+func runAtCycle(spec workload.RunSpec) {
 	target := *flagAtCycle
 	var start int64
 	var want *obs.Checkpoint
@@ -258,28 +213,39 @@ func runAtCycle(m *sim.Machine) {
 		if want != nil {
 			start = want.Cycle
 		}
-	} else if *flagCkptEvry > 0 {
-		start = target / *flagCkptEvry * *flagCkptEvry
+	} else if spec.CheckpointEvery > 0 {
+		start = target / spec.CheckpointEvery * spec.CheckpointEvery
 	}
+	cycles := []int64{target}
 	if start > 0 {
-		checkRun(m.RunTo(start))
-		if want != nil {
-			if got := m.DesignHash(); got != want.DesignHash {
-				log.Fatalf("divergent re-execution: design hash %016x, checkpoint recorded %016x (different design?)",
-					got, want.DesignHash)
-			}
-			if got := m.StateHash(); got != want.StateHash {
-				log.Fatalf("divergent re-execution: state hash %016x at cycle %d, checkpoint recorded %016x (different arguments or fault plan?)",
-					got, start, want.StateHash)
-			}
-			fmt.Fprintf(os.Stderr, "rewind: checkpoint at cycle %d verified; fast-forwarding %d cycles to target\n",
-				start, target-start)
-		} else {
-			fmt.Fprintf(os.Stderr, "rewind: two-phase via checkpoint grid cycle %d (no spill; unverified)\n", start)
-		}
+		cycles = append(cycles, start)
 	}
-	checkRun(m.RunTo(target))
-	buf, err := json.MarshalIndent(m.StateDump(), "", "  ")
+	var state *sim.MachineState
+	err := spec.Inspect(cycles, func(m *sim.Machine, c int64) error {
+		if c == start && start > 0 {
+			if want == nil {
+				fmt.Fprintf(os.Stderr, "rewind: two-phase via checkpoint grid cycle %d (no spill; unverified)\n", start)
+			} else if got := m.DesignHash(); got != want.DesignHash {
+				return fmt.Errorf("divergent re-execution: design hash %016x, checkpoint recorded %016x (different design?)",
+					got, want.DesignHash)
+			} else if got := m.StateHash(); got != want.StateHash {
+				return fmt.Errorf("divergent re-execution: state hash %016x at cycle %d, checkpoint recorded %016x (different arguments or fault plan?)",
+					got, start, want.StateHash)
+			} else {
+				fmt.Fprintf(os.Stderr, "rewind: checkpoint at cycle %d verified; fast-forwarding %d cycles to target\n",
+					start, target-start)
+			}
+		}
+		if c == target {
+			state = m.StateDump()
+		}
+		return nil
+	})
+	checkRun(err)
+	if state == nil {
+		log.Fatalf("re-execution never reached cycle %d", target)
+	}
+	buf, err := json.MarshalIndent(state, "", "  ")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -297,16 +263,17 @@ type breakReport struct {
 
 // runBreak re-executes under the -break specs and reports the first hit with
 // the machine state frozen at the halt cycle.
-func runBreak(m *sim.Machine) {
+func runBreak(r *workload.Run) {
+	m := r.M
 	hit, err := m.RunBreaks(breakSpecs)
 	checkRun(err)
-	r := breakReport{Workload: *flagWorkload, Specs: make([]string, len(breakSpecs)), Hit: hit, State: m.StateDump()}
+	rep := breakReport{Workload: r.Spec.Workload, Specs: make([]string, len(breakSpecs)), Hit: hit, State: m.StateDump()}
 	for i, b := range breakSpecs {
-		r.Specs[i] = b.String()
+		rep.Specs[i] = b.String()
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
+	if err := enc.Encode(rep); err != nil {
 		log.Fatal(err)
 	}
 	if hit != nil {
@@ -347,9 +314,12 @@ type unitReport struct {
 	FinishedAt int64  `json:"finishedAt"`
 }
 
-// finishRun is the common epilogue of every workload: dump the timeline and
+// finishRun is the common epilogue of every workload: run the recorded
+// post-run phase if the report did not already, dump the timeline and
 // metrics files if requested, and with -json emit the run report on stdout.
-func finishRun(m *sim.Machine, units ...*sim.Unit) {
+func finishRun(r *workload.Run) {
+	checkRun(r.PostRun())
+	m, units := r.M, r.Units
 	if *flagTimeline != "" {
 		writeJSONFile(*flagTimeline, func(w io.Writer) error {
 			return obs.WriteTimeline(w, m.Timeline())
@@ -380,11 +350,6 @@ func finishRun(m *sim.Machine, units ...*sim.Unit) {
 		// Same finalize path: Timeline() committed the segments through the
 		// sink; a failed commit (full disk, blocked rename) surfaces here.
 		m.Timeline()
-		if rebuildSink != nil {
-			// Repair re-execution: the scrubber's sink holds any stream error
-			// and its Commit reports it typed; nothing else to emit.
-			return
-		}
 		if err := m.ObserveErr(); err != nil {
 			log.Fatal(err)
 		}
@@ -412,8 +377,8 @@ func finishRun(m *sim.Machine, units ...*sim.Unit) {
 	if !*flagJSON {
 		return
 	}
-	r := runReport{
-		Workload:    *flagWorkload,
+	rep := runReport{
+		Workload:    r.Spec.Workload,
 		Device:      *flagDevice,
 		Cycles:      m.Cycle(),
 		FastForward: m.FastForwardStats(),
@@ -426,25 +391,25 @@ func finishRun(m *sim.Machine, units ...*sim.Unit) {
 		SpillDir:    *flagSpillDir,
 	}
 	if observeOn() {
-		r.SampleEvery = *flagEvery
+		rep.SampleEvery = *flagEvery
 	}
 	if attr != nil {
-		r.Stall = &stallReport{
+		rep.Stall = &stallReport{
 			TotalStallCycles: attr.TotalStallCycles,
 			CriticalCycles:   attr.CriticalCycles,
 			Rows:             len(attr.Rows),
 		}
 	}
 	for _, u := range units {
-		r.Units = append(r.Units, unitReport{Kernel: u.Kernel().UnitName(), FinishedAt: u.FinishedAt()})
+		rep.Units = append(rep.Units, unitReport{Kernel: u.Kernel().UnitName(), FinishedAt: u.FinishedAt()})
 	}
 	if *flagProfile {
 		p := m.Profile(units...)
-		r.Profile = &p
+		rep.Profile = &p
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
+	if err := enc.Encode(rep); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -460,19 +425,6 @@ func writeJSONFile(path string, write func(io.Writer) error) {
 	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
-}
-
-func pickDevice() *device.Device {
-	switch *flagDevice {
-	case "s5":
-		return device.StratixV()
-	case "a10":
-		return device.Arria10()
-	case "a10i":
-		return device.Arria10Integrated()
-	}
-	log.Fatalf("unknown device %q", *flagDevice)
-	return nil
 }
 
 // usageExit rejects a mutually-exclusive flag combination: message, usage,
@@ -646,90 +598,35 @@ func main() {
 		// keep stdout a single machine-readable document; narration to stderr
 		out = os.Stderr
 	}
-	runWorkload(pickDevice(), hls.Options{OptimizeChannelDepths: *flagDepthOpt})
-}
-
-func runWorkload(dev *device.Device, opts hls.Options) {
-	switch *flagWorkload {
-	case "matvec-st", "matvec-nd":
-		runMatVec(dev, opts)
-	case "matmul":
-		runMatMul(dev, opts)
-	case "chase":
-		runChase(dev, opts)
-	case "vecadd":
-		runVecAdd(dev, opts)
-	case "fir":
-		runFIR(dev, opts)
-	case "chanstall":
-		runChanStall(dev, opts)
-	default:
+	if *flagAtCycle >= 0 && *flagSpillDir != "" {
+		// Rewind the run the spill recorded, whatever the workload flags say.
+		man, err := obs.LoadManifest(*flagSpillDir)
+		if err != nil {
+			log.Fatal(err)
+		}
+		spec, err := workload.SpecFromManifest(man)
+		if err != nil {
+			log.Fatal(err)
+		}
+		runAtCycle(spec)
+		return
+	}
+	report, ok := reports[*flagWorkload]
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *flagWorkload)
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-func knownWorkload(w string) bool {
-	switch w {
-	case "matvec-st", "matvec-nd", "matmul", "chase", "vecadd", "fir", "chanstall":
-		return true
+	if *flagAtCycle >= 0 {
+		runAtCycle(flagSpec())
+		return
 	}
-	return false
-}
-
-// rebuildFromMeta is the scrub re-execution hook: it restores the recorded
-// run's parameters from the spill manifest (spillMeta wrote them) and replays
-// the workload into sink — the RepairSink whose fingerprint verification
-// makes the resulting segment swap byte-identical-or-nothing.
-func rebuildFromMeta(man *obs.Manifest, sink obs.Sink) error {
-	w := man.Meta["workload"]
-	if !knownWorkload(w) {
-		return fmt.Errorf("manifest records workload %q, which oclprof cannot re-execute", w)
+	r := start(flagSpec())
+	if *flagBreak != "" {
+		runBreak(r)
+		return
 	}
-	metaInt := func(key string, dst *int64) error {
-		v, ok := man.Meta[key]
-		if !ok {
-			*dst = 0
-			return nil
-		}
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return fmt.Errorf("manifest %s %q: %w", key, v, err)
-		}
-		*dst = n
-		return nil
-	}
-	*flagWorkload = w
-	if d := man.Meta["device"]; d != "" {
-		*flagDevice = d
-	}
-	*flagEvery = man.SampleEvery
-	if err := metaInt("ckptEvery", flagCkptEvry); err != nil {
-		return err
-	}
-	if err := metaInt("stalllimit", flagStall); err != nil {
-		return err
-	}
-	*flagInject = man.Meta["inject"]
-	*flagDepthOpt = man.Meta["chandepthopt"] == "1"
-	*flagStallMon = man.Meta["stallmon"] == "1"
-	*flagWatch = man.Meta["watch"] == "1"
-	*flagInstr = man.Meta["order"] == "1"
-	*flagTS = "none"
-	if v := man.Meta["timestamps"]; v != "" {
-		*flagTS = v
-	}
-	// Silence the run and drop every output flag: the re-execution exists
-	// only to feed the repair sink, and the scrubber owns the report.
-	*flagLog, *flagSched, *flagProfile, *flagTrace, *flagJSON = false, false, false, false, false
-	*flagVCD, *flagTimeline, *flagMetrics, *flagSpill = "", "", "", ""
-	*flagAttr, *flagFolded, *flagPprof = "", "", ""
-	out = io.Discard
-	rebuildSink = sink
-	defer func() { rebuildSink = nil }()
-	runWorkload(pickDevice(), hls.Options{OptimizeChannelDepths: *flagDepthOpt})
-	return nil
+	report(r)
 }
 
 // scrubVerdict is -scrub's stdout document.
@@ -742,8 +639,8 @@ type scrubVerdict struct {
 
 // runScrub verifies and self-heals -spill-dir: derived damage (commit
 // debris, stale sidecars) is repaired in place, and damaged segment bodies
-// are regenerated byte-identically by re-executing the recorded run. Exit 0
-// means the directory ends healthy.
+// are regenerated byte-identically by re-executing the run spec the
+// manifest records. Exit 0 means the directory ends healthy.
 func runScrub() {
 	dir := *flagSpillDir
 	rep, err := scrub.Scan(dir)
@@ -755,7 +652,7 @@ func runScrub() {
 	}
 	v := scrubVerdict{Dir: dir, Scan: rep, Healthy: rep.Healthy}
 	if !rep.Healthy {
-		res, rerr := scrub.Repair(dir, rebuildFromMeta)
+		res, rerr := scrub.Repair(dir, workload.Rebuild)
 		v.Repair = res
 		if rerr != nil {
 			fmt.Fprintf(os.Stderr, "scrub: repair: %v\n", rerr)
@@ -780,75 +677,37 @@ func runScrub() {
 	}
 }
 
-func compileAndReport(p *kir.Program, dev *device.Device, opts hls.Options) *hls.Design {
-	d, err := hls.Compile(p, dev, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *flagLog {
-		fmt.Fprintln(out, "== compiler log ==")
-		for _, l := range d.Log {
-			fmt.Fprintln(out, "  "+l)
-		}
-	}
-	fmt.Fprintf(out, "== fit: %.1fK ALUTs, %d RAM blocks, %s memory bits, Fmax %.1f MHz ==\n\n",
-		d.Area.LogicK(), d.Area.M20Ks, fmtBits(d.Area.MemBits), d.Area.FmaxMHz)
-	if *flagSched {
-		fmt.Fprintln(out, d.DumpSchedule())
-	}
-	return d
-}
-
 func fmtBits(b int64) string { return fmt.Sprintf("%.2fM", float64(b)/1e6) }
 
-func runMatVec(dev *device.Device, opts hls.Options) {
-	mode := kir.SingleTask
-	if *flagWorkload == "matvec-nd" {
-		mode = kir.NDRange
+// reports maps each oclprof workload to its report: drive the built run,
+// print what a developer would see, and finish.
+var reports = map[string]func(*workload.Run){
+	"matvec-st": reportMatVec,
+	"matvec-nd": reportMatVec,
+	"matmul":    reportMatMul,
+	"chase":     reportChase,
+	"vecadd":    reportVecAdd,
+	"fir":       reportFIR,
+	"chanstall": reportChanStall,
+}
+
+// printProfile prints the board-level counters with -profile.
+func printProfile(r *workload.Run) {
+	if *flagProfile {
+		fmt.Fprintln(out, r.M.Profile(r.Units...))
 	}
-	p := kir.NewProgram(*flagWorkload)
-	mv := workload.BuildMatVec(p, workload.MatVecConfig{Mode: mode, Instrument: *flagInstr})
-	d := compileAndReport(p, dev, opts)
-	m := sim.New(d, simOpts(p.Name))
+}
+
+func reportMatVec(r *workload.Run) {
+	m, u := r.M, r.Units[0]
 	var vcd *sim.VCDRecorder
 	if *flagVCD != "" {
 		vcd = m.NewVCD()
 	}
-	cfg := mv.Config
-	x := must(m.NewBuffer("x", kir.I32, cfg.N*cfg.Num))
-	y := must(m.NewBuffer("y", kir.I32, cfg.Num))
-	z := must(m.NewBuffer("z", kir.I32, cfg.N))
-	args := sim.Args{"x": x, "y": y, "z": z}
-	if *flagInstr {
-		args["info1"] = must(m.NewBuffer("info1", kir.I64, mv.InfoSize))
-		args["info2"] = must(m.NewBuffer("info2", kir.I32, mv.InfoSize))
-		args["info3"] = must(m.NewBuffer("info3", kir.I32, mv.InfoSize))
-	}
-	for i := range x.Data {
-		x.Data[i] = int64(i % 7)
-	}
-	for i := range y.Data {
-		y.Data[i] = int64(i % 5)
-	}
-	var u *sim.Unit
-	var err error
-	if mode == kir.NDRange {
-		u, err = m.LaunchND(mv.KernelName, int64(cfg.N), args)
-	} else {
-		u, err = m.Launch(mv.KernelName, args)
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-	if debugRun(m) {
-		return
-	}
-	checkRun(m.Run())
+	checkRun(r.Drive())
 	fmt.Fprintf(out, "%s finished in %d cycles (%.2f us at Fmax)\n",
-		mv.KernelName, u.FinishedAt(), float64(u.FinishedAt())/d.Area.FmaxMHz)
-	if *flagProfile {
-		fmt.Fprintln(out, m.Profile(u))
-	}
+		u.Kernel().Name, u.FinishedAt(), float64(u.FinishedAt())/r.Design.Area.FmaxMHz)
+	printProfile(r)
 	if vcd != nil {
 		f, err := os.Create(*flagVCD)
 		if err != nil {
@@ -860,94 +719,37 @@ func runMatVec(dev *device.Device, opts hls.Options) {
 		f.Close()
 		fmt.Fprintf(out, "waveform: %s (%d value changes)\n", *flagVCD, vcd.Changes())
 	}
-	if *flagInstr {
+	if r.Spec.Order {
 		i1 := m.Buffer("info1")
 		i2 := m.Buffer("info2")
 		i3 := m.Buffer("info3")
 		fmt.Fprintln(out, "\nexecution order capture (first 20 sequence numbers):")
 		fmt.Fprintln(out, "  seq  timestamp     k    i")
-		for s := 1; s <= 20 && s < mv.InfoSize; s++ {
+		for s := 1; s <= 20 && s < len(i1.Data); s++ {
 			if i1.Data[s] == 0 {
 				break
 			}
 			fmt.Fprintf(out, "  %3d  %9d  %4d %4d\n", s, i1.Data[s], i2.Data[s], i3.Data[s])
 		}
 	}
-	finishRun(m, u)
+	finishRun(r)
 }
 
-func runMatMul(dev *device.Device, opts hls.Options) {
-	p := kir.NewProgram("matmul")
-	const n = 16
-	mm, err := workload.BuildMatMul(p, workload.MatMulConfig{
-		Size: n, StallMonitor: *flagStallMon, Watchpoint: *flagWatch, Depth: 256,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	var smIfc, wpIfc *host.Interface
-	if mm.SM != nil {
-		smIfc = host.BuildInterface(p, mm.SM)
-	}
-	if mm.WP != nil {
-		wpIfc = host.BuildInterface(p, mm.WP)
-	}
-	d := compileAndReport(p, dev, opts)
-	m := sim.New(d, simOpts(p.Name))
-	da := must(m.NewBuffer("data_a", kir.I32, n*n))
-	db := must(m.NewBuffer("data_b", kir.I32, n*n))
-	dc := must(m.NewBuffer("data_c", kir.I32, n*n))
-	for i := range da.Data {
-		da.Data[i] = int64(i % 13)
-		db.Data[i] = int64(i % 9)
-	}
-	var smCtl, wpCtl *host.Controller
-	if smIfc != nil {
-		smCtl = must(host.NewController(m, smIfc))
-		for id := 0; id < 2; id++ {
-			if err := smCtl.StartLinear(id); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-	if wpIfc != nil {
-		wpCtl = must(host.NewController(m, wpIfc))
-		if err := wpCtl.StartLinear(0); err != nil {
-			log.Fatal(err)
-		}
-	}
-	u, err := m.Launch(mm.KernelName, sim.Args{"data_a": da, "data_b": db, "data_c": dc})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if debugRun(m) {
-		return
-	}
-	checkRun(m.Run())
-	fmt.Fprintf(out, "matmul %dx%d finished in %d cycles\n", n, n, u.FinishedAt())
-	if *flagProfile {
-		fmt.Fprintln(out, m.Profile(u))
-	}
-	if smCtl != nil && *flagTrace {
-		for id := 0; id < 2; id++ {
-			if err := smCtl.Stop(id); err != nil {
-				log.Fatal(err)
-			}
-		}
-		before, _ := smCtl.ReadTrace(0)
-		after, _ := smCtl.ReadTrace(1)
-		lats := trace.Latencies(trace.Valid(before), trace.Valid(after))
+func reportMatMul(r *workload.Run) {
+	u := r.Units[0]
+	checkRun(r.Drive())
+	fmt.Fprintf(out, "matmul %dx%d finished in %d cycles\n", r.N, r.N, u.FinishedAt())
+	printProfile(r)
+	checkRun(r.PostRun())
+	if recs := r.Traces["stallmon"]; recs != nil {
+		lats := trace.Latencies(trace.Valid(recs[0]), trace.Valid(recs[1]))
 		st := trace.Summarize(lats)
 		fmt.Fprintf(out, "\nstall monitor: %d samples, load latency min %d / median %d / max %d cycles\n",
 			st.N, st.Min, st.P50, st.Max)
 		fmt.Fprintln(out, trace.NewHistogram(lats, 8, 10))
 	}
-	if wpCtl != nil && *flagTrace {
-		if err := wpCtl.Stop(0); err != nil {
-			log.Fatal(err)
-		}
-		recs, _ := wpCtl.ReadTrace(0)
-		evs := trace.DecodeWatch(trace.Valid(recs), 16)
+	if recs := r.Traces["watch"]; recs != nil {
+		evs := trace.DecodeWatch(trace.Valid(recs[0]), 16)
 		fmt.Fprintf(out, "\nwatchpoint events at address 0: %d\n", len(evs))
 		for i, e := range evs {
 			if i >= 10 {
@@ -957,188 +759,53 @@ func runMatMul(dev *device.Device, opts hls.Options) {
 			fmt.Fprintf(out, "  cycle %d: addr %d value %d\n", e.T, e.Addr, e.Tag)
 		}
 	}
-	finishRun(m, u)
+	finishRun(r)
 }
 
-func runChase(dev *device.Device, opts hls.Options) {
-	kind := workload.NoTimestamp
-	switch *flagTS {
-	case "cl":
-		kind = workload.CLCounter
-	case "hdl":
-		kind = workload.HDLCounter
-	}
-	p := kir.NewProgram("chase")
-	ch, err := workload.BuildChase(p, workload.ChaseConfig{Steps: 2000, Kind: kind})
-	if err != nil {
-		log.Fatal(err)
-	}
-	d := compileAndReport(p, dev, opts)
-	m := sim.New(d, simOpts(p.Name))
-	table := must(m.NewBuffer("next", kir.I32, 1<<14))
-	res := must(m.NewBuffer("out", kir.I64, 2))
-	for i := range table.Data {
-		table.Data[i] = int64((i*1103 + 331) % len(table.Data))
-	}
-	u, err := m.Launch(ch.KernelName, sim.Args{"next": table, "out": res})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if debugRun(m) {
-		return
-	}
-	checkRun(m.Run())
+func reportChase(r *workload.Run) {
+	u, res := r.Units[0], r.M.Buffer("out")
+	checkRun(r.Drive())
 	fmt.Fprintf(out, "chase finished in %d cycles; final value %d\n", u.FinishedAt(), res.Data[0])
-	if *flagProfile {
-		fmt.Fprintln(out, m.Profile(u))
-	}
-	if kind != workload.NoTimestamp {
+	printProfile(r)
+	if kind, _ := r.Spec.TimestampKind(); kind != workload.NoTimestamp {
 		fmt.Fprintf(out, "on-chip measured duration: %d cycles (%s timestamps)\n", res.Data[1], kind)
 	}
-	finishRun(m, u)
+	finishRun(r)
 }
 
-func runVecAdd(dev *device.Device, opts hls.Options) {
-	p := kir.NewProgram("vecadd")
-	name := workload.BuildVecAdd(p)
-	d := compileAndReport(p, dev, opts)
-	m := sim.New(d, simOpts(p.Name))
-	const n = 1024
-	x := must(m.NewBuffer("x", kir.I32, n))
-	y := must(m.NewBuffer("y", kir.I32, n))
-	z := must(m.NewBuffer("z", kir.I32, n))
-	for i := 0; i < n; i++ {
-		x.Data[i], y.Data[i] = int64(i), int64(2*i)
-	}
-	u, err := m.LaunchND(name, n, sim.Args{"x": x, "y": y, "z": z})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if debugRun(m) {
-		return
-	}
-	checkRun(m.Run())
-	fmt.Fprintf(out, "vecadd over %d work-items in %d cycles; z[10]=%d\n", n, u.FinishedAt(), z.Data[10])
-	finishRun(m, u)
+func reportVecAdd(r *workload.Run) {
+	checkRun(r.Drive())
+	fmt.Fprintf(out, "vecadd over %d work-items in %d cycles; z[10]=%d\n",
+		r.N, r.Units[0].FinishedAt(), r.M.Buffer("z").Data[10])
+	finishRun(r)
 }
 
-func runFIR(dev *device.Device, opts hls.Options) {
-	p := kir.NewProgram("fir")
-	f, err := workload.BuildFIR(p, workload.FIRConfig{Taps: 8, N: 512, StallMonitor: *flagStallMon})
-	if err != nil {
-		log.Fatal(err)
-	}
-	var smIfc *host.Interface
-	if f.SM != nil {
-		smIfc = host.BuildInterface(p, f.SM)
-	}
-	d := compileAndReport(p, dev, opts)
-	m := sim.New(d, simOpts(p.Name))
-	bx := must(m.NewBuffer("x", kir.I32, 512))
-	bc := must(m.NewBuffer("coeff", kir.I32, 8))
-	by := must(m.NewBuffer("y", kir.I32, 512))
-	for i := range bx.Data {
-		bx.Data[i] = int64(i%33 - 16)
-	}
-	for i := range bc.Data {
-		bc.Data[i] = int64(8 - i)
-	}
-	var ctl *host.Controller
-	if smIfc != nil {
-		ctl = must(host.NewController(m, smIfc))
-		for id := 0; id < 2; id++ {
-			if err := ctl.StartLinear(id); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-	u, err := m.Launch(f.KernelName, sim.Args{"x": bx, "coeff": bc, "y": by})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if debugRun(m) {
-		return
-	}
-	checkRun(m.Run())
-	fmt.Fprintf(out, "fir over %d samples in %d cycles; y[8]=%d\n", 512, u.FinishedAt(), by.Data[8])
-	if *flagProfile {
-		fmt.Fprintln(out, m.Profile(u))
-	}
-	if ctl != nil && *flagTrace {
-		for id := 0; id < 2; id++ {
-			if err := ctl.Stop(id); err != nil {
-				log.Fatal(err)
-			}
-		}
-		before, _ := ctl.ReadTrace(0)
-		after, _ := ctl.ReadTrace(1)
-		lats := trace.Latencies(trace.Valid(before), trace.Valid(after))
+func reportFIR(r *workload.Run) {
+	checkRun(r.Drive())
+	fmt.Fprintf(out, "fir over %d samples in %d cycles; y[8]=%d\n",
+		r.N, r.Units[0].FinishedAt(), r.M.Buffer("y").Data[8])
+	printProfile(r)
+	checkRun(r.PostRun())
+	if recs := r.Traces["stallmon"]; recs != nil {
+		lats := trace.Latencies(trace.Valid(recs[0]), trace.Valid(recs[1]))
 		st := trace.Summarize(lats)
 		fmt.Fprintf(out, "sample-load latency: min %d / median %d / max %d over %d samples\n",
 			st.Min, st.P50, st.Max, st.N)
 	}
-	finishRun(m, u)
+	finishRun(r)
 }
 
-// runChanStall builds the §5.1 producer/consumer pair (the E9 experiment's
-// program) as a fault-injection playground: a fast producer feeds a slow
-// consumer through a depth-4 channel named "pipe". With -inject, faults are
-// applied to the live fabric; with -diagnose, a resulting hang prints the
-// structured deadlock report instead of an opaque error.
+// reportChanStall reports the §5.1 producer/consumer fault-injection
+// playground: with -inject, faults are applied to the live fabric; with
+// -diagnose, a resulting hang prints the structured deadlock report instead
+// of an opaque error.
 //
 //	go run ./cmd/oclprof -workload chanstall -inject freeze-read:pipe@500 -diagnose
-func runChanStall(dev *device.Device, opts hls.Options) {
-	const n = 256
-	p := kir.NewProgram("chanstall")
-	pipe := p.AddChan("pipe", 4, kir.I32)
-
-	prod := p.AddKernel("producer", kir.SingleTask)
-	src := prod.AddGlobal("src", kir.I32)
-	pb := prod.NewBuilder()
-	pb.ForN("i", int64(n), nil, func(lb *kir.Builder, i kir.Val, _ []kir.Val) []kir.Val {
-		lb.ChanWrite(pipe, lb.Load(src, i))
-		return nil
-	})
-
-	cons := p.AddKernel("consumer", kir.SingleTask)
-	dst := cons.AddGlobal("dst", kir.I32)
-	cb := cons.NewBuilder()
-	cb.ForN("i", int64(n), nil, func(lb *kir.Builder, i kir.Val, _ []kir.Val) []kir.Val {
-		v := lb.ChanRead(pipe)
-		slow := lb.ForN("j", 2, []kir.Val{v}, func(jb *kir.Builder, j kir.Val, c []kir.Val) []kir.Val {
-			return []kir.Val{jb.Div(jb.Add(c[0], jb.Ci32(3)), jb.Ci32(1))}
-		})
-		lb.Store(dst, i, slow[0])
-		return nil
-	})
-
-	d := compileAndReport(p, dev, opts)
-	so := simOpts(p.Name)
-	if so.StallLimit == 0 {
-		so.StallLimit = 2000 // diagnose injected hangs promptly
-	}
-	m := sim.New(d, so)
-	bs := must(m.NewBuffer("src", kir.I32, n))
-	bd := must(m.NewBuffer("dst", kir.I32, n))
-	for i := range bs.Data {
-		bs.Data[i] = int64(i + 1)
-	}
-	pu, err := m.Launch("producer", sim.Args{"src": bs})
-	if err != nil {
-		log.Fatal(err)
-	}
-	cu, err := m.Launch("consumer", sim.Args{"dst": bd})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if debugRun(m) {
-		return
-	}
-	checkRun(m.Run())
+func reportChanStall(r *workload.Run) {
+	pu, cu := r.Units[0], r.Units[1]
+	checkRun(r.Drive())
 	fmt.Fprintf(out, "producer finished at cycle %d, consumer at cycle %d; dst[%d]=%d\n",
-		pu.FinishedAt(), cu.FinishedAt(), n-1, bd.Data[n-1])
-	if *flagProfile {
-		fmt.Fprintln(out, m.Profile(pu, cu))
-	}
-	finishRun(m, pu, cu)
+		pu.FinishedAt(), cu.FinishedAt(), r.N-1, r.M.Buffer("dst").Data[r.N-1])
+	printProfile(r)
+	finishRun(r)
 }

@@ -252,3 +252,43 @@ func TestScrubFlagHygiene(t *testing.T) {
 		t.Fatalf("-scrub with -timeline exited %d, want 2", code)
 	}
 }
+
+// TestScrubRepairsTracedSpills: the -trace readout (Stop + ReadTrace on every
+// monitor bank) runs machine cycles after the kernel finishes, so it is part
+// of the recorded stream. -scrub must re-execute it, or the regenerated
+// stream ends early and the repair diverges.
+func TestScrubRepairsTracedSpills(t *testing.T) {
+	for _, args := range [][]string{
+		{"-workload", "matmul", "-stallmon", "-trace"},
+		{"-workload", "matmul", "-watch", "-trace"},
+	} {
+		t.Run(args[2][1:], func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "spill")
+			if _, stderr, code := runBin(t, append(args, "-log=false", "-seg-lines", "64", "-spill-dir", dir)...); code != 0 {
+				t.Fatalf("spill run exited %d\n%s", code, stderr)
+			}
+			man, err := obs.LoadManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if man.Meta["trace"] != "1" {
+				t.Fatalf("manifest Meta does not record the trace phase: %v", man.Meta)
+			}
+			seg := filepath.Join(dir, man.Segments[0].File)
+			clean, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := obs.FlipByte(seg, 33); err != nil {
+				t.Fatal(err)
+			}
+			stdout, stderr, code := runBin(t, "-scrub", "-spill-dir", dir)
+			if code != 0 || oneJSONDocument(t, stdout)["healthy"] != true {
+				t.Fatalf("-scrub exited %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
+			}
+			if got, err := os.ReadFile(seg); err != nil || !bytes.Equal(got, clean) {
+				t.Fatalf("repaired segment is not byte-identical to the original (%v)", err)
+			}
+		})
+	}
+}

@@ -5,14 +5,12 @@ import (
 	"path/filepath"
 	"testing"
 
-	"oclfpga/internal/device"
 	"oclfpga/internal/fault"
-	"oclfpga/internal/hls"
-	"oclfpga/internal/kir"
 	"oclfpga/internal/obs"
 	"oclfpga/internal/obs/analyze"
 	"oclfpga/internal/obs/diff"
 	"oclfpga/internal/sim"
+	"oclfpga/internal/workload"
 )
 
 // captureAttributed runs fn with the recorder injected into every machine it
@@ -93,33 +91,12 @@ func TestDiffSelfNeutral(t *testing.T) {
 // optional fault plan, and returns its attribution and series.
 func runSimBenchFaulted(t *testing.T, n int, plan *fault.Plan) (*analyze.Attribution, *obs.Series) {
 	t.Helper()
-	d, err := hls.Compile(buildSimBench(n), device.StratixV(), hls.Options{})
+	d, err := CompileSimBench(n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := sim.New(d, sim.Options{Observe: &obs.Config{SampleEvery: 128}, Fault: plan})
-	src, err := m.NewBuffer("src", kir.I32, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := m.NewBuffer("tbl", kir.I32, simBenchTblElems)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst, err := m.NewBuffer("dst", kir.I32, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range src.Data {
-		src.Data[i] = int64(i + 1)
-	}
-	for i := range tbl.Data {
-		tbl.Data[i] = int64(i % 97)
-	}
-	if _, err := m.Launch("producer", sim.Args{"src": src}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Launch("consumer", sim.Args{"tbl": tbl, "dst": dst}); err != nil {
+	if _, err := workload.StageStallPipe(m, n); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Run(); err != nil {

@@ -2,18 +2,20 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"oclfpga/internal/obs"
 	"oclfpga/internal/obs/scrub"
+	"oclfpga/internal/workload"
 )
 
 // TestScrubRepairSimBenchPinned is the end-to-end durability pin: a real
 // simulated workload spills a checkpointed segmented record, the chaos
 // injector damages it several ways at once, and scrub.Repair — driving the
-// full simulator re-execution via SimBenchRebuild — must restore every file
+// full simulator re-execution via workload.Rebuild — must restore every file
 // byte-identically to a clean run's. Pinned with fast-forward on and off,
 // because the regenerated stream must be identical in both regimes for
 // repair (and crash recovery) to be trustworthy at all.
@@ -88,7 +90,7 @@ func TestScrubRepairSimBenchPinned(t *testing.T) {
 				t.Fatalf("scan = healthy %v, needsReexec %v", rep.Healthy, rep.NeedsReexec)
 			}
 
-			res, err := scrub.Repair(dir, SimBenchRebuild)
+			res, err := scrub.Repair(dir, workload.Rebuild)
 			if err != nil {
 				t.Fatalf("repair: %v (remaining %+v)", err, res.Remaining)
 			}
@@ -122,8 +124,9 @@ func TestScrubRepairSimBenchPinned(t *testing.T) {
 	}
 }
 
-// TestScrubRepairRefusesForeignWorkload: a manifest whose Meta names another
-// workload must be refused by the rebuild hook, not repaired into garbage.
+// TestScrubRepairRefusesForeignWorkload: a manifest whose Meta names a
+// workload outside the registry must be refused with the typed
+// unknown-workload error, not repaired into garbage.
 func TestScrubRepairRefusesForeignWorkload(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := SpillSimBench(64, dir, 128, 2048, 32); err != nil {
@@ -134,7 +137,8 @@ func TestScrubRepairRefusesForeignWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	man.Meta["workload"] = "something-else"
-	if err := SimBenchRebuild(man, nil); err == nil {
-		t.Fatal("rebuilt a foreign workload")
+	var uw *workload.UnknownWorkloadError
+	if err := workload.Rebuild(man, nil); !errors.As(err, &uw) || uw.Name != "something-else" {
+		t.Fatalf("rebuild of a foreign workload: %v, want *UnknownWorkloadError", err)
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 
 	"oclfpga/internal/device"
@@ -12,6 +11,7 @@ import (
 	"oclfpga/internal/obs"
 	"oclfpga/internal/sim"
 	"oclfpga/internal/supervise"
+	"oclfpga/internal/workload"
 )
 
 // The simulator-throughput benchmark workload: a fast producer feeding a slow
@@ -32,14 +32,6 @@ import (
 // would keep the machine permanently busy, hiding the quiescent windows this
 // benchmark exists to measure.
 
-// simBenchTblElems is the lookup-table size (power of two for mask indexing):
-// 1<<14 i32 elements = 16 DRAM rows at the default 4096-byte row buffer.
-const (
-	simBenchTblElems   = 1 << 14
-	simBenchTblStride  = 1031 // prime > one row of i32 elements: every load a row miss
-	simBenchTblStride2 = 523  // second, dependent stride — a second miss per item
-)
-
 // SimBenchResult is one simulated run of the benchmark workload.
 type SimBenchResult struct {
 	N          int   // items streamed producer -> consumer
@@ -50,35 +42,6 @@ type SimBenchResult struct {
 	ObsSamples int   // metrics samples recorded (observed runs only)
 }
 
-func buildSimBench(n int) *kir.Program {
-	p := kir.NewProgram("simbench")
-	pipe := p.AddChan("pipe", 4, kir.I32)
-
-	prod := p.AddKernel("producer", kir.SingleTask)
-	src := prod.AddGlobal("src", kir.I32)
-	pb := prod.NewBuilder()
-	pb.ForN("i", int64(n), nil, func(lb *kir.Builder, i kir.Val, _ []kir.Val) []kir.Val {
-		lb.ChanWrite(pipe, lb.Load(src, i))
-		return nil
-	})
-
-	cons := p.AddKernel("consumer", kir.SingleTask)
-	tbl := cons.AddGlobal("tbl", kir.I32)
-	dst := cons.AddGlobal("dst", kir.I32)
-	cb := cons.NewBuilder()
-	// The carried value feeds the next iteration's load address, so the two
-	// row-miss latencies serialize across iterations instead of overlapping
-	// in the pipeline — the loop's true II is the memory round-trip.
-	cb.ForN("i", int64(n), []kir.Val{cb.Ci32(0)}, func(lb *kir.Builder, i kir.Val, c []kir.Val) []kir.Val {
-		v := lb.ChanRead(pipe)
-		w := lb.Load(tbl, lb.And(lb.Add(c[0], lb.Mul(i, lb.Ci32(simBenchTblStride))), lb.Ci32(simBenchTblElems-1)))
-		w2 := lb.Load(tbl, lb.And(lb.Mul(lb.Add(w, i), lb.Ci32(simBenchTblStride2)), lb.Ci32(simBenchTblElems-1)))
-		lb.Store(dst, i, lb.Div(lb.Add(v, w2), lb.Ci32(2)))
-		return []kir.Val{w2}
-	})
-	return p
-}
-
 // simBenchExpected mirrors the consumer in plain Go (all values are small and
 // positive, so 32-bit truncation and division round-toward-zero never bite).
 func simBenchExpected(n int) []int64 {
@@ -86,8 +49,8 @@ func simBenchExpected(n int) []int64 {
 	c := int64(0)
 	for i := 0; i < n; i++ {
 		v := int64(i + 1)
-		w := ((c + int64(i)*simBenchTblStride) & (simBenchTblElems - 1)) % 97
-		w2 := (((w + int64(i)) * simBenchTblStride2) & (simBenchTblElems - 1)) % 97
+		w := ((c + int64(i)*workload.StallPipeStride) & (workload.StallPipeTblElems - 1)) % 97
+		w2 := (((w + int64(i)) * workload.StallPipeStride2) & (workload.StallPipeTblElems - 1)) % 97
 		out[i] = (v + w2) / 2
 		c = w2
 	}
@@ -101,7 +64,7 @@ func CompileSimBench(n int) (*hls.Design, error) {
 	if n == 0 {
 		n = 2048
 	}
-	return hls.Compile(buildSimBench(n), device.StratixV(), hls.Options{})
+	return hls.Compile(workload.BuildStallPipe("simbench", n), device.StratixV(), hls.Options{})
 }
 
 // RunSimBench compiles (memoized) and simulates the benchmark workload,
@@ -134,82 +97,25 @@ func SpillSimBench(n int, dir string, sampleEvery, ckptEvery int64, segLines int
 }
 
 // SpillSimBenchFF is SpillSimBench with the fast-forward arm explicit. The
-// manifest's Meta records every parameter the run depended on, so a scrubber
-// holding nothing but the spill can rebuild the identical run (SimBenchRebuild).
+// run is the "simbench" workload.RunSpec executed into the spill, whose
+// manifest records the spec, so a scrubber holding nothing but the spill can
+// rebuild the identical run (workload.Rebuild).
 func SpillSimBenchFF(n int, dir string, sampleEvery, ckptEvery int64, segLines int, disableFF bool) (*SimBenchResult, error) {
 	if n == 0 {
 		n = 2048
 	}
-	meta := map[string]string{
-		"workload":  "simbench",
-		"n":         fmt.Sprint(n),
-		"ckptEvery": fmt.Sprint(ckptEvery),
-	}
-	if disableFF {
-		meta["disableFF"] = "1"
-	}
-	seg, err := obs.NewSegmentSink(obs.SegmentConfig{
-		Dir: dir, Design: "simbench", SampleEvery: sampleEvery, MaxLines: segLines, Meta: meta,
-	})
+	spec := workload.RunSpec{Workload: "simbench", N: n, SampleEvery: sampleEvery, CheckpointEvery: ckptEvery, DisableFF: disableFF}
+	cfg := spec.SegmentConfig(dir)
+	cfg.MaxLines = segLines
+	seg, err := obs.NewSegmentSink(cfg)
 	if err != nil {
 		return nil, err
 	}
-	m, dst, err := setupSimBench(n, disableFF, &obs.Config{
-		SampleEvery: sampleEvery, CheckpointEvery: ckptEvery, Sink: seg,
-	})
+	r, err := spec.Execute(seg)
 	if err != nil {
 		return nil, err
 	}
-	if err := m.Run(); err != nil {
-		return nil, err
-	}
-	if err := seg.Finalize(m.Cycle()); err != nil {
-		return nil, err
-	}
-	return finishSimBench(m, dst, n)
-}
-
-// ReplaySimBenchInto re-executes the spill workload deterministically into an
-// arbitrary sink — the re-execution primitive behind both resume-based crash
-// recovery and scrub's byte-identical segment repair.
-func ReplaySimBenchInto(n int, sampleEvery, ckptEvery int64, disableFF bool, sink obs.Sink) error {
-	if n == 0 {
-		n = 2048
-	}
-	m, dst, err := setupSimBench(n, disableFF, &obs.Config{
-		SampleEvery: sampleEvery, CheckpointEvery: ckptEvery, Sink: sink,
-	})
-	if err != nil {
-		return err
-	}
-	if err := m.Run(); err != nil {
-		return err
-	}
-	if err := sink.Finalize(m.Cycle()); err != nil {
-		return err
-	}
-	_, err = finishSimBench(m, dst, n)
-	return err
-}
-
-// SimBenchRebuild is the scrub rebuild hook for spills SpillSimBench wrote:
-// it turns the manifest's Meta back into the identical deterministic run and
-// streams it into sink. Refuses manifests recorded by any other workload —
-// repairing against the wrong program would only trip the fingerprint check
-// later, with a confusing verdict.
-func SimBenchRebuild(man *obs.Manifest, sink obs.Sink) error {
-	if man.Meta["workload"] != "simbench" {
-		return fmt.Errorf("simbench: cannot rebuild workload %q", man.Meta["workload"])
-	}
-	n, err := strconv.Atoi(man.Meta["n"])
-	if err != nil {
-		return fmt.Errorf("simbench: manifest meta n: %w", err)
-	}
-	ckpt, err := strconv.ParseInt(man.Meta["ckptEvery"], 10, 64)
-	if err != nil {
-		return fmt.Errorf("simbench: manifest meta ckptEvery: %w", err)
-	}
-	return ReplaySimBenchInto(n, man.SampleEvery, ckpt, man.Meta["disableFF"] == "1", sink)
+	return finishSimBench(r.M, r.M.Buffer("dst"), n)
 }
 
 func runSimBench(n int, disableFF bool, observe *obs.Config) (*SimBenchResult, error) {
@@ -286,45 +192,19 @@ func RunSimBenchSupervised(n int) (*SimBenchResult, error) {
 // machine ready to run: congested DRAM, buffers filled, kernels launched.
 func setupSimBench(n int, disableFF bool, observe *obs.Config) (*sim.Machine, *mem.Buffer, error) {
 	d, _, err := compiledDesign(fmt.Sprintf("simbench/%d", n), device.StratixV(), hls.Options{},
-		func() (*kir.Program, any, error) { return buildSimBench(n), nil, nil })
+		func() (*kir.Program, any, error) { return workload.BuildStallPipe("simbench", n), nil, nil })
 	if err != nil {
 		return nil, nil, err
 	}
-	// A congested-DRAM profile: the scheduled load latency stays at the
-	// compiler's optimistic estimate while the modeled row activate takes
-	// ~200 cycles, so each consumer load opens a long quiescent window — the
-	// shape of the §5.1 "memory behaves differently than the compiler
-	// assumed" stalls the profiling stack exists to expose.
 	m := newSim(d, sim.Options{
 		DisableFastForward: disableFF,
-		MemConfig:          mem.Config{RowHitLat: 60, RowMissLat: 200},
+		MemConfig:          workload.StallPipeMem,
 		Observe:            observe,
 	})
-	src, err := m.NewBuffer("src", kir.I32, n)
-	if err != nil {
+	if _, err := workload.StageStallPipe(m, n); err != nil {
 		return nil, nil, err
 	}
-	tbl, err := m.NewBuffer("tbl", kir.I32, simBenchTblElems)
-	if err != nil {
-		return nil, nil, err
-	}
-	dst, err := m.NewBuffer("dst", kir.I32, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i := range src.Data {
-		src.Data[i] = int64(i + 1)
-	}
-	for i := range tbl.Data {
-		tbl.Data[i] = int64(i % 97)
-	}
-	if _, err := m.Launch("producer", sim.Args{"src": src}); err != nil {
-		return nil, nil, err
-	}
-	if _, err := m.Launch("consumer", sim.Args{"tbl": tbl, "dst": dst}); err != nil {
-		return nil, nil, err
-	}
-	return m, dst, nil
+	return m, m.Buffer("dst"), nil
 }
 
 // finishSimBench validates the consumer's output and packages the result.

@@ -255,7 +255,10 @@ type (
 	// regenerated, and what damage remains.
 	ScrubResult = scrub.Result
 	// ScrubRebuild regenerates a spill's record stream by deterministic
-	// re-execution; the manifest's Meta carries the workload recipe.
+	// re-execution. The bundled tools all pass the one shared hook,
+	// internal/workload.Rebuild, which re-executes the typed run spec the
+	// manifest records (Meta plus SampleEvery) through the workload
+	// registry; a spill from a custom writer needs a hook of its own.
 	ScrubRebuild = scrub.Rebuild
 )
 

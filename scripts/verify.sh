@@ -12,14 +12,15 @@ go build ./...
 go test -race ./...
 
 # Fuzz smoke: a few seconds each on the parser fuzz targets (spec parser,
-# NDJSON replay, and the flat binary codec) and on the spill line encoder's
-# identity with encoding/json. Any crasher fails the gate; the seed corpora
+# NDJSON replay, the flat binary codec, the manifest and its run-spec Meta)
+# and on the spill line encoder's identity with encoding/json. Any crasher fails the gate; the seed corpora
 # alone already ran under `go test` above.
 go test ./internal/fault -run '^$' -fuzz 'FuzzParseSpec$' -fuzztime 5s
 go test ./internal/fault -run '^$' -fuzz 'FuzzParseSpecs$' -fuzztime 5s
 go test ./internal/obs -run '^$' -fuzz 'FuzzReplayNDJSON$' -fuzztime 5s
 go test ./internal/obs -run '^$' -fuzz 'FuzzFlatCodec$' -fuzztime 5s
 go test ./internal/obs -run '^$' -fuzz 'FuzzManifest$' -fuzztime 5s
+go test ./internal/workload -run '^$' -fuzz 'FuzzRunSpec$' -fuzztime 5s
 go test ./internal/obs -run '^$' -fuzz 'FuzzSegIndex$' -fuzztime 5s
 go test ./internal/obs -run '^$' -fuzz 'FuzzLineCodec$' -fuzztime 5s
 go test ./internal/obs/query -run '^$' -fuzz 'FuzzParseBreaks$' -fuzztime 5s
@@ -118,9 +119,11 @@ RC=0
 
 # Self-healing smoke (DESIGN.md §16): rot the chanstall spill from the
 # artifact run — one flipped byte in a sealed segment — and let oclprof -scrub
-# heal it by re-executing the workload from the manifest's Meta recipe. The
-# verdict must be healthy, the segment byte-identical to before the damage,
-# and a scan-only fsck must agree.
+# heal it by re-executing the run spec the manifest records. The verdict must
+# be healthy, the segment byte-identical to before the damage, and a
+# scan-only fsck must agree. Then rot it again and let obscheck -fsck -repair
+# heal it through the same spec: the other tool must regenerate the same
+# bytes.
 PSEG="$(ls "$TMP/segs"/seg-*.ndjson | sort | head -1)"
 cp "$PSEG" "$TMP/pseg-clean.ndjson"
 dd if=/dev/zero of="$PSEG" bs=1 seek=33 count=1 conv=notrunc 2> /dev/null
@@ -132,6 +135,9 @@ RC=0
 grep -q '"healthy": true' "$TMP/scrub.json"
 cmp "$PSEG" "$TMP/pseg-clean.ndjson"
 "$TMP/obscheck" -q -fsck "$TMP/segs"
+dd if=/dev/zero of="$PSEG" bs=1 seek=33 count=1 conv=notrunc 2> /dev/null
+"$TMP/obscheck" -q -fsck "$TMP/segs" -repair
+cmp "$PSEG" "$TMP/pseg-clean.ndjson"
 
 # The indexed spill diff must beat a full replay of both spills by at least
 # 5x (the segment indexes prune attribution-free segments on both sides).
