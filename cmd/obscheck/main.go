@@ -18,6 +18,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -147,6 +148,14 @@ func fsck(dir string, repair bool, reportOut string) bool {
 		if res != nil {
 			out.Repair = res
 			remaining = res.Remaining
+		}
+		var me *workload.MetaError
+		if errors.As(err, &me) {
+			// The manifest records a run no re-execution reproduces: the
+			// damage stays unrepairable, so the spill is quarantined.
+			if qerr := scrub.Quarantine(dir, err.Error(), rep.Damage, out.Time); qerr != nil {
+				fmt.Printf("%s: fsck: quarantine: %v\n", dir, qerr)
+			}
 		}
 		if err != nil {
 			fmt.Printf("%s: fsck: repair: %v\n", dir, err)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -13,11 +14,12 @@ import (
 	"oclfpga/internal/experiments"
 	"oclfpga/internal/obs"
 	"oclfpga/internal/obs/query"
+	"oclfpga/internal/obs/scrub"
 )
 
 // TestRebuildMatrix is the cross-tool contract of the shared run spec: every
-// spill writer — oclprof on each workload (traced, instrumented and
-// fault-injected runs included), the oclmon server, and the simbench
+// spill writer — oclprof on each workload (traced, instrumented, waveform
+// and fault-injected runs included), the oclmon server, and the simbench
 // fixture — records a spec that both oclprof -scrub and obscheck -fsck
 // -repair re-execute into a byte-identical segment, and that oclprof
 // -at-cycle rewinds through a hash-verified recorded checkpoint.
@@ -33,6 +35,7 @@ func TestRebuildMatrix(t *testing.T) {
 	var writers []writer
 	for _, args := range [][]string{
 		{"-workload", "matvec-st"},
+		{"-workload", "matvec-st", "-vcd", os.DevNull},
 		{"-workload", "matvec-nd", "-order"},
 		{"-workload", "matmul", "-stallmon", "-trace"},
 		{"-workload", "matmul", "-watch", "-trace"},
@@ -162,6 +165,70 @@ func copyDir(t *testing.T, src, dst string) {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRefusedSpecQuarantined: a rotted spill whose manifest records a
+// version-1 supervised spec cannot be re-executed byte-identically, so both
+// repair tools refuse it with the typed error, leave the segment as it is,
+// and quarantine the directory.
+func TestRefusedSpecQuarantined(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "spill")
+	if _, stderr, code := runCmd(t, oclprofBin, "-workload", "chanstall", "-log=false",
+		"-seg-lines", "64", "-spill-dir", dir); code != 0 {
+		t.Fatalf("oclprof exited %d\n%s", code, stderr)
+	}
+	manPath := filepath.Join(dir, "manifest.json")
+	raw, err := os.ReadFile(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	meta := m["meta"].(map[string]any)
+	delete(meta, "spec")
+	meta["slice"], meta["cycle-budget"] = "250000", "50000000"
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manPath, raw, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	man, err := obs.LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, man.Segments[0].File)
+	if err := obs.FlipByte(seg, 33); err != nil {
+		t.Fatal(err)
+	}
+	rotted, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tool := range []struct {
+		name string
+		bin  string
+		args []string
+	}{
+		{"oclprof -scrub", oclprofBin, []string{"-scrub", "-spill-dir", dir}},
+		{"obscheck -fsck -repair", obscheckBin, []string{"-q", "-fsck", dir, "-repair"}},
+	} {
+		stdout, stderr, code := runCmd(t, tool.bin, tool.args...)
+		if code != 1 || !strings.Contains(stdout+stderr, "version 1 supervised spec") {
+			t.Fatalf("%s exited %d, want 1 with the typed refusal\nstdout: %s\nstderr: %s", tool.name, code, stdout, stderr)
+		}
+		if q, ok := scrub.Quarantined(dir); !ok || !strings.Contains(q.Reason, "slice") {
+			t.Fatalf("%s: quarantine marker %+v, want the slice refusal", tool.name, q)
+		}
+		if got, err := os.ReadFile(seg); err != nil || !bytes.Equal(got, rotted) {
+			t.Fatalf("%s rewrote the refused spill's segment (%v)", tool.name, err)
+		}
+		if err := scrub.Unquarantine(dir); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -256,9 +256,9 @@ func (s *server) newID() string {
 // buildStart constructs the supervised Start closure for a fresh or resumed
 // run: build the run's spec with the live sink attached (and the segment
 // spill, fanned out) — compile, buffers, launch. The supervisor then drives
-// the machine on the slice schedule supervise.Replay reproduces. It runs
-// inside the supervisor worker so compile/launch panics are isolated like
-// run panics. seg receives the spill sink for the FinalizeRetry hook.
+// the machine in watchdog slices, which record exactly what one Run would.
+// It runs inside the supervisor worker so compile/launch panics are isolated
+// like run panics. seg receives the spill sink for the FinalizeRetry hook.
 func (s *server) buildStart(r *run, resume *obs.SegmentLog, seg **obs.SegmentSink) func() (*sim.Machine, error) {
 	if s.cfg.startHook != nil {
 		hook := s.cfg.startHook(r.spec.N)
@@ -303,15 +303,13 @@ func (s *server) segmentConfig(r *run) obs.SegmentConfig {
 }
 
 // admit submits a fresh run of this server's workload. Its spec records the
-// server's run shape and the drive limits the supervisor resolves lim to —
-// RunFor slice boundaries cut fast-forward jumps, so the recorded stream
-// depends on slice and cycle budget (supervise.Replay).
+// server's run shape and the cycle budget the supervisor resolves lim to: a
+// run that exhausts its budget ends there, so the budget shapes the stream.
 func (s *server) admit(n int, tenant string, lim supervise.Limits) (*run, error) {
-	eff := s.sup.EffectiveLimits(lim)
 	return s.submit("", workload.RunSpec{
 		Workload: "oclmon", N: n, Tenant: tenant,
 		SampleEvery: s.cfg.sampleEvery, CheckpointEvery: s.cfg.ckptEvery, DisableFF: s.cfg.noFF,
-		Limits: supervise.Limits{Slice: eff.Slice, CycleBudget: eff.CycleBudget},
+		CycleBudget: s.sup.EffectiveLimits(lim).CycleBudget,
 	}, lim, nil)
 }
 
@@ -401,6 +399,15 @@ func (s *server) recoverSpills() error {
 		s.gcSpill()
 	}
 	return err
+}
+
+// quarantine marks dir unrepairable with reason — a marker later boots honor
+// without re-judging — and registers the run as quarantined.
+func (s *server) quarantine(id, dir, reason string, damage []scrub.Damage) {
+	if err := scrub.Quarantine(dir, reason, damage, time.Now().UTC().Format(time.RFC3339)); err != nil {
+		log.Printf("oclmon: spill %s: quarantine marker: %v", dir, err)
+	}
+	s.addQuarantined(id, dir, reason)
 }
 
 // addQuarantined hosts an unrepairable spill as a degraded terminal run: the
@@ -497,10 +504,7 @@ func (s *server) recoverDir(root string) ([]string, error) {
 				if rerr != nil {
 					reason = rerr.Error()
 				}
-				if qerr := scrub.Quarantine(dir, reason, rep.Damage, time.Now().UTC().Format(time.RFC3339)); qerr != nil {
-					log.Printf("oclmon: spill %s: quarantine marker: %v", dir, qerr)
-				}
-				s.addQuarantined(id, dir, reason)
+				s.quarantine(id, dir, reason, rep.Damage)
 				ids = append(ids, id)
 				continue
 			}
@@ -535,16 +539,18 @@ func (s *server) recoverDir(root string) ([]string, error) {
 		}
 		spec, err := workload.SpecFromManifest(&slog.Manifest)
 		if err != nil {
-			log.Printf("oclmon: spill %s: cannot resume: %v", dir, err)
+			// A spec no re-execution can reproduce (a refused version-1
+			// supervised spec, say) leaves the crashed run unresumable.
+			s.quarantine(id, dir, fmt.Sprintf("cannot resume: %v", err), nil)
+			ids = append(ids, id)
 			continue
 		}
 		log.Printf("oclmon: re-executing crashed run %s: verifying %d durable lines to cycle %d, then resuming",
 			id, len(slog.Lines), slog.LastCycle())
-		// Resume the recorded spec under its recorded drive limits: the resume
+		// Resume the recorded spec under its recorded cycle budget: the resume
 		// sink byte-verifies the durable prefix against the re-executed
-		// stream, and the stream's fast-forward jump cuts follow the slice
-		// schedule those limits produce.
-		if _, err := s.submit(id, spec, spec.Limits, slog); err != nil {
+		// stream, which this server's watchdog slicing does not shape.
+		if _, err := s.submit(id, spec, supervise.Limits{CycleBudget: spec.CycleBudget}, slog); err != nil {
 			log.Printf("oclmon: recover %s: %v", id, err)
 			continue
 		}

@@ -676,9 +676,9 @@ func completeSpilledRun(t *testing.T, root string, n int, ckptEvery int64) strin
 	sup := supervise.New(supervise.Config{Slots: 1})
 	defer sup.Close()
 	srv := newServer(serverConfig{n: n, sampleEvery: 1000, spillDir: root, segLines: 64, ckptEvery: ckptEvery}, sup)
-	// A small slice forces RunFor boundaries to cut fast-forward jumps, so
-	// these fixtures only repair byte-identically if the scrubber re-executes
-	// under the drive limits the spill's run spec records (supervise.Replay).
+	// A small slice pauses RunFor inside fast-forward windows, so these
+	// fixtures repair byte-identically only if the record is slice-invariant:
+	// the spill's run spec carries no slice schedule to re-execute under.
 	r, err := srv.admit(n, "", supervise.Limits{Slice: 500})
 	if err != nil {
 		t.Fatal(err)
@@ -987,4 +987,117 @@ func TestSubmitDiskFullAnswers503(t *testing.T) {
 		t.Fatalf("post-recovery submit = %d, want 202", resp.StatusCode)
 	}
 	waitState(t, srv, acc.ID, supervise.StateCompleted)
+}
+
+// TestBootQuarantinesSlicedV1Spill: a version-1 oclmon spill records the
+// supervisor's slice schedule, which slice-invariant re-execution cannot
+// reproduce. Boot must quarantine it — crashed (nothing to resume against)
+// or complete and rotted (nothing to repair with) — never resume it into a
+// forked stream or repair it with wrong bytes.
+func TestBootQuarantinesSlicedV1Spill(t *testing.T) {
+	root := t.TempDir()
+	dir := completeSpilledRun(t, root, 256, 0)
+	v1 := map[string]string{"workload": "oclmon", "n": "512", "tenant": "default", "slice": "500", "cycle-budget": "50000000"}
+	seg, err := obs.NewSegmentSink(obs.SegmentConfig{
+		Dir: filepath.Join(root, "crashed"), Design: "oclmon", SampleEvery: 1000, Meta: v1, MaxLines: 64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := launchWorkload(t, 512, seg).RunFor(40_000); err == nil {
+		t.Fatal("workload finished before the crash point; raise n")
+	}
+
+	manPath := filepath.Join(dir, "manifest.json")
+	raw, err := os.ReadFile(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	meta := m["meta"].(map[string]any)
+	delete(meta, "spec")
+	meta["slice"] = "500"
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manPath, raw, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	man, err := obs.LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rotted := filepath.Join(dir, man.Segments[0].File)
+	if err := obs.FlipByte(rotted, 40); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(rotted)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sup := supervise.New(supervise.Config{Slots: 1})
+	defer sup.Close()
+	srv := newServer(serverConfig{n: 256, sampleEvery: 1000, spillDir: root, segLines: 64}, sup)
+	if err := srv.recoverSpills(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"crashed", filepath.Base(dir)} {
+		r := srv.get(id)
+		if r == nil || !r.quarantinedSpill {
+			t.Fatalf("%s: v1 sliced spill not quarantined: %+v", id, r)
+		}
+		q, ok := scrub.Quarantined(filepath.Join(root, id))
+		if !ok || !strings.Contains(q.Reason, "slice") {
+			t.Fatalf("%s: quarantine marker %+v, want the slice refusal", id, q)
+		}
+	}
+	if after, err := os.ReadFile(rotted); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("the refused spill's segment was rewritten (%v)", err)
+	}
+}
+
+// TestSupervisedSpillMatchesExecute: the supervisor drives a hosted run in
+// 500-cycle watchdog slices, yet its spill is byte-identical, file for file,
+// to one Execute of the spec its manifest records with no supervisor — the
+// slice schedule shapes nothing.
+func TestSupervisedSpillMatchesExecute(t *testing.T) {
+	root := t.TempDir()
+	dir := completeSpilledRun(t, root, 256, 2048)
+	man, err := obs.LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := workload.SpecFromManifest(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := spec.SegmentConfig(filepath.Join(t.TempDir(), "execute"))
+	cfg.MaxLines = 64
+	seg, err := obs.NewSegmentSink(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := spec.Execute(seg); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := os.ReadDir(cfg.Dir); err != nil || len(again) != len(ents) {
+		t.Fatalf("Execute wrote %d files, the supervised run %d (%v)", len(again), len(ents), err)
+	}
+	for _, e := range ents {
+		want, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(filepath.Join(cfg.Dir, e.Name())); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s differs between the supervised spill and Execute (%v)", e.Name(), err)
+		}
+	}
 }

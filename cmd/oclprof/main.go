@@ -16,7 +16,9 @@ import (
 	"io"
 	"log"
 	"os"
+	"time"
 
+	"oclfpga/internal/hls"
 	"oclfpga/internal/obs"
 	"oclfpga/internal/obs/analyze"
 	"oclfpga/internal/obs/diff"
@@ -91,7 +93,8 @@ func analyzeOn() bool { return *flagAttr != "" || *flagFolded != "" || *flagPpro
 // simulator's recorder streams into it and finishRun closes it.
 var spillFile *os.File
 
-// flagSpec is the run the flags describe.
+// flagSpec is the run the flags describe. -vcd attaches a cycle hook, which
+// forces per-cycle stepping, so the spec records fast-forward off.
 func flagSpec() workload.RunSpec {
 	ts := *flagTS
 	if ts == "none" {
@@ -101,7 +104,7 @@ func flagSpec() workload.RunSpec {
 		Workload: *flagWorkload, Device: *flagDevice, Inject: *flagInject,
 		SampleEvery: *flagEvery, CheckpointEvery: *flagCkptEvry, StallLimit: *flagStall,
 		DepthOpt: *flagDepthOpt, StallMon: *flagStallMon, Watch: *flagWatch, Order: *flagInstr,
-		Timestamps: ts, Trace: *flagTrace,
+		Timestamps: ts, Trace: *flagTrace, DisableFF: *flagVCD != "",
 	}
 }
 
@@ -146,7 +149,13 @@ func start(spec workload.RunSpec) *workload.Run {
 	if err != nil {
 		log.Fatal(err)
 	}
-	d := r.Design
+	printCompile(r.Design)
+	return r
+}
+
+// printCompile prints the compiler log (with -log), the fit summary, and
+// (with -sched) the schedule.
+func printCompile(d *hls.Design) {
 	if *flagLog {
 		fmt.Fprintln(out, "== compiler log ==")
 		for _, l := range d.Log {
@@ -158,7 +167,6 @@ func start(spec workload.RunSpec) *workload.Run {
 	if *flagSched {
 		fmt.Fprintln(out, d.DumpSchedule())
 	}
-	return r
 }
 
 // checkRun handles the outcome of Machine.Run: with -diagnose, a deadlock is
@@ -261,12 +269,17 @@ type breakReport struct {
 	State    *sim.MachineState `json:"state"`
 }
 
-// runBreak re-executes under the -break specs and reports the first hit with
+// runBreak re-executes spec's recorded phases — pre-run host commands, drive,
+// post-run readout — under the -break specs and reports the first hit with
 // the machine state frozen at the halt cycle.
-func runBreak(r *workload.Run) {
-	m := r.M
-	hit, err := m.RunBreaks(breakSpecs)
+func runBreak(spec workload.RunSpec) {
+	r, hit, err := spec.Halt(breakSpecs, nil)
+	if r == nil {
+		log.Fatal(err)
+	}
+	printCompile(r.Design)
 	checkRun(err)
+	m := r.M
 	rep := breakReport{Workload: r.Spec.Workload, Specs: make([]string, len(breakSpecs)), Hit: hit, State: m.StateDump()}
 	for i, b := range breakSpecs {
 		rep.Specs[i] = b.String()
@@ -621,12 +634,11 @@ func main() {
 		runAtCycle(flagSpec())
 		return
 	}
-	r := start(flagSpec())
 	if *flagBreak != "" {
-		runBreak(r)
+		runBreak(flagSpec())
 		return
 	}
-	report(r)
+	report(start(flagSpec()))
 }
 
 // scrubVerdict is -scrub's stdout document.
@@ -654,6 +666,14 @@ func runScrub() {
 	if !rep.Healthy {
 		res, rerr := scrub.Repair(dir, workload.Rebuild)
 		v.Repair = res
+		var me *workload.MetaError
+		if errors.As(rerr, &me) {
+			// The manifest records a run no re-execution reproduces: the
+			// damage stays unrepairable, so the spill is quarantined.
+			if qerr := scrub.Quarantine(dir, rerr.Error(), rep.Damage, time.Now().UTC().Format(time.RFC3339)); qerr != nil {
+				fmt.Fprintf(os.Stderr, "scrub: quarantine: %v\n", qerr)
+			}
+		}
 		if rerr != nil {
 			fmt.Fprintf(os.Stderr, "scrub: repair: %v\n", rerr)
 		} else {

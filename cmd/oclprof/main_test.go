@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"oclfpga/internal/obs"
@@ -290,5 +291,44 @@ func TestScrubRepairsTracedSpills(t *testing.T) {
 				t.Fatalf("repaired segment is not byte-identical to the original (%v)", err)
 			}
 		})
+	}
+}
+
+// TestBreakMatchesAtCycleInHostPhase: -break re-executes the recorded host
+// phases, so a cycle break inside matmul's -trace readout (which runs after
+// the kernel finishes at cycle 22430) halts in the readout with exactly the
+// state -at-cycle dumps for that cycle, not in idle autorun fabric.
+func TestBreakMatchesAtCycleInHostPhase(t *testing.T) {
+	args := []string{"-workload", "matmul", "-stallmon", "-trace", "-log=false"}
+	brk, stderr, code := runBin(t, append(args, "-break", "cycle=23000")...)
+	if code != 0 {
+		t.Fatalf("-break exited %d\n%s", code, stderr)
+	}
+	at, stderr, code := runBin(t, append(args, "-at-cycle", "23000")...)
+	if code != 0 {
+		t.Fatalf("-at-cycle exited %d\n%s", code, stderr)
+	}
+	var rep struct {
+		Hit   *struct{ Cycle int64 } `json:"hit"`
+		State json.RawMessage        `json:"state"`
+	}
+	if err := json.Unmarshal([]byte(brk), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Hit == nil || rep.Hit.Cycle != 23000 {
+		t.Fatalf("break hit = %+v, want cycle 23000", rep.Hit)
+	}
+	var got, want any
+	if err := json.Unmarshal(rep.State, &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(at), &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("break state differs from the -at-cycle dump\nbreak: %.400s\nat-cycle: %.400s", rep.State, at)
+	}
+	if want.(map[string]any)["activeUnits"] == 0.0 {
+		t.Fatal("cycle 23000 is idle fabric; the readout no longer covers it and the test is vacuous")
 	}
 }

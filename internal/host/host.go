@@ -107,8 +107,9 @@ type Controller struct {
 	// lockstep. See supervise.Backoff.
 	Retries int
 	// BackoffSeed seeds the retry schedule's jitter; controllers built from
-	// the same seed retry on identical schedules (determinism the replay
-	// tooling relies on).
+	// the same seed retry on identical schedules. The schedule never shapes
+	// the recorded stream: RunFor is slice-invariant, so a Send records
+	// exactly what one uninterrupted run would, whatever its budgets.
 	BackoffSeed int64
 	// Attempts counts RunFor attempts across all Sends — observability for
 	// tests and callers tuning the schedule.

@@ -2,17 +2,18 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
+	"oclfpga/internal/hls"
 	"oclfpga/internal/obs/query"
 )
 
-// Breakpointed re-execution (DESIGN.md §14). RunBreaks advances the machine
-// cycle by cycle — no fast-forward, so watch conditions are evaluated at
-// every cycle — until a breakpoint/watchpoint spec (obs/query's ParseBreaks
-// grammar) fires, the launched work completes, or a simulation error
-// surfaces. Determinism makes the halt exact and repeatable: the same
-// design, arguments, and fault plan hit the same spec at the same cycle
-// every run.
+// Breakpoints (DESIGN.md §14): the drive loop checks the specs Options.Breaks
+// arms on every real tick and, inside a fast-forward window, at each break's
+// deadline — cycle=N at N, chan:X.stall>K at since+K+1, unit:U.state=S on
+// the window's first cycle (a blockage recorded the cycle before goes stale
+// there); len>K cannot change in a quiescent window. So the halt is the same
+// cycle and state with fast-forward on or off.
 
 // BreakHit reports the first spec that fired.
 type BreakHit struct {
@@ -27,84 +28,93 @@ type BreakHit struct {
 	Value int64 `json:"value"`
 }
 
+// BreakError is what every drive call returns once an armed break fired: the
+// machine stays halted at Hit.Cycle, so a host phase driving it unwinds.
+type BreakError struct{ Hit *BreakHit }
+
+func (e *BreakError) Error() string {
+	return fmt.Sprintf("sim: halted at break %s (cycle %d)", e.Hit.Spec, e.Hit.Cycle)
+}
+
 // compiledBreak is a spec with its target resolved to runtime handles.
 type compiledBreak struct {
 	b    query.Break
 	chID int // program channel id for chan breaks
 }
 
-// RunBreaks runs the launched work under the given breakpoint specs and
-// returns the first hit (nil when the run completes without one). Unknown
-// channel or unit targets are an error up front, before any cycle advances.
-// Specs are checked in order each cycle; within a spec, units in creation
-// order — the first hit is deterministic. When every launch completes with
-// only cycle=N breaks still ahead, the autorun fabric is stepped on until
-// the last such N so late cycle breaks still fire.
-func (m *Machine) RunBreaks(breaks []query.Break) (*BreakHit, error) {
-	if m.err != nil {
-		return nil, m.err
-	}
-	if len(breaks) == 0 {
-		return nil, fmt.Errorf("sim: RunBreaks: no specs")
-	}
-	compiled := make([]compiledBreak, len(breaks))
-	for i, b := range breaks {
+// armBreaks resolves the specs' channel targets and checks their unit
+// targets against the design (units not yet launched resolve when checked).
+func (m *Machine) armBreaks(breaks []query.Break) error {
+	for _, b := range breaks {
 		cb := compiledBreak{b: b, chID: -1}
 		switch b.Kind {
 		case query.BreakChanStall, query.BreakChanLen:
 			c := m.d.Program.ChanByName(b.Target)
 			if c == nil {
-				return nil, fmt.Errorf("sim: break %q: unknown channel %q", b, b.Target)
+				return fmt.Errorf("sim: break %q: unknown channel %q", b, b.Target)
 			}
 			cb.chID = c.ID
 		case query.BreakUnitState:
-			if m.unitByName(b.Target) == nil {
-				return nil, fmt.Errorf("sim: break %q: unknown unit %q", b, b.Target)
+			if !slices.ContainsFunc(m.d.Kernels, func(xk *hls.XKernel) bool { return xk.UnitName() == b.Target }) {
+				return fmt.Errorf("sim: break %q: unknown unit %q", b, b.Target)
 			}
 		}
-		compiled[i] = cb
-	}
-	lastCycleBreak := int64(-1)
-	for _, b := range breaks {
-		if b.Kind == query.BreakCycle && b.N > lastCycleBreak {
-			lastCycleBreak = b.N
-		}
-	}
-	for len(m.active) > 0 || m.cycle < lastCycleBreak {
-		m.tick()
-		if m.err != nil {
-			return nil, m.err
-		}
-		if hit := m.checkBreaks(compiled); hit != nil {
-			return hit, nil
-		}
-		if len(m.active) > 0 && m.cycle-m.lastProgress > m.opts.StallLimit {
-			return nil, &DeadlockError{Report: m.DeadlockReport(ReasonStallLimit)}
-		}
-		if m.cycle > m.opts.MaxCycles {
-			return nil, &DeadlockError{Report: m.DeadlockReport(ReasonMaxCycles)}
-		}
-	}
-	return nil, nil
-}
-
-func (m *Machine) unitByName(name string) *Unit {
-	for _, u := range m.units {
-		if u.xk.UnitName() == name {
-			return u
-		}
-	}
-	for _, u := range m.launched {
-		if u.xk.UnitName() == name {
-			return u
-		}
+		m.breaks = append(m.breaks, cb)
 	}
 	return nil
 }
 
-func (m *Machine) checkBreaks(compiled []compiledBreak) *BreakHit {
-	for i := range compiled {
-		cb := &compiled[i]
+func (m *Machine) unitByName(name string) (found *Unit) {
+	m.eachUnit(func(u *Unit) {
+		if found == nil && u.xk.UnitName() == name {
+			found = u
+		}
+	})
+	return found
+}
+
+// breakDeadline is the earliest cycle after m.cycle inside the open window
+// at which an armed break could fire (wakeInf when none can).
+func (m *Machine) breakDeadline() int64 {
+	d := wakeInf
+	for i := range m.breaks {
+		cb := &m.breaks[i]
+		c := wakeInf
+		switch cb.b.Kind {
+		case query.BreakCycle:
+			c = cb.b.N
+		case query.BreakUnitState:
+			c = m.win.from + 1
+		case query.BreakChanStall:
+			m.eachUnit(func(u *Unit) {
+				if m.stallWatched(u, cb) && u.block.since+cb.b.N+1 < c {
+					c = u.block.since + cb.b.N + 1
+				}
+			})
+		}
+		if c > m.cycle && c < d {
+			d = c
+		}
+	}
+	return d
+}
+
+// eachUnit visits the autorun units, then every launch in launch order —
+// the order break checks scan, so the first hit is deterministic.
+func (m *Machine) eachUnit(fn func(u *Unit)) {
+	for _, u := range m.units {
+		fn(u)
+	}
+	for _, u := range m.launched {
+		fn(u)
+	}
+}
+
+// checkBreaks returns the first armed spec that holds at m.cycle, in spec
+// order; within a spec, units in creation order.
+func (m *Machine) checkBreaks() *BreakHit {
+	for i := range m.breaks {
+		cb := &m.breaks[i]
 		switch cb.b.Kind {
 		case query.BreakCycle:
 			if m.cycle == cb.b.N {
@@ -112,57 +122,31 @@ func (m *Machine) checkBreaks(compiled []compiledBreak) *BreakHit {
 			}
 		case query.BreakChanLen:
 			if n := m.chans[cb.chID].Len(); int64(n) > cb.b.N {
-				return &BreakHit{
-					Spec: cb.b.String(), Cycle: m.cycle,
-					Chan: cb.b.Target, Value: int64(n),
-				}
+				return &BreakHit{Spec: cb.b.String(), Cycle: m.cycle, Chan: cb.b.Target, Value: int64(n)}
 			}
 		case query.BreakChanStall:
-			if hit := m.checkChanStall(cb); hit != nil {
+			var hit *BreakHit
+			m.eachUnit(func(u *Unit) {
+				if waited := m.cycle - u.block.since; hit == nil && m.stallWatched(u, cb) && waited > cb.b.N {
+					hit = &BreakHit{Spec: cb.b.String(), Cycle: m.cycle,
+						Unit: u.xk.UnitName(), Chan: cb.b.Target, Dir: u.block.dir, Value: waited}
+				}
+			})
+			if hit != nil {
 				return hit
 			}
 		case query.BreakUnitState:
-			u := m.unitByName(cb.b.Target)
-			if m.unitStateName(u) == cb.b.State {
-				return &BreakHit{
-					Spec: cb.b.String(), Cycle: m.cycle,
-					Unit: cb.b.Target, Value: m.cycle,
-				}
+			if u := m.unitByName(cb.b.Target); u != nil && m.unitStateName(u) == cb.b.State {
+				return &BreakHit{Spec: cb.b.String(), Cycle: m.cycle, Unit: cb.b.Target, Value: m.cycle}
 			}
 		}
 	}
 	return nil
 }
 
-// checkChanStall fires when any unit has been blocked on the watched channel
-// (in the watched direction) for more than N consecutive cycles, evaluated
-// against blockages current this very cycle.
-func (m *Machine) checkChanStall(cb *compiledBreak) *BreakHit {
-	check := func(u *Unit) *BreakHit {
-		b := &u.block
-		if b.op == nil || b.chID != cb.chID || b.last != m.cycle {
-			return nil
-		}
-		if cb.b.Dir != "" && b.dir != cb.b.Dir {
-			return nil
-		}
-		if waited := m.cycle - b.since; waited > cb.b.N {
-			return &BreakHit{
-				Spec: cb.b.String(), Cycle: m.cycle,
-				Unit: u.xk.UnitName(), Chan: cb.b.Target, Dir: b.dir, Value: waited,
-			}
-		}
-		return nil
-	}
-	for _, u := range m.units {
-		if hit := check(u); hit != nil {
-			return hit
-		}
-	}
-	for _, u := range m.launched {
-		if hit := check(u); hit != nil {
-			return hit
-		}
-	}
-	return nil
+// stallWatched reports whether u is blocked this very cycle on the stall
+// break's channel, in the watched direction.
+func (m *Machine) stallWatched(u *Unit, cb *compiledBreak) bool {
+	b := &u.block
+	return b.op != nil && b.chID == cb.chID && b.last == m.cycle && (cb.b.Dir == "" || b.dir == cb.b.Dir)
 }

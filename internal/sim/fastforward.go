@@ -15,12 +15,12 @@ import (
 // batch-replayable effects: empty segments incrementing their shift counters,
 // blocked channel ops incrementing the channel's stall statistics, and
 // blocked-op bookkeeping refreshing blockState.last. While the machine stays
-// in that state, every future tick is byte-for-byte predictable, so Run can
-// jump the clock to the earliest cycle anything could change — a memory
-// response maturing, a stall window expiring, II pacing being satisfied, a
-// delayed launch starting, or a fault event switching on or off — and replay
-// the skipped cycles' counter effects in O(blocked ops) instead of
-// O(cycles × fabric).
+// in that state, every future tick is byte-for-byte predictable, so the drive
+// loop can jump the clock to the earliest cycle anything could change — a
+// memory response maturing, a stall window expiring, II pacing being
+// satisfied, a delayed launch starting, or a fault event switching on or off
+// — and replay the skipped cycles' counter effects in O(blocked ops) instead
+// of O(cycles × fabric).
 //
 // The wake computation is deliberately conservative in one direction only:
 // it may UNDER-estimate the next wake (costing an extra real tick), never
@@ -66,44 +66,44 @@ func (m *Machine) fastForwardOK() bool {
 	return !m.opts.DisableFastForward && len(m.cycleHooks) == 0 && !ffDisabled.Load()
 }
 
-// fastForward is called after a quiescent tick at m.cycle. It computes the
-// next wake and jumps to just before it, batch-replaying the skipped cycles'
-// effects. Deadline cycles (stall limit, max cycles, run budget) cap the
-// jump so the tick that trips a limit executes for real and the resulting
+// ffWindow is an open fast-forward jump over the quiescent cycles (from, end],
+// batch-advanced so far through (from, m.cycle]. A caller's stop inside it (a
+// RunFor budget, a capture, a break deadline) only pauses the advance, and the
+// jump is recorded once, when it ends: RunFor(a); RunFor(b) records exactly
+// what one Run records.
+type ffWindow struct {
+	from, end int64
+	open      bool
+}
+
+// openWindow is called after a quiescent tick at m.cycle. It opens the window
+// up to just before the next wake, capped at the run deadlines (stall limit,
+// max cycles) so the tick that trips one executes for real and the resulting
 // report carries exactly the state the slow path would have produced.
-func (m *Machine) fastForward(start, budget int64) {
-	w := m.nextWake()
-	to := w - 1
-	if lim := m.lastProgress + m.opts.StallLimit; to > lim {
-		to = lim
+func (m *Machine) openWindow() {
+	end := m.nextWake() - 1
+	if lim := m.lastProgress + m.opts.StallLimit; len(m.active) > 0 && end > lim {
+		end = lim
 	}
-	if to > m.opts.MaxCycles {
-		to = m.opts.MaxCycles
+	if end > m.opts.MaxCycles {
+		end = m.opts.MaxCycles
 	}
-	if budget >= 0 && to > start+budget {
-		to = start + budget
+	if end > m.cycle {
+		m.win = ffWindow{from: m.cycle, end: end, open: true}
 	}
-	if m.capIdx < len(m.captures) && to >= m.captures[m.capIdx] {
-		// capture cycles are deadlines too: the jump lands exactly on the
-		// next one and run()/Step() fires the callback there
-		to = m.captures[m.capIdx]
-	}
-	if to <= m.cycle {
-		return
-	}
-	from := m.cycle
-	if m.obs != nil && (m.obs.sampleEvery > 0 || m.obs.ckptEvery > 0) {
-		// Metrics samples and rewind checkpoints due inside the window are
-		// taken mid-jump: the batch advance splits at each grid cycle, and —
-		// because batchAdvance charges exactly the counter effects per-cycle
-		// stepping would have, and nothing else changes while the machine is
-		// quiescent — the snapshot at each split point is byte-identical to
-		// the one a real tick stopping there would record. The two grids are
-		// merged by walking to the nearest upcoming cycle of either; a cycle
-		// on both fires sample first, then checkpoint, matching obsEndTick.
-		// The jump itself is not capped, so sampling leaves the jump count
-		// and the cycles executed for real exactly as they are without it.
-		o := m.obs
+}
+
+// advanceWindow batch-advances the open window to cycle to (m.cycle < to <=
+// end) and closes it when to is its end. Metrics samples and rewind
+// checkpoints due on the way are taken mid-jump: the batch advance splits at
+// each grid cycle, and — because batchAdvance charges exactly the counter
+// effects per-cycle stepping would have, and nothing else changes while the
+// machine is quiescent — the snapshot at each split point is byte-identical
+// to the one a real tick stopping there would record. The two grids are
+// merged by walking to the nearest upcoming cycle of either; a cycle on both
+// fires sample first, then checkpoint, matching obsEndTick.
+func (m *Machine) advanceWindow(to int64) {
+	if o := m.obs; o != nil && (o.sampleEvery > 0 || o.ckptEvery > 0) {
 		for {
 			next := to + 1
 			if o.sampleEvery > 0 {
@@ -138,12 +138,24 @@ func (m *Machine) fastForward(start, budget int64) {
 	if to > m.cycle {
 		m.batchAdvance(m.cycle, to)
 	}
-	if m.obs != nil {
-		m.obs.rec.FFJump(from+1, to)
-	}
-	m.ffJumps++
-	m.ffSkipped += to - from
 	m.cycle = to
+	if to == m.win.end {
+		m.closeWindow()
+	}
+}
+
+// closeWindow records the open window as one jump over the cycles advanced
+// so far: at its end, or at m.cycle when finalize, Launch or Step touch a
+// paused machine.
+func (m *Machine) closeWindow() {
+	if from := m.win.from; m.win.open && m.cycle > from {
+		if m.obs != nil {
+			m.obs.rec.FFJump(from+1, m.cycle)
+		}
+		m.ffJumps++
+		m.ffSkipped += m.cycle - from
+	}
+	m.win.open = false
 }
 
 // nextWake returns the earliest cycle > m.cycle at which any unit (or the

@@ -14,6 +14,7 @@ import (
 	"oclfpga/internal/kir"
 	"oclfpga/internal/mem"
 	"oclfpga/internal/obs"
+	"oclfpga/internal/obs/query"
 )
 
 // Options configure a machine.
@@ -47,16 +48,23 @@ type Options struct {
 	// the hot path then pays a single nil check.
 	Observe *obs.Config
 	// CaptureAt lists cycles at which OnCapture fires with the machine
-	// paused exactly there (DESIGN.md §14). Capture cycles are fast-forward
-	// deadlines — a jump never crosses one — so the callback sees precisely
-	// the state the per-cycle path would. The callback must only read
+	// paused exactly there (DESIGN.md §14). A fast-forward jump pauses its
+	// batch advance on each capture cycle and then continues, so the
+	// callback sees precisely the state the per-cycle path would and the
+	// record is the same as without captures. The callback must only read
 	// (StateDump, StateHash, statistics); mutating the machine would fork
-	// the deterministic re-execution captures exist to verify. Cycles at or
-	// before the machine's current cycle are dropped.
+	// the deterministic re-execution captures exist to verify. Cycles before
+	// the machine's current cycle are dropped; one at it fires when the first
+	// drive call starts.
 	CaptureAt []int64
 	// OnCapture receives each CaptureAt cycle as the machine reaches it
-	// during Run/RunFor/Step. Ignored when CaptureAt is empty.
+	// during any drive call. Ignored when CaptureAt is empty.
 	OnCapture func(m *Machine, cycle int64)
+	// Breaks arms breakpoint/watchpoint specs on every drive call
+	// (DESIGN.md §14): the first hit halts the machine, and that call and
+	// every later one return a *BreakError. An unknown target surfaces as an
+	// error from the first drive call.
+	Breaks []query.Break
 }
 
 func (o *Options) fill() {
@@ -99,6 +107,10 @@ type Machine struct {
 	// fast-forward statistics (see FastForwardStats).
 	ffJumps   int64
 	ffSkipped int64
+	// win is the open fast-forward jump, if any (see ffWindow).
+	win ffWindow
+	// breaks are Options.Breaks with their targets resolved.
+	breaks []compiledBreak
 
 	faults *faultRuntime
 
@@ -145,12 +157,15 @@ func New(d *hls.Design, opts Options) *Machine {
 			m.err = err
 		}
 	}
+	if err := m.armBreaks(opts.Breaks); err != nil && m.err == nil {
+		m.err = err
+	}
 	if len(opts.CaptureAt) > 0 && opts.OnCapture != nil {
 		m.captures = append(m.captures, opts.CaptureAt...)
 		sort.Slice(m.captures, func(i, j int) bool { return m.captures[i] < m.captures[j] })
 		kept := m.captures[:0]
 		for _, c := range m.captures {
-			if c > m.cycle && (len(kept) == 0 || kept[len(kept)-1] != c) {
+			if c >= m.cycle && (len(kept) == 0 || kept[len(kept)-1] != c) {
 				kept = append(kept, c)
 			}
 		}
@@ -269,6 +284,7 @@ func (m *Machine) launch(kernel string, args Args, globalSize int64) (*Unit, err
 			return nil, fmt.Errorf("sim: kernel %q: access site on %q has no bound buffer", kernel, site.Arr.Name)
 		}
 	}
+	m.closeWindow() // the new unit ends any quiescent window
 	m.active = append(m.active, u)
 	m.launched = append(m.launched, u)
 	if m.obs != nil {
@@ -277,27 +293,31 @@ func (m *Machine) launch(kernel string, args Args, globalSize int64) (*Unit, err
 	return u, nil
 }
 
-// Step advances the machine n cycles unconditionally (autorun kernels keep
-// running whether or not anything is launched).
+// Step advances the machine n cycles unconditionally, ticking each one
+// (autorun kernels keep running whether or not anything is launched).
 func (m *Machine) Step(n int64) {
+	m.closeWindow()
 	for i := int64(0); i < n; i++ {
 		m.tick()
-		if m.capIdx < len(m.captures) && m.cycle >= m.captures[m.capIdx] {
-			m.fireCaptures()
-		}
+		m.fireCaptures()
 	}
 }
 
-// fireCaptures delivers every capture whose cycle the machine has reached.
-// Cycles the clock skipped past without landing on (possible only via Step
-// callers jumping the grid — Run's fast-forward caps jumps at the next
-// capture cycle) are dropped rather than delivered late with wrong state.
+// nextCapture is the next pending capture cycle (wakeInf when none).
+func (m *Machine) nextCapture() int64 {
+	if m.capIdx < len(m.captures) {
+		return m.captures[m.capIdx]
+	}
+	return wakeInf
+}
+
+// fireCaptures delivers the capture at the current cycle. Every drive call
+// lands on each capture cycle; one the clock passed is dropped, never
+// delivered late with wrong state.
 func (m *Machine) fireCaptures() {
-	for m.capIdx < len(m.captures) && m.captures[m.capIdx] <= m.cycle {
-		c := m.captures[m.capIdx]
-		m.capIdx++
-		if c == m.cycle {
-			m.opts.OnCapture(m, c)
+	for ; m.cycle >= m.nextCapture(); m.capIdx++ {
+		if m.captures[m.capIdx] == m.cycle {
+			m.opts.OnCapture(m, m.cycle)
 		}
 	}
 }
@@ -306,42 +326,71 @@ func (m *Machine) fireCaptures() {
 // forward progress within StallLimit) or cycle overrun it returns a
 // *DeadlockError carrying a structured DeadlockReport: per-unit wait states,
 // the wait-for graph, and a one-line blame verdict.
-func (m *Machine) Run() error { return m.run(-1) }
+func (m *Machine) Run() error { return m.run(wakeInf, 0) }
 
 // RunFor advances like Run but gives up after budget cycles, returning a
 // *DeadlockError whose report's Reason is ReasonBudget (Timeout() true). The
 // machine stays consistent: a later Run or RunFor continues where this one
-// stopped, which is what the host controller's retry loop relies on.
-func (m *Machine) RunFor(budget int64) error { return m.run(budget) }
+// stopped, which is what the host controller's retry loop relies on, and
+// records exactly what one uninterrupted Run would.
+func (m *Machine) RunFor(budget int64) error { return m.run(m.cycle+budget, 0) }
 
-func (m *Machine) run(budget int64) error {
+// RunTo advances the machine to exactly cycle target, whether or not the
+// launched work completes on the way — the rewind primitive: re-execute
+// deterministically, stop on the dot. Reaching the target is not an error;
+// a genuine deadlock or fault error surfaces as usual.
+func (m *Machine) RunTo(target int64) error {
+	if target < m.cycle {
+		return fmt.Errorf("sim: RunTo(%d): cycle is in the past (machine at %d)", target, m.cycle)
+	}
+	return m.run(target, target)
+}
+
+// run is the one drive loop: it advances until the launched work completes
+// or the clock reaches stop (a budget stop unless idle reaches it too), and
+// keeps the autorun fabric running after completion while below idle. A
+// quiescent tick opens a fast-forward window, which advances to its end or
+// pauses at a stop, capture or break deadline inside it. Every landing fires
+// due captures and checks the breaks, the stall limit and the cycle ceiling.
+func (m *Machine) run(stop, idle int64) error {
 	if m.err != nil {
 		return m.err // e.g. a fault plan targeting an unknown channel/kernel
 	}
-	start := m.cycle
-	for len(m.active) > 0 {
-		if budget >= 0 && m.cycle-start >= budget {
-			return &DeadlockError{Report: m.DeadlockReport(ReasonBudget)}
+	m.fireCaptures() // a capture at the current cycle
+	if !m.fastForwardOK() {
+		m.closeWindow() // a cycle hook attached mid-window observes every cycle from here
+	}
+	for m.cycle < stop && (len(m.active) > 0 || m.cycle < idle) {
+		ticked := !m.win.open
+		if ticked {
+			m.tick()
+		} else {
+			m.advanceWindow(min(m.win.end, stop, m.breakDeadline(), m.nextCapture()))
 		}
-		m.tick()
-		if m.capIdx < len(m.captures) && m.cycle >= m.captures[m.capIdx] {
+		if m.cycle >= m.nextCapture() {
 			m.fireCaptures()
 		}
 		if m.err != nil {
 			return m.err
 		}
-		if m.cycle-m.lastProgress > m.opts.StallLimit {
+		if len(m.breaks) > 0 {
+			if hit := m.checkBreaks(); hit != nil {
+				m.err = &BreakError{Hit: hit}
+				return m.err
+			}
+		}
+		if len(m.active) > 0 && m.cycle-m.lastProgress > m.opts.StallLimit {
 			return &DeadlockError{Report: m.DeadlockReport(ReasonStallLimit)}
 		}
 		if m.cycle > m.opts.MaxCycles {
 			return &DeadlockError{Report: m.DeadlockReport(ReasonMaxCycles)}
 		}
-		if !m.workDone && m.fastForwardOK() {
-			m.fastForward(start, budget)
-			if m.capIdx < len(m.captures) && m.cycle >= m.captures[m.capIdx] {
-				m.fireCaptures()
-			}
+		if ticked && !m.workDone && m.fastForwardOK() {
+			m.openWindow()
 		}
+	}
+	if len(m.active) > 0 && idle < stop {
+		return &DeadlockError{Report: m.DeadlockReport(ReasonBudget)}
 	}
 	return nil
 }

@@ -329,6 +329,7 @@ func (m *Machine) obsFinalize() {
 		return
 	}
 	o.finalized = true
+	m.closeWindow() // a run paused inside a jump records it up to now
 	for chID := range o.stalls {
 		m.obsFlushStall(chID, 0)
 		m.obsFlushStall(chID, 1)

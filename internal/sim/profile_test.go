@@ -173,10 +173,3 @@ func TestVCDRecorder(t *testing.T) {
 		t.Fatalf("occupancy never became nonzero:\n%s", out[:min(600, len(out))])
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -348,32 +347,6 @@ func (m *Machine) unitState(u *Unit) UnitState {
 		us.Locals = append(us.Locals, LocalState{Name: lm.Name, Reads: lm.Reads, Writes: lm.Writes})
 	}
 	return us
-}
-
-// RunTo advances the machine to exactly cycle target, whether or not the
-// launched work completes on the way — the rewind primitive: re-execute
-// deterministically, stop on the dot. Reaching the target is not an error;
-// a genuine deadlock or fault error surfaces as usual.
-func (m *Machine) RunTo(target int64) error {
-	if target < m.cycle {
-		return fmt.Errorf("sim: RunTo(%d): cycle is in the past (machine at %d)", target, m.cycle)
-	}
-	if target > m.cycle && len(m.active) > 0 {
-		err := m.RunFor(target - m.cycle)
-		if err != nil {
-			var de *DeadlockError
-			if !errors.As(err, &de) || de.Report.Reason != ReasonBudget {
-				return err
-			}
-			// budget exhausted = landed exactly on target
-		}
-	}
-	if m.cycle < target {
-		// launched work drained early (or none was pending): step the autorun
-		// fabric the rest of the way
-		m.Step(target - m.cycle)
-	}
-	return nil
 }
 
 // obsCheckpoint emits a rewind checkpoint instant at the current cycle. Like

@@ -37,12 +37,13 @@ type Limits struct {
 	// Slice is the initial RunFor budget per iteration of the drive loop
 	// (default 250k cycles) — the granularity at which the watchdog can
 	// fire. Uneventful iterations double it, up to 64x, so long healthy
-	// runs are not dominated by slice-expiry bookkeeping.
+	// runs are not dominated by slice-expiry bookkeeping. It is only the
+	// watchdog's cadence: RunFor is slice-invariant, so the slices never
+	// shape the run's record.
 	Slice int64
 }
 
-// defaultLimits are the package defaults New fills into Config.Defaults and
-// Replay falls back to for zero fields.
+// defaultLimits are the package defaults New fills into Config.Defaults.
 var defaultLimits = Limits{CycleBudget: 50_000_000, WallClock: 2 * time.Minute, Slice: 250_000}
 
 func (l *Limits) fill(d Limits) {
@@ -470,48 +471,11 @@ func (s *Supervisor) drive(spec *Spec, m *sim.Machine, out *Outcome) {
 
 // EffectiveLimits resolves l against the supervisor's defaults — the limits a
 // run submitted with l actually executes under. Callers that persist a run's
-// provenance (the spill manifest's Meta) record the resolved values, because
-// the drive loop's RunFor boundaries — and therefore the recorded stream —
-// depend on them.
+// provenance (the spill manifest's Meta) record the resolved cycle budget: a
+// run that exhausts it ends there, so the budget shapes the recorded stream.
 func (s *Supervisor) EffectiveLimits(l Limits) Limits {
 	l.fill(s.cfg.Defaults)
 	return l
-}
-
-// Replay advances m through the exact slice schedule drive uses — the initial
-// slice doubling every iteration up to 64x, clamped to the remaining cycle
-// budget — with none of the watchdog, breaker, or outcome bookkeeping. The
-// schedule matters for byte-identity: the recorder lands a fast-forward jump
-// event wherever a jump is cut, and RunFor boundaries cut jumps, so a spill
-// repair that re-executes with a single Run would regenerate a stream that
-// diverges from the supervised original at the first split jump. Zero lim
-// fields take the package defaults; pass the limits the original run resolved
-// to (EffectiveLimits at submit time, persisted in the spill Meta).
-func Replay(lim Limits, m *sim.Machine) error {
-	lim.fill(defaultLimits)
-	left := lim.CycleBudget
-	slice := lim.Slice
-	for {
-		if slice > lim.Slice*64 {
-			slice = lim.Slice * 64
-		}
-		if slice > left {
-			slice = left
-		}
-		err := m.RunFor(slice)
-		if err == nil {
-			return nil
-		}
-		var de *sim.DeadlockError
-		if !errors.As(err, &de) || !de.Timeout() {
-			return err
-		}
-		left -= slice
-		slice *= 2
-		if left <= 0 {
-			return fmt.Errorf("supervise: replay: cycle budget %d exhausted: %w", lim.CycleBudget, de)
-		}
-	}
 }
 
 // finalizeObs closes the machine's observability record (on every terminal

@@ -10,8 +10,8 @@ import (
 	"oclfpga/internal/hls"
 	"oclfpga/internal/host"
 	"oclfpga/internal/obs"
+	"oclfpga/internal/obs/query"
 	"oclfpga/internal/sim"
-	"oclfpga/internal/supervise"
 	"oclfpga/internal/trace"
 )
 
@@ -37,16 +37,20 @@ type RunSpec struct {
 	Trace      bool   // post-run phase: stop and drain every monitor bank
 	DisableFF  bool   // step every cycle
 
-	// Limits are the supervised drive limits (Slice, CycleBudget) the run
-	// resolved to; zero means the run was driven by one unsliced Run.
-	Limits supervise.Limits
-	Tenant string
+	// CycleBudget is the supervised run's cycle budget (0 = none): the one
+	// drive limit that shapes the record, since an exhausted run ends there.
+	CycleBudget int64
+	Tenant      string
 }
 
-// RunSpecVersion is the Meta vocabulary this package reads and writes. Meta
-// without a "spec" key is version 1, which is every spill written so far, so
-// Meta only gains the key when the vocabulary changes incompatibly.
-const RunSpecVersion = 1
+// RunSpecVersion is the Meta vocabulary this package writes under "spec".
+// Meta without the key is version 1, which decodes unless it is sliced.
+const RunSpecVersion = 2
+
+// ErrSlicedSpec refuses a version-1 supervised spec: its spill's bytes embed
+// the fast-forward jumps its supervisor's RunFor slices cut, which
+// slice-invariant re-execution no longer reproduces.
+var ErrSlicedSpec = errors.New("version 1 supervised spec: recorded under a slice schedule re-execution no longer reproduces")
 
 // MetaError is the typed decode failure: one Meta key whose value does not
 // describe a runnable spec.
@@ -69,14 +73,12 @@ func (e *UnknownWorkloadError) Error() string {
 	return fmt.Sprintf("workload: no recipe for workload %q", e.Name)
 }
 
-// Supervised reports whether the run was recorded under drive limits.
-func (s RunSpec) Supervised() bool { return s.Limits.Slice > 0 || s.Limits.CycleBudget > 0 }
-
 // Meta encodes the spec as manifest Meta. Keys are written only when they
-// differ from their zero value, except workload and ckptEvery, which are
-// always present; an absent key therefore decodes to the zero value.
+// differ from their zero value, except spec, workload and ckptEvery, which
+// are always present; an absent key therefore decodes to the zero value.
 func (s RunSpec) Meta() map[string]string {
 	meta := map[string]string{
+		"spec":      strconv.Itoa(RunSpecVersion),
 		"workload":  s.Workload,
 		"ckptEvery": strconv.FormatInt(s.CheckpointEvery, 10),
 	}
@@ -106,21 +108,26 @@ func (s RunSpec) Meta() map[string]string {
 	set("timestamps", s.Timestamps)
 	setBool("trace", s.Trace)
 	setBool("disableFF", s.DisableFF)
-	if s.Supervised() {
-		meta["slice"] = strconv.FormatInt(s.Limits.Slice, 10)
-		meta["cycle-budget"] = strconv.FormatInt(s.Limits.CycleBudget, 10)
-	}
+	setInt("cycle-budget", s.CycleBudget)
 	set("tenant", s.Tenant)
 	return meta
 }
 
 // DecodeRunSpec is Meta's inverse: meta is a manifest's Meta and sampleEvery
 // its SampleEvery. Keys it does not know are ignored; a value it cannot use
-// is a *MetaError. The workload name is not resolved here: a spec naming a
-// workload outside the registry decodes, and Build refuses it.
+// is a *MetaError, and so is a version-1 supervised spec (ErrSlicedSpec).
+// The workload name is not resolved here: a spec naming a workload outside
+// the registry decodes, and Build refuses it.
 func DecodeRunSpec(meta map[string]string, sampleEvery int64) (RunSpec, error) {
 	s := RunSpec{SampleEvery: sampleEvery}
-	if v, ok := meta["spec"]; ok && v != strconv.Itoa(RunSpecVersion) {
+	switch v, ok := meta["spec"]; {
+	case !ok || v == "1":
+		for _, key := range []string{"slice", "cycle-budget"} {
+			if v, sliced := meta[key]; sliced {
+				return s, &MetaError{key, v, ErrSlicedSpec}
+			}
+		}
+	case v != strconv.Itoa(RunSpecVersion):
 		return s, &MetaError{"spec", v, errors.New("unsupported run spec version")}
 	}
 	s.Workload = meta["workload"]
@@ -153,8 +160,7 @@ func DecodeRunSpec(meta map[string]string, sampleEvery int64) (RunSpec, error) {
 	s.N = int(intKey("n", true))
 	s.CheckpointEvery = intKey("ckptEvery", false)
 	s.StallLimit = intKey("stalllimit", false)
-	s.Limits.Slice = intKey("slice", true)
-	s.Limits.CycleBudget = intKey("cycle-budget", true)
+	s.CycleBudget = intKey("cycle-budget", true)
 	s.DepthOpt = boolKey("chandepthopt")
 	s.StallMon = boolKey("stallmon")
 	s.Watch = boolKey("watch")
@@ -261,7 +267,8 @@ type probe struct {
 // record). The machine has not been driven.
 func (s RunSpec) Build(o *obs.Config) (*Run, error) { return s.build(o, nil) }
 
-// build is Build with the machine options finally adjusted by opt.
+// build is Build with the machine options finally adjusted by opt. A failed
+// pre-run host phase returns the run with its error: a break halts it there.
 func (s RunSpec) build(o *obs.Config, opt func(*sim.Options)) (*Run, error) {
 	rc, ok := registry[s.Workload]
 	if !ok {
@@ -298,18 +305,14 @@ func (s RunSpec) build(o *obs.Config, opt func(*sim.Options)) (*Run, error) {
 		opt(&opts)
 	}
 	r := &Run{Spec: s, N: n, Design: d, M: sim.New(d, opts), sinkFinal: rc.sinkFinalize}
-	if err := stage(r); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return r, stage(r)
 }
 
-// Drive runs the machine to completion the way the recorded run did:
-// through supervise.Replay's slice schedule when it was supervised (slice
-// boundaries cut fast-forward jumps, so they shape the stream), else one Run.
+// Drive runs the machine to completion the way the recorded run did: one
+// Run, or a RunFor over the cycle budget the recorded run was held to.
 func (r *Run) Drive() error {
-	if r.Spec.Supervised() {
-		return supervise.Replay(r.Spec.Limits, r.M)
+	if r.Spec.CycleBudget > 0 {
+		return r.M.RunFor(r.Spec.CycleBudget)
 	}
 	return r.M.Run()
 }
@@ -344,48 +347,59 @@ func (r *Run) PostRun() error {
 	return nil
 }
 
-// Inspect re-executes the recorded run unobserved — pre-run host phase,
-// drive, post-run phase — and calls fn with the machine paused exactly at
-// each of cycles, in ascending order; cycles past the run's end are reached
-// by idling the fabric on (sim.Machine.RunTo). fn must only read the
-// machine. The first error fn returns is Inspect's; the run stops at the
-// last cycle when the kernels are still running there.
+// Halt re-executes the recorded run unobserved — pre-run host phase, drive,
+// post-run phase — under breaks and returns it halted at the first hit, or
+// with a nil hit when none fired by the end of the phases and of idling the
+// fabric on to the last cycle=N break. opt, when set, adjusts the options.
+func (s RunSpec) Halt(breaks []query.Break, opt func(*sim.Options)) (*Run, *sim.BreakHit, error) {
+	r, err := s.build(nil, func(o *sim.Options) {
+		o.Breaks = breaks
+		if opt != nil {
+			opt(o)
+		}
+	})
+	if r == nil {
+		return nil, nil, err
+	}
+	var last int64
+	for _, b := range breaks {
+		if b.Kind == query.BreakCycle {
+			last = max(last, b.N)
+		}
+	}
+	idle := func() error { return r.M.RunTo(max(last, r.M.Cycle())) }
+	for _, phase := range []func() error{r.Drive, r.PostRun, idle} {
+		if err == nil {
+			err = phase()
+		}
+	}
+	var be *sim.BreakError
+	if errors.As(err, &be) {
+		return r, be.Hit, nil
+	}
+	return r, nil, err
+}
+
+// Inspect re-executes the recorded run unobserved and calls fn with the
+// machine paused exactly at each of cycles (fn must only read it), whether
+// the cycle falls in a host phase, the drive, or past the run's end: Halt at
+// the last cycle, capturing the others on the way. fn's first error is
+// Inspect's.
 func (s RunSpec) Inspect(cycles []int64, fn func(m *sim.Machine, cycle int64) error) error {
 	var ferr error
-	visit := func(m *sim.Machine, c int64) {
-		if ferr == nil {
-			ferr = fn(m, c)
-		}
+	stop := query.Break{Kind: query.BreakCycle}
+	for _, c := range cycles {
+		stop.N = max(stop.N, c)
 	}
-	r, err := s.build(nil, func(o *sim.Options) { o.CaptureAt, o.OnCapture = cycles, visit })
+	_, _, err := s.Halt([]query.Break{stop}, func(o *sim.Options) {
+		o.CaptureAt, o.OnCapture = cycles, func(m *sim.Machine, c int64) {
+			if ferr == nil {
+				ferr = fn(m, c)
+			}
+		}
+	})
 	if err != nil {
 		return err
-	}
-	m := r.M
-	var last int64
-	for _, c := range cycles {
-		if c == 0 && m.Cycle() == 0 {
-			visit(m, 0) // captures only fire on cycles the clock reaches
-		}
-		last = max(last, c)
-	}
-	if last > m.Cycle() {
-		err := m.RunFor(last - m.Cycle())
-		var de *sim.DeadlockError
-		if errors.As(err, &de) && de.Timeout() {
-			return ferr // paused at last, kernels still running
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if err := r.PostRun(); err != nil {
-		return err
-	}
-	if last > m.Cycle() {
-		if err := m.RunTo(last); err != nil {
-			return err
-		}
 	}
 	return ferr
 }

@@ -7,14 +7,14 @@ import (
 	"testing"
 
 	"oclfpga/internal/obs"
-	"oclfpga/internal/supervise"
 	"oclfpga/internal/workload"
 )
 
 // parentMetas are the exact Meta key sets the spill writers emitted before
 // RunSpec existed: oclprof (defaults, and every optional key), simbench (FF
 // on and off), oclmon, and the perfbench fixture (a workload outside the
-// registry). Spills carrying them must keep decoding.
+// registry). Spills carrying them must keep decoding, except oclmon's: its
+// bytes embed the supervisor's slice schedule, so it is refused.
 var parentMetas = []map[string]string{
 	{"workload": "chanstall", "device": "s5", "ckptEvery": "0"},
 	{"workload": "matmul", "device": "a10", "ckptEvery": "512", "inject": "mem-delay@100+400=30",
@@ -26,42 +26,55 @@ var parentMetas = []map[string]string{
 }
 
 // TestRunSpecEncodesParentKeySets pins byte identity: a spec decoded from
-// an oclprof or simbench writer's Meta re-encodes to exactly that Meta, so
-// spills written on the same flags keep identical manifests.
+// an oclprof or simbench writer's Meta re-encodes to exactly that Meta plus
+// the version key, so spills written on the same flags keep manifests that
+// differ only by "spec": "2".
 func TestRunSpecEncodesParentKeySets(t *testing.T) {
 	for _, meta := range parentMetas[:4] {
 		s, err := workload.DecodeRunSpec(meta, 500)
 		if err != nil {
 			t.Fatalf("%v: %v", meta, err)
 		}
-		if got := s.Meta(); !reflect.DeepEqual(got, meta) {
+		want := map[string]string{"spec": "2"}
+		for k, v := range meta {
+			want[k] = v
+		}
+		if got := s.Meta(); !reflect.DeepEqual(got, want) {
 			t.Errorf("re-encoded %v\n  as %v", meta, got)
 		}
 	}
 }
 
-func TestRunSpecDecodesParentOclmonMeta(t *testing.T) {
-	s, err := workload.DecodeRunSpec(parentMetas[4], 1000)
+// TestRunSpecRefusesParentOclmonMeta: a version-1 supervised spec records a
+// slice schedule no re-execution reproduces, so it is a typed refusal, and
+// the same limits under version 2 decode to just the cycle budget.
+func TestRunSpecRefusesParentOclmonMeta(t *testing.T) {
+	_, err := workload.DecodeRunSpec(parentMetas[4], 1000)
+	var me *workload.MetaError
+	if !errors.As(err, &me) || !errors.Is(err, workload.ErrSlicedSpec) {
+		t.Fatalf("got %v, want *MetaError wrapping ErrSlicedSpec", err)
+	}
+	v2 := map[string]string{"spec": "2"}
+	for k, v := range parentMetas[4] {
+		v2[k] = v
+	}
+	s, err := workload.DecodeRunSpec(v2, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := workload.RunSpec{Workload: "oclmon", N: 8192, SampleEvery: 1000, Tenant: "default",
-		Limits: supervise.Limits{Slice: 250000, CycleBudget: 50000000}}
+	want := workload.RunSpec{Workload: "oclmon", N: 8192, SampleEvery: 1000, Tenant: "default", CycleBudget: 50000000}
 	if s != want {
 		t.Fatalf("decoded %+v, want %+v", s, want)
-	}
-	if !s.Supervised() {
-		t.Fatal("a spec with drive limits must replay supervised")
 	}
 }
 
 func TestDecodeRunSpecRejectsBadValues(t *testing.T) {
 	for key, val := range map[string]string{
-		"n": "-1", "ckptEvery": "x", "slice": "-5", "cycle-budget": "1e9",
+		"n": "-1", "ckptEvery": "x", "cycle-budget": "1e9",
 		"stallmon": "0", "trace": "yes", "device": "vu9p", "timestamps": "none",
-		"inject": "explode@", "spec": "2",
+		"inject": "explode@", "spec": "3",
 	} {
-		meta := map[string]string{"workload": "matmul", key: val}
+		meta := map[string]string{"spec": "2", "workload": "matmul", key: val}
 		_, err := workload.DecodeRunSpec(meta, 0)
 		var me *workload.MetaError
 		if !errors.As(err, &me) || me.Key != key {
@@ -169,6 +182,7 @@ func FuzzRunSpec(f *testing.F) {
 	f.Add([]byte(`{"workload":"chase","timestamps":"cl","trace":"1","spec":"1"}`), int64(0))
 	f.Add([]byte(`{"workload":""}`), int64(-1))
 	f.Add([]byte(`{}`), int64(0))
+	f.Add([]byte(`{"workload":"oclmon","n":"1024","slice":"500","cycle-budget":"50000000"}`), int64(500))
 	f.Fuzz(func(t *testing.T, raw []byte, sampleEvery int64) {
 		var meta map[string]string
 		if json.Unmarshal(raw, &meta) != nil {

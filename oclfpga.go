@@ -291,7 +291,8 @@ type (
 	// Breakpoint is one parsed breakpoint/watchpoint spec ("cycle=N",
 	// "chan:NAME.stall>K", "unit:NAME.state=S", ...).
 	Breakpoint = query.Break
-	// BreakpointHit reports the first spec that fired during RunBreaks.
+	// BreakpointHit reports the first armed spec that fired (the Hit of the
+	// *sim.BreakError every drive call returns once the machine halts).
 	BreakpointHit = sim.BreakHit
 	// EventQuery is one parsed spill query ("track=... kind=... cycles=[a,b]").
 	EventQuery = query.Query
@@ -304,7 +305,7 @@ type (
 )
 
 // ParseBreakpoints parses a comma-separated breakpoint/watchpoint spec list;
-// run them with Machine.RunBreaks.
+// arm them with SimOptions.Breaks.
 func ParseBreakpoints(s string) ([]Breakpoint, error) { return query.ParseBreaks(s) }
 
 // ParseEventQuery parses a whitespace-separated query spec.

@@ -12,15 +12,18 @@ go build ./...
 go test -race ./...
 
 # Fuzz smoke: a few seconds each on the parser fuzz targets (spec parser,
-# NDJSON replay, the flat binary codec, the manifest and its run-spec Meta)
-# and on the spill line encoder's identity with encoding/json. Any crasher fails the gate; the seed corpora
-# alone already ran under `go test` above.
+# NDJSON replay, the flat binary codec, the manifest and its run-spec Meta),
+# on the spill line encoder's identity with encoding/json, and on slice
+# invariance (random RunFor schedules must spill what one run spills). Any
+# crasher fails the gate; the seed corpora alone already ran under
+# `go test` above.
 go test ./internal/fault -run '^$' -fuzz 'FuzzParseSpec$' -fuzztime 5s
 go test ./internal/fault -run '^$' -fuzz 'FuzzParseSpecs$' -fuzztime 5s
 go test ./internal/obs -run '^$' -fuzz 'FuzzReplayNDJSON$' -fuzztime 5s
 go test ./internal/obs -run '^$' -fuzz 'FuzzFlatCodec$' -fuzztime 5s
 go test ./internal/obs -run '^$' -fuzz 'FuzzManifest$' -fuzztime 5s
 go test ./internal/workload -run '^$' -fuzz 'FuzzRunSpec$' -fuzztime 5s
+go test ./internal/workload -run '^$' -fuzz 'FuzzSliceSchedule$' -fuzztime 5s
 go test ./internal/obs -run '^$' -fuzz 'FuzzSegIndex$' -fuzztime 5s
 go test ./internal/obs -run '^$' -fuzz 'FuzzLineCodec$' -fuzztime 5s
 go test ./internal/obs/query -run '^$' -fuzz 'FuzzParseBreaks$' -fuzztime 5s
@@ -63,7 +66,9 @@ go run ./cmd/benchjson < /dev/null > /dev/null  # benchjson stays runnable
 # Time-travel smoke (DESIGN.md §14): a checkpointed spill, then (1) the
 # at-cycle state dump must be byte-identical whether re-execution rewinds
 # from a spill checkpoint, rides the -checkpoint-every grid, or replays from
-# cycle 0; (2) a breakpointed re-execution must halt on the stalled consumer;
+# cycle 0; (2) a breakpointed re-execution must halt on the stalled consumer,
+# and a cycle break inside matmul's -trace readout must halt in that host
+# phase with exactly the state -at-cycle dumps there;
 # (3) an indexed query must answer byte-identically before and after the
 # sidecar indexes are deleted and rebuilt; (4) mutually-exclusive debug modes
 # must exit 2 (a built binary, because `go run` collapses exit codes).
@@ -81,6 +86,13 @@ cmp "$TMP/at-grid.json" "$TMP/at-direct.json"
 "$TMP/oclprof" -workload chanstall -log=false \
   -break 'chan:pipe.stall>50' > "$TMP/break.json" 2> /dev/null
 grep -q '"unit": "consumer"' "$TMP/break.json"
+"$TMP/oclprof" -workload matmul -stallmon -trace -log=false \
+  -break 'cycle=23000' > "$TMP/break-readout.json" 2> /dev/null
+"$TMP/oclprof" -workload matmul -stallmon -trace -log=false \
+  -at-cycle 23000 > "$TMP/at-readout.json" 2> /dev/null
+sed -n '/^  "state": {/,/^  }/p' "$TMP/break-readout.json" \
+  | sed 's/^  //; 1s/"state": //' > "$TMP/break-readout-state.json"
+cmp "$TMP/break-readout-state.json" "$TMP/at-readout.json"
 "$TMP/oclprof" -query 'kind=chan-stall cycles=[5000,6000]' \
   -spill-dir "$TMP/tt-segs" > "$TMP/q-sealed.json" 2> /dev/null
 go run ./cmd/obscheck -spill-dir "$TMP/tt-segs" | grep -q 'sealed'
