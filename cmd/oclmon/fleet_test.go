@@ -14,10 +14,9 @@ import (
 	"oclfpga/internal/supervise"
 )
 
-// sseIDs GETs the run's event stream with the given Last-Event-ID header
-// ("" for a fresh tail) and returns the sequence ids of every frame received
-// before the finalize frame.
-func sseIDs(t *testing.T, url, lastEventID string) []int64 {
+// sseOpen GETs the run's event stream with the given Last-Event-ID header
+// ("" for a fresh tail); it returns once the server has sent its headers.
+func sseOpen(t *testing.T, url, lastEventID string) *http.Response {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
@@ -30,16 +29,28 @@ func sseIDs(t *testing.T, url, lastEventID string) []int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
 		t.Fatalf("events = %d", resp.StatusCode)
 	}
-	var ids []int64
+	return resp
+}
+
+// sseRead returns the sequence ids of every frame on an open stream before
+// its finalize frame, and that frame's "frames" count; a stream that ends
+// without one fails the test.
+func sseRead(t *testing.T, resp *http.Response) (ids []int64, frames int) {
+	t.Helper()
+	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		line := sc.Text()
 		if line == "event: finalize" {
-			break
+			var fin struct{ Frames int }
+			if !sc.Scan() || json.Unmarshal([]byte(strings.TrimPrefix(sc.Text(), "data: ")), &fin) != nil {
+				t.Fatalf("bad finalize frame data %q", sc.Text())
+			}
+			return ids, fin.Frames
 		}
 		if v, ok := strings.CutPrefix(line, "id: "); ok {
 			n, err := strconv.ParseInt(v, 10, 64)
@@ -49,6 +60,14 @@ func sseIDs(t *testing.T, url, lastEventID string) []int64 {
 			ids = append(ids, n)
 		}
 	}
+	t.Fatalf("stream ended without a finalize frame after ids %v (%v)", ids, sc.Err())
+	return nil, 0
+}
+
+// sseIDs reads a whole stream: the ids of every frame before finalize.
+func sseIDs(t *testing.T, url, lastEventID string) []int64 {
+	t.Helper()
+	ids, _ := sseRead(t, sseOpen(t, url, lastEventID))
 	return ids
 }
 
@@ -258,4 +277,59 @@ func TestTakeoverAdoptsCrashedSpill(t *testing.T) {
 func jsonDecode(resp *http.Response, v any) error {
 	defer resp.Body.Close()
 	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// TestSSECursorBounds drives the cursor with Last-Event-ID values before,
+// inside, at the end of and beyond the stream, on a finalized run and on a
+// live one that grows past every value while all its tails are open at once
+// (sharing the sink's wake channel). Each tail gets exactly the frames after
+// its id, then finalize.
+func TestSSECursorBounds(t *testing.T) {
+	const recorded = 10 // events in the sink when the tails connect
+	ev := func(i int) obs.Event {
+		return obs.Event{Kind: obs.KindLaunch, Track: "unit:k", Name: "go", Start: int64(i), End: int64(i)}
+	}
+	afters := []int64{-5, -1, recorded / 2, recorded - 1, recorded + 10}
+	for _, live := range []bool{false, true} {
+		t.Run(fmt.Sprintf("live=%v", live), func(t *testing.T) {
+			total := recorded // a live run records 20 more events once its tails are open
+			if live {
+				total += 20
+			}
+			sink := newLiveSink("d", 0)
+			for i := 0; i < recorded; i++ {
+				sink.Event(ev(i))
+			}
+			if !live {
+				sink.Finalize(recorded)
+			}
+			srv := newServer(serverConfig{n: 64, sampleEvery: 1000}, supervise.New(supervise.Config{Slots: 1}))
+			srv.addRun(&run{id: "sse", workload: "oclmon", sink: sink, state: supervise.StateRunning})
+			ts := httptest.NewServer(srv.handler())
+			defer ts.Close()
+			var tails []*http.Response
+			for _, after := range afters {
+				tails = append(tails, sseOpen(t, ts.URL+"/runs/sse/events", strconv.FormatInt(after, 10)))
+			}
+			for i := recorded; i < total; i++ {
+				sink.Event(ev(i))
+			}
+			sink.Finalize(int64(total))
+			for k, after := range afters {
+				ids, frames := sseRead(t, tails[k])
+				if frames != total {
+					t.Fatalf("after %d: finalize frames = %d, want %d", after, frames, total)
+				}
+				first := max(after+1, 0)
+				if want := max(int64(total)-first, 0); int64(len(ids)) != want {
+					t.Fatalf("after %d: got %d frames %v, want the %d after it", after, len(ids), ids, want)
+				}
+				for i, id := range ids {
+					if id != first+int64(i) {
+						t.Fatalf("after %d: ids %v, want %d.. contiguous", after, ids, first)
+					}
+				}
+			}
+		})
+	}
 }

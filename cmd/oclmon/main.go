@@ -18,7 +18,7 @@
 //	GET  /healthz                  liveness (always 200 while serving)
 //	GET  /readyz                   503 while slots+queue are saturated
 //	GET  /metrics                  Prometheus text exposition (cycles, stalls,
-//	                               SSE drops, supervisor counters)
+//	                               supervisor counters)
 //	GET  /runs                     JSON index of hosted runs
 //	POST /runs?n=&cycles=&wall=    admit a run (202; 429 saturated or over
 //	                               tenant quota, 503 quarantined); tenant from
@@ -26,9 +26,11 @@
 //	GET  /runs/{id}/timeline.json  the run's event timeline (Perfetto JSON);
 //	                               a consistent snapshot while still running
 //	GET  /runs/{id}/attr.json      stall attribution & critical path (live)
-//	GET  /runs/{id}/events         Server-Sent Events tail of the event stream;
-//	                               resumes with Last-Event-ID (or ?after=N);
-//	                               idle streams carry `: keepalive` comments
+//	GET  /runs/{id}/events         Server-Sent Events tail of the event stream,
+//	                               every frame delivered (a slow client lags,
+//	                               never loses one); resumes with Last-Event-ID
+//	                               (or ?after=N); idle streams carry
+//	                               `: keepalive` comments
 //	GET  /runs/{a}/diff/{b}        differential report of run b against
 //	                               baseline run a: stall deltas, verdicts,
 //	                               critical-path shift (?rel=&abs= thresholds)

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -118,8 +120,8 @@ func (r *run) finish(m *sim.Machine, out supervise.Outcome) {
 	if m != nil {
 		func() {
 			defer func() { recover() }() // a panicked run may hold a mid-tick machine
-			if m.Observed() {
-				dropped = m.Timeline().DroppedEvents
+			if rec := m.Observer(); rec != nil {
+				dropped = rec.DroppedEvents()
 			}
 		}()
 	}
@@ -1027,6 +1029,11 @@ func (s *server) writeIndex(w http.ResponseWriter) {
 // the live sinks plus the supervisor's admission/outcome counters.
 func (s *server) writeMetrics(w http.ResponseWriter) {
 	runs := s.allRuns()
+	// One reading per run, so each run's series agree with each other.
+	stats := make([]liveStats, len(runs))
+	for i, r := range runs {
+		stats[i] = r.sink.stats()
+	}
 	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
 	p("# HELP oclmon_runs Number of hosted simulations.\n# TYPE oclmon_runs gauge\n")
 	p("oclmon_runs %d\n", len(runs))
@@ -1098,32 +1105,33 @@ func (s *server) writeMetrics(w http.ResponseWriter) {
 		}
 	}
 	p("# HELP oclmon_cycles Last simulated cycle observed for the run.\n# TYPE oclmon_cycles gauge\n")
-	for _, r := range runs {
-		p("oclmon_cycles{run=%q} %d\n", r.id, r.sink.stats().cycle)
+	for i, r := range runs {
+		p("oclmon_cycles{run=%q} %d\n", r.id, stats[i].cycle)
 	}
 	p("# HELP oclmon_events_total Timeline events recorded.\n# TYPE oclmon_events_total counter\n")
-	for _, r := range runs {
-		p("oclmon_events_total{run=%q} %d\n", r.id, r.sink.stats().events)
+	for i, r := range runs {
+		p("oclmon_events_total{run=%q} %d\n", r.id, stats[i].events)
 	}
 	p("# HELP oclmon_samples_total Metrics samples recorded.\n# TYPE oclmon_samples_total counter\n")
-	for _, r := range runs {
-		p("oclmon_samples_total{run=%q} %d\n", r.id, r.sink.stats().samples)
+	for i, r := range runs {
+		p("oclmon_samples_total{run=%q} %d\n", r.id, stats[i].samples)
 	}
 	p("# HELP oclmon_ff_jumps_total Fast-forward jumps taken.\n# TYPE oclmon_ff_jumps_total counter\n")
-	for _, r := range runs {
-		p("oclmon_ff_jumps_total{run=%q} %d\n", r.id, r.sink.stats().ffJumps)
+	for i, r := range runs {
+		p("oclmon_ff_jumps_total{run=%q} %d\n", r.id, stats[i].ffJumps)
 	}
 	p("# HELP oclmon_events_dropped_total Events refused after the timeline was finalized.\n# TYPE oclmon_events_dropped_total counter\n")
-	for _, r := range runs {
-		p("oclmon_events_dropped_total{run=%q} %d\n", r.id, r.sink.stats().dropped)
+	for i, r := range runs {
+		p("oclmon_events_dropped_total{run=%q} %d\n", r.id, stats[i].dropped)
 	}
-	p("# HELP oclmon_sse_dropped_total SSE frames dropped to slow subscribers instead of blocking the sim loop.\n# TYPE oclmon_sse_dropped_total counter\n")
+	// Kept, at 0, for scrapers that alert on it.
+	p("# HELP oclmon_sse_dropped_total SSE frames dropped to slow subscribers (always 0: every subscriber receives every frame).\n# TYPE oclmon_sse_dropped_total counter\n")
 	for _, r := range runs {
-		p("oclmon_sse_dropped_total{run=%q} %d\n", r.id, r.sink.stats().sseDropped)
+		p("oclmon_sse_dropped_total{run=%q} 0\n", r.id)
 	}
 	p("# HELP oclmon_stall_cycles_total Cycles a unit spent blocked, by channel endpoint.\n# TYPE oclmon_stall_cycles_total counter\n")
-	for _, r := range runs {
-		st := r.sink.stats()
+	for i, r := range runs {
+		st := stats[i]
 		keys := make([]stallKey, 0, len(st.stall))
 		for k := range st.stall {
 			keys = append(keys, k)
@@ -1139,8 +1147,8 @@ func (s *server) writeMetrics(w http.ResponseWriter) {
 		}
 	}
 	p("# HELP oclmon_channel_depth Channel occupancy at the latest metrics sample.\n# TYPE oclmon_channel_depth gauge\n")
-	for _, r := range runs {
-		st := r.sink.stats()
+	for i, r := range runs {
+		st := stats[i]
 		names := make([]string, 0, len(st.depth))
 		for n := range st.depth {
 			names = append(names, n)
@@ -1163,18 +1171,19 @@ func b2i(b bool) int {
 // event's index in the run's deterministic append-order stream — so a client
 // dropped mid-tail (or cut off by a worker failover) reconnects with
 // Last-Event-ID (or ?after=N) and resumes exactly where it left off, no
-// duplicate or missing frames: the backlog past that point is served first,
-// then the live feed, then a final `event: finalize` frame when the run's
-// timeline closes. The finalize frame's data carries the run's endCycle and
-// frames, the full stream length (ff-jumps included), so a client that lost
-// frames at the tail — which leaves no id gap — can tell without
-// reconnecting. Sequence numbers survive failover because the surviving
-// worker's replay reproduces the identical stream. Slow subscribers shed
-// live frames (counted in oclmon_sse_dropped_total) instead of backing up
-// the sink; the resulting id gap tells the client what to re-fetch. An idle
+// duplicate or missing frames. The tail is one cursor loop over the sink's
+// stream: it takes every event past the cursor, encodes the batch outside
+// the sink lock and flushes it once, and waits for the stream to grow when
+// it has caught up. A resumed tail's backlog and the live feed are the same
+// reads, and nothing is ever shed: a slow client only lags behind the run.
+// When the run is finalized and the cursor is at the stream end, a closing
+// `event: finalize` frame carries the run's endCycle and frames, the full
+// stream length (ff-jumps included). On a spilled run that frame follows
+// the spill's manifest commit. Sequence numbers survive failover because
+// the surviving worker's replay reproduces the identical stream. An idle
 // live stream emits a `: keepalive` comment frame every cfg.sseKeepalive so
 // intermediaries do not reap the connection while a fast-forwarded run is
-// between events.
+// between events; a client that disconnects ends the tail at once.
 func (s *server) serveEvents(w http.ResponseWriter, req *http.Request, r *run) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -1201,36 +1210,49 @@ func (s *server) serveEvents(w http.ResponseWriter, req *http.Request, r *run) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
-	backlog, ch, cancel := r.sink.subscribe(after)
-	defer cancel()
-	for _, msg := range backlog {
-		if _, err := w.Write(msg); err != nil {
-			return
+	bw := bufio.NewWriter(w)
+	flush := func() bool {
+		if bw.Flush() != nil {
+			return false
 		}
 		fl.Flush()
+		return true
 	}
 	ka := time.NewTicker(s.cfg.sseKeepalive)
 	defer ka.Stop()
-live:
-	for {
-		select {
-		case msg, ok := <-ch:
-			if !ok {
-				break live
+	// The cursor is the next id to send; no id follows MaxInt64.
+	for cur := min(max(after, -1), math.MaxInt64-1) + 1; ; {
+		evs, done, wake := r.sink.next(cur)
+		if len(evs) > 0 {
+			for i := range evs {
+				frame := append(bw.AvailableBuffer(), "id: "...)
+				frame = strconv.AppendInt(frame, cur, 10)
+				frame = append(frame, "\ndata: "...)
+				frame = obs.AppendEventJSON(frame, &evs[i])
+				bw.Write(append(frame, "\n\n"...)) // a failed write surfaces at flush
+				cur++
 			}
-			if _, err := w.Write(msg); err != nil {
+			if !flush() {
 				return
 			}
-			fl.Flush()
 			ka.Reset(s.cfg.sseKeepalive)
+			continue
+		}
+		if done {
+			st := r.sink.stats()
+			fmt.Fprintf(bw, "event: finalize\ndata: {\"endCycle\":%d,\"frames\":%d}\n\n", st.cycle, st.events+st.ffJumps)
+			flush()
+			return
+		}
+		select {
+		case <-wake:
 		case <-ka.C:
-			if _, err := w.Write([]byte(": keepalive\n\n")); err != nil {
+			bw.WriteString(": keepalive\n\n")
+			if !flush() {
 				return
 			}
-			fl.Flush()
+		case <-req.Context().Done():
+			return
 		}
 	}
-	st := r.sink.stats()
-	fmt.Fprintf(w, "event: finalize\ndata: {\"endCycle\":%d,\"frames\":%d}\n\n", st.cycle, st.events+st.ffJumps)
-	fl.Flush()
 }

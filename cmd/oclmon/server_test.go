@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,7 +13,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -174,45 +177,144 @@ func TestBreakerQuarantinesWorkload(t *testing.T) {
 	}
 }
 
-// TestStalledSSEClientShedsFrames is the regression test for the slow-client
-// path: a subscriber that never drains its buffer (a stalled HTTP client)
-// loses frames — counted, never blocking the sink's caller.
-func TestStalledSSEClientShedsFrames(t *testing.T) {
-	sink := newLiveSink("d", 0)
-	_, ch, cancel := sink.subscribe(-1)
-	defer cancel()
-	// Never read from ch: pump more events than the per-client buffer holds.
-	// Every Event call must return promptly even with the buffer full.
-	const total = 1000
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < total; i++ {
-			sink.Event(obs.Event{Kind: obs.KindLaunch, Track: "unit:k", Name: "go", Start: int64(i), End: int64(i)})
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("stalled subscriber blocked the sink")
-	}
-	st := sink.stats()
-	if st.sseDropped != int64(total-cap(ch)) {
-		t.Fatalf("sseDropped = %d, want %d (buffer %d)", st.sseDropped, total-cap(ch), cap(ch))
-	}
-	if len(ch) != cap(ch) {
-		t.Fatalf("buffer holds %d frames, want full %d", len(ch), cap(ch))
-	}
+// slowReader throttles a reader to 1 KiB per millisecond, far below the
+// rate a run records at.
+type slowReader struct{ r io.Reader }
 
-	// The counter is exposed per run in /metrics.
-	srv := newServer(serverConfig{n: 64, sampleEvery: 1000}, supervise.New(supervise.Config{Slots: 1}))
-	srv.addRun(&run{id: "sse", workload: "oclmon", sink: sink, state: supervise.StateRunning})
+func (s slowReader) Read(p []byte) (int, error) {
+	time.Sleep(time.Millisecond)
+	return s.r.Read(p[:min(len(p), 1024)])
+}
+
+// pipeResponse is an http.ResponseWriter whose body goes through an io.Pipe:
+// each write blocks until the client reads it, with no socket buffer in
+// between to absorb a lagging client.
+type pipeResponse struct {
+	*io.PipeWriter
+	header http.Header
+}
+
+func (p pipeResponse) Header() http.Header { return p.header }
+func (pipeResponse) WriteHeader(int)       {}
+func (pipeResponse) Flush()                {}
+
+// TestSlowSSEClientReceivesEveryFrame pins the lossless tail: a client that
+// reads far slower than the run records still receives every frame of a
+// spilled run, with contiguous ids, each payload byte-identical to the
+// event's spill line, and the shed counter reads 0.
+func TestSlowSSEClientReceivesEveryFrame(t *testing.T) {
+	root := t.TempDir()
+	sup := supervise.New(supervise.Config{Slots: 1})
+	defer sup.Close()
+	srv := newServer(serverConfig{n: 1024, sampleEvery: 1000, spillDir: root}, sup)
+	r, err := srv.admit(1024, "", supervise.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, pw := io.Pipe()
+	defer pr.Close()
+	go func() {
+		req := httptest.NewRequest(http.MethodGet, "/runs/"+r.id+"/events", nil)
+		srv.handler().ServeHTTP(pipeResponse{pw, http.Header{}}, req)
+		pw.Close()
+	}()
+	var payloads []string
+	frames := -1
+	sc := bufio.NewScanner(slowReader{pr})
+	for frames < 0 && sc.Scan() {
+		line := sc.Text()
+		if id, ok := strings.CutPrefix(line, "id: "); ok {
+			if id != strconv.Itoa(len(payloads)) {
+				t.Fatalf("frame id %s after %d frames: ids must be contiguous from 0", id, len(payloads))
+			}
+			if !sc.Scan() {
+				t.Fatal("stream ended inside a frame")
+			}
+			data, ok := strings.CutPrefix(sc.Text(), "data: ")
+			if !ok {
+				t.Fatalf("frame %s data line = %q", id, sc.Text())
+			}
+			payloads = append(payloads, data)
+		}
+		if line == "event: finalize" {
+			var fin struct{ Frames int }
+			if !sc.Scan() {
+				t.Fatal("stream ended inside the finalize frame")
+			}
+			if err := json.Unmarshal([]byte(strings.TrimPrefix(sc.Text(), "data: ")), &fin); err != nil {
+				t.Fatalf("finalize data %q: %v", sc.Text(), err)
+			}
+			frames = fin.Frames
+		}
+	}
+	if frames < 0 {
+		t.Fatalf("no finalize frame after %d frames (%v)", len(payloads), sc.Err())
+	}
+	if len(payloads) != frames {
+		t.Fatalf("received %d frames, finalize says %d", len(payloads), frames)
+	}
+	log, err := obs.LoadSegments(filepath.Join(root, r.id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spilled []string
+	for _, l := range log.Lines {
+		if e, ok := bytes.CutPrefix(l, []byte(`{"e":`)); ok {
+			spilled = append(spilled, string(bytes.TrimSuffix(e, []byte("}"))))
+		}
+	}
+	if len(spilled) != frames {
+		t.Fatalf("spill holds %d events, stream %d frames", len(spilled), frames)
+	}
+	for i := range spilled {
+		if payloads[i] != spilled[i] {
+			t.Fatalf("frame %d payload differs from its spill line:\n sse   %s\n spill %s", i, payloads[i], spilled[i])
+		}
+	}
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 	body := scrape(t, ts.URL+"/metrics")
-	want := fmt.Sprintf("oclmon_sse_dropped_total{run=\"sse\"} %d", st.sseDropped)
+	want := fmt.Sprintf("oclmon_sse_dropped_total{run=%q} 0\n", r.id)
 	if !strings.Contains(body, want) {
 		t.Fatalf("metrics missing %q:\n%s", want, grepMetrics(body, "sse"))
+	}
+}
+
+// flushSignal is a ResponseRecorder that closes flushed at its first Flush —
+// for an SSE handler, the moment it has sent its headers and starts tailing.
+type flushSignal struct {
+	*httptest.ResponseRecorder
+	once    sync.Once
+	flushed chan struct{}
+}
+
+func (f *flushSignal) Flush() {
+	f.ResponseRecorder.Flush()
+	f.once.Do(func() { close(f.flushed) })
+}
+
+// TestSSEClientDisconnectEndsTail pins the tail's lifetime to its request: a
+// client that goes away while a run is quiet (no events, no keepalive due
+// for an hour) releases its handler at once, not at the next failed write.
+func TestSSEClientDisconnectEndsTail(t *testing.T) {
+	srv := newServer(serverConfig{n: 64, sampleEvery: 1000, sseKeepalive: time.Hour},
+		supervise.New(supervise.Config{Slots: 1}))
+	r := &run{id: "quiet", workload: "oclmon", sink: newLiveSink("d", 0), state: supervise.StateRunning}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest(http.MethodGet, "/runs/quiet/events", nil).WithContext(ctx)
+	rec := &flushSignal{ResponseRecorder: httptest.NewRecorder(), flushed: make(chan struct{})}
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		srv.serveEvents(rec, req, r)
+	}()
+	<-rec.flushed
+	cancel()
+	select {
+	case <-returned:
+	case <-time.After(time.Second):
+		t.Fatal("serveEvents still running 1s after the client disconnected")
 	}
 }
 
@@ -574,8 +676,8 @@ func TestSSEKeepaliveFrames(t *testing.T) {
 // TestSSEFinalizeAfterSpillCommit pins the live stream's closing contract on
 // a spilled run: once a client has read the finalize frame, the run's spill
 // manifest is already committed complete, and the frame's "frames" count is
-// the full stream length (ff-jumps included) — the event lines the spill
-// holds — so a client that received fewer knows frames were shed.
+// the full stream length (ff-jumps included): the event lines the spill
+// holds, and the frames the client received.
 func TestSSEFinalizeAfterSpillCommit(t *testing.T) {
 	root := t.TempDir()
 	sup := supervise.New(supervise.Config{Slots: 1})
@@ -639,7 +741,7 @@ func TestSSEFinalizeAfterSpillCommit(t *testing.T) {
 			events++
 		}
 	}
-	if fin.Frames != events || received > fin.Frames {
+	if fin.Frames != events || received != fin.Frames {
 		t.Fatalf("finalize frames=%d, spill holds %d events, client received %d", fin.Frames, events, received)
 	}
 }

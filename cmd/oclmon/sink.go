@@ -1,7 +1,6 @@
 package main
 
 import (
-	"strconv"
 	"strings"
 	"sync"
 
@@ -15,7 +14,11 @@ import (
 // mid-tail resume with Last-Event-ID without duplicate or missing frames,
 // even across a worker failover (the replacement worker replays the spill in
 // the same order, so sequence numbers are stable by determinism). It also
-// keeps the running aggregates /metrics scrapes and the SSE subscriber set.
+// keeps the running aggregates /metrics scrapes. The sink knows nothing of
+// SSE subscribers: each tail reads the stream through its own cursor (next),
+// and the sink only closes one shared wake channel when the stream grows or
+// the run finalizes, so the sim goroutine never encodes a frame or waits on
+// a client.
 type liveSink struct {
 	mu          sync.Mutex
 	design      string
@@ -34,8 +37,9 @@ type liveSink struct {
 	dropped   int64
 	err       error
 
-	subs       map[chan []byte]struct{}
-	sseDropped int64 // frames shed to slow SSE subscribers
+	// wake is made by the first cursor that finds nothing new, and closed
+	// (then cleared) by the next append or by Finalize.
+	wake chan struct{}
 }
 
 type stallKey struct{ resource, op string }
@@ -46,14 +50,12 @@ func newLiveSink(design string, sampleEvery int64) *liveSink {
 		sampleEvery: sampleEvery,
 		stall:       map[stallKey]int64{},
 		depth:       map[string]int{},
-		subs:        map[chan []byte]struct{}{},
 	}
 }
 
 func (s *liveSink) Event(e obs.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seq := int64(len(s.stream))
 	s.stream = append(s.stream, e)
 	if e.Kind == obs.KindFFJump {
 		s.ffJumps++
@@ -67,7 +69,7 @@ func (s *liveSink) Event(e obs.Event) {
 		k := stallKey{resource: strings.TrimPrefix(e.Track, "chan:"), op: e.Name}
 		s.stall[k] += e.End - e.Start + 1
 	}
-	s.broadcast(seq, e)
+	s.notify()
 }
 
 func (s *liveSink) Sample(smp obs.Sample) {
@@ -90,11 +92,36 @@ func (s *liveSink) Finalize(endCycle int64) error {
 	}
 	s.finalized = true
 	s.cycle = endCycle
-	for ch := range s.subs {
-		close(ch)
-	}
-	s.subs = map[chan []byte]struct{}{}
+	s.notify()
 	return nil
+}
+
+// notify wakes every cursor waiting at the stream end. Callers hold s.mu.
+func (s *liveSink) notify() {
+	if s.wake != nil {
+		close(s.wake)
+		s.wake = nil
+	}
+}
+
+// next is an SSE cursor's read: the events from index from (clamped to
+// [0, len(stream)]) to the stream end, whether the run is finalized, and,
+// when there is nothing new on a live run, the channel that closes at the
+// next append or at Finalize. The stream is append-only, so the returned
+// events stay safe to read after the lock is released.
+func (s *liveSink) next(from int64) (evs []obs.Event, done bool, wake <-chan struct{}) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := int64(len(s.stream))
+	from = min(max(from, 0), n)
+	evs = s.stream[from:n:n]
+	if len(evs) == 0 && !s.finalized {
+		if s.wake == nil {
+			s.wake = make(chan struct{})
+		}
+		wake = s.wake
+	}
+	return evs, s.finalized, wake
 }
 
 // retire publishes the run goroutine's final outcome once the machine is done
@@ -104,69 +131,6 @@ func (s *liveSink) retire(dropped int64, err error) {
 	defer s.mu.Unlock()
 	s.dropped = dropped
 	s.err = err
-}
-
-// sseFrame renders one event as an SSE frame. The id line carries the
-// event's stream sequence number so clients can resume with Last-Event-ID.
-func sseFrame(seq int64, e obs.Event) []byte {
-	msg := make([]byte, 0, 160)
-	msg = append(msg, "id: "...)
-	msg = strconv.AppendInt(msg, seq, 10)
-	msg = append(msg, "\ndata: "...)
-	msg = obs.AppendEventJSON(msg, &e)
-	return append(msg, "\n\n"...)
-}
-
-// broadcast fans one event out to the SSE subscribers. Slow subscribers lose
-// events rather than stalling the simulation: the channel is a bounded
-// per-client buffer, and a full buffer drops the frame and counts it
-// (oclmon_sse_dropped_total) — the sim loop never blocks on a stalled HTTP
-// client. A dropped frame leaves a gap in the client's ids; reconnecting
-// with Last-Event-ID replays exactly the gap. Callers hold s.mu.
-func (s *liveSink) broadcast(seq int64, e obs.Event) {
-	if len(s.subs) == 0 {
-		return
-	}
-	msg := sseFrame(seq, e)
-	for ch := range s.subs {
-		select {
-		case ch <- msg:
-		default:
-			s.sseDropped++
-		}
-	}
-}
-
-// subscribe registers an SSE tail resuming after sequence number `after`
-// (-1 for the full stream): the returned backlog holds the frames already
-// recorded past that point, and the channel carries everything newer, with
-// no duplicates or gaps between them because both are cut under one lock.
-// The channel closes at Finalize. cancel is idempotent and safe after the
-// close.
-func (s *liveSink) subscribe(after int64) (backlog [][]byte, ch <-chan []byte, cancel func()) {
-	c := make(chan []byte, 256)
-	s.mu.Lock()
-	if after < -1 {
-		after = -1
-	}
-	for seq := after + 1; seq < int64(len(s.stream)); seq++ {
-		backlog = append(backlog, sseFrame(seq, s.stream[seq]))
-	}
-	if s.finalized {
-		close(c)
-		s.mu.Unlock()
-		return backlog, c, func() {}
-	}
-	s.subs[c] = struct{}{}
-	s.mu.Unlock()
-	return backlog, c, func() {
-		s.mu.Lock()
-		if _, live := s.subs[c]; live {
-			delete(s.subs, c)
-			close(c)
-		}
-		s.mu.Unlock()
-	}
 }
 
 // series builds the metrics series recorded so far — the diff endpoint's
@@ -184,32 +148,30 @@ func (s *liveSink) series() *obs.Series {
 
 // liveStats is one consistent reading of the sink's aggregates.
 type liveStats struct {
-	cycle      int64
-	events     int
-	samples    int
-	ffJumps    int
-	stall      map[stallKey]int64
-	depth      map[string]int
-	done       bool
-	dropped    int64
-	sseDropped int64
-	err        error
+	cycle   int64
+	events  int
+	samples int
+	ffJumps int
+	stall   map[stallKey]int64
+	depth   map[string]int
+	done    bool
+	dropped int64
+	err     error
 }
 
 func (s *liveSink) stats() liveStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := liveStats{
-		cycle:      s.cycle,
-		events:     s.events,
-		samples:    len(s.samples),
-		ffJumps:    s.ffJumps,
-		stall:      make(map[stallKey]int64, len(s.stall)),
-		depth:      make(map[string]int, len(s.depth)),
-		done:       s.finalized,
-		dropped:    s.dropped,
-		sseDropped: s.sseDropped,
-		err:        s.err,
+		cycle:   s.cycle,
+		events:  s.events,
+		samples: len(s.samples),
+		ffJumps: s.ffJumps,
+		stall:   make(map[stallKey]int64, len(s.stall)),
+		depth:   make(map[string]int, len(s.depth)),
+		done:    s.finalized,
+		dropped: s.dropped,
+		err:     s.err,
 	}
 	for k, v := range s.stall {
 		st.stall[k] = v

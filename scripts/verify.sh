@@ -156,8 +156,10 @@ cmp "$PSEG" "$TMP/pseg-clean.ndjson"
 go test -run '^$' -bench 'DiffSpill' -benchtime 5x -count 1 . \
   | go run ./cmd/benchjson -gate 'diff-spill-speedup-x>=5' > /dev/null
 
-# oclmon smoke test: serve one small run on an ephemeral port, scrape
-# /metrics, assert a known gauge, and shut the server down cleanly.
+# oclmon smoke test: serve one small run on an ephemeral port, tail its
+# SSE stream to the finalize frame (every frame must arrive: the count of
+# id lines equals the finalize frame's "frames"), scrape /metrics, assert
+# known gauges, and shut the server down cleanly.
 go build -o "$TMP/oclmon" ./cmd/oclmon
 "$TMP/oclmon" -addr localhost:0 -runs 1 -n 2048 2> "$TMP/oclmon.log" &
 OCLMON_PID=$!
@@ -168,9 +170,15 @@ for _ in $(seq 1 50); do
     sleep 0.1
 done
 [ -n "$ADDR" ] || { cat "$TMP/oclmon.log"; exit 1; }
+curl -fsSN "$ADDR/runs/run1/events" > "$TMP/events.txt"
+FRAMES="$(sed -n 's/^data: {"endCycle":[0-9]*,"frames":\([0-9]*\)}$/\1/p' "$TMP/events.txt")"
+[ -n "$FRAMES" ] || { echo "oclmon smoke: no finalize frame"; exit 1; }
+IDS="$(grep -c '^id: ' "$TMP/events.txt")"
+[ "$IDS" = "$FRAMES" ] || { echo "oclmon smoke: $IDS SSE frames, finalize says $FRAMES"; exit 1; }
 curl -fsS "$ADDR/metrics" > "$TMP/metrics.txt"
 grep -q '^oclmon_runs 1$' "$TMP/metrics.txt"
 grep -q '^oclmon_cycles{' "$TMP/metrics.txt"
+grep -qx 'oclmon_sse_dropped_total{run="run1"} 0' "$TMP/metrics.txt"
 curl -fsS "$ADDR/" > /dev/null
 kill "$OCLMON_PID"
 wait "$OCLMON_PID" || true
