@@ -124,6 +124,38 @@ func BenchmarkE4StallMonitor(b *testing.B) {
 	b.ReportMetric(float64(last.Stats.StallEvents), "stall-events")
 }
 
+// BenchmarkInstrumentedFF prices the idle-fixpoint rule (DESIGN.md §8) on
+// the §5.1 stall-monitor matmul, whose two ibuffers poll every cycle. Each op
+// runs the experiment with fast-forward on and forced off, back to back in
+// alternating order so host drift cancels, and reports the median per-op
+// time ratio as speedup-x; benchjson surfaces the median over counts as
+// instrumented-ff-speedup-x.
+func BenchmarkInstrumentedFF(b *testing.B) {
+	run := func(disableFF bool) time.Duration {
+		oclfpga.SetFastForwardDisabled(disableFF)
+		defer oclfpga.SetFastForwardDisabled(false)
+		t0 := time.Now()
+		if _, err := experiments.E4StallMonitor(12, 256); err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(t0)
+	}
+	run(false) // warm the design memo outside the timed region
+	b.ResetTimer()
+	ratios := make([]float64, 0, b.N)
+	for i := 0; i < b.N; i++ {
+		var fast, step time.Duration
+		if i%2 == 0 {
+			fast, step = run(false), run(true)
+		} else {
+			step, fast = run(true), run(false)
+		}
+		ratios = append(ratios, step.Seconds()/fast.Seconds())
+	}
+	sort.Float64s(ratios)
+	b.ReportMetric(ratios[len(ratios)/2], "speedup-x")
+}
+
 // BenchmarkE5Watchpoints regenerates the §5.2 smart-watchpoint event tables.
 func BenchmarkE5Watchpoints(b *testing.B) {
 	var last *experiments.E5Result

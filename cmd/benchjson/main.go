@@ -367,6 +367,14 @@ func main() {
 			derive("scrub-verify-overhead-pct", v)
 		}
 	}
+	// The idle-fixpoint rule's payoff on an instrumented design: the
+	// stall-monitor matmul stepped every cycle over the same run with
+	// fast-forward, paired per op like the overheads above.
+	if inst := d.Benchmarks["BenchmarkInstrumentedFF"]; len(inst) > 0 {
+		if v, ok := median(inst, "speedup-x"); ok {
+			derive("instrumented-ff-speedup-x", v)
+		}
+	}
 	// The indexed query engine against a full scan of the same spill.
 	if idx, scan := mean(d.Benchmarks["BenchmarkQuerySpill/Indexed"], "ns/op"),
 		mean(d.Benchmarks["BenchmarkQuerySpill/FullScan"], "ns/op"); idx > 0 && scan > 0 {

@@ -126,9 +126,6 @@ func (r *run) finish(m *sim.Machine, out supervise.Outcome) {
 		}()
 	}
 	r.sink.retire(dropped, out.Err)
-	// A failed run's sink may never have been finalized (e.g. Start errored
-	// before a machine existed); close it so SSE tails terminate.
-	r.sink.Finalize(r.sink.stats().cycle)
 	if out.Err != nil {
 		log.Printf("run %s: %s: %v", r.id, out.State, out.Err)
 	}
@@ -423,7 +420,6 @@ func (s *server) addQuarantined(id, dir, reason string) {
 	}
 	r.outcome = &supervise.Outcome{State: supervise.StateQuarantined, Err: fmt.Errorf("spill quarantined: %s", reason)}
 	r.sink.retire(0, nil)
-	r.sink.Finalize(0)
 	s.addRun(r)
 	log.Printf("oclmon: spill %s quarantined: %s", dir, reason)
 }

@@ -125,12 +125,18 @@ func (s *liveSink) next(from int64) (evs []obs.Event, done bool, wake <-chan str
 }
 
 // retire publishes the run goroutine's final outcome once the machine is done
-// with the sink.
+// with the sink. A sink the run never finalized (e.g. Start errored before a
+// machine existed) is finalized at the cycle it reached, so SSE tails
+// terminate.
 func (s *liveSink) retire(dropped int64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dropped = dropped
 	s.err = err
+	if !s.finalized {
+		s.finalized = true
+		s.notify()
+	}
 }
 
 // series builds the metrics series recorded so far — the diff endpoint's
@@ -154,7 +160,6 @@ type liveStats struct {
 	ffJumps int
 	stall   map[stallKey]int64
 	depth   map[string]int
-	done    bool
 	dropped int64
 	err     error
 }
@@ -169,7 +174,6 @@ func (s *liveSink) stats() liveStats {
 		ffJumps: s.ffJumps,
 		stall:   make(map[stallKey]int64, len(s.stall)),
 		depth:   make(map[string]int, len(s.depth)),
-		done:    s.finalized,
 		dropped: s.dropped,
 		err:     s.err,
 	}

@@ -199,6 +199,22 @@ func (l *hdlLogic) Exec(env *sim.IntrinsicEnv) bool {
 	return true
 }
 
+// Idle implements sim.Idler. Outside the read and reset states, with its
+// command, address and data channels empty, a cycle of the block fails those
+// three reads and changes nothing else.
+func (l *hdlLogic) Idle(env *sim.IntrinsicEnv, polls []int) ([]int, bool) {
+	st, _ := (*env.State).(*hdlState)
+	if st == nil || st.state == StRead || st.state == StReset {
+		return polls, false
+	}
+	cu := env.U.Kernel().CU
+	polls = append(polls, l.ib.Cmd[cu].ID)
+	if len(l.ib.Addr) > 0 {
+		polls = append(polls, l.ib.Addr[cu].ID)
+	}
+	return append(polls, l.ib.Data[cu].ID), true
+}
+
 func (l *hdlLogic) command(st *hdlState, cmd int64) {
 	switch cmd {
 	case CmdReset:

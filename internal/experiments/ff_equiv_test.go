@@ -137,3 +137,21 @@ func TestSimBenchFastForwardEquivalence(t *testing.T) {
 			fast.FFSkipped, fast.Cycles)
 	}
 }
+
+// TestStallMonitorFastForwardEngages: E4's two stall-monitor ibuffers poll
+// every cycle, and the idle-fixpoint rule must still let its machine jump
+// while the matmul waits on memory. (The E4 rows of the equivalence suites
+// hold those jumps exact.)
+func TestStallMonitorFastForwardEngages(t *testing.T) {
+	EnableObserveForTest(0)
+	_, err := E4StallMonitor(12, 256)
+	ms := DisableObserveForTest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range ms {
+		if ff := m.FastForwardStats(); ff.Jumps == 0 {
+			t.Fatalf("machine %d of E4 never fast-forwarded", i)
+		}
+	}
+}

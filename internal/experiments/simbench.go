@@ -28,9 +28,9 @@ import (
 //
 // Most cycles therefore have no unit able to make progress, and a cycle
 // simulator that only steps can do nothing but spin through them. The design
-// is uninstrumented on purpose: autorun monitor kernels poll every cycle and
-// would keep the machine permanently busy, hiding the quiescent windows this
-// benchmark exists to measure.
+// is uninstrumented on purpose, so it prices the plain quiescent-window skip
+// alone; the idle-fixpoint rule that lets monitored designs skip too is
+// priced by BenchmarkInstrumentedFF on the stall-monitor matmul.
 
 // SimBenchResult is one simulated run of the benchmark workload.
 type SimBenchResult struct {

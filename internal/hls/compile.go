@@ -29,6 +29,7 @@ func Compile(p *kir.Program, dev *device.Device, opts Options) (*Design, error) 
 				return nil, fmt.Errorf("hls: %w", err)
 			}
 			d.scheduleKernel(xk)
+			markIdleFixpoints(xk)
 			d.selectLSUs(xk)
 			d.Kernels = append(d.Kernels, xk)
 		}

@@ -162,6 +162,9 @@ type XRegion struct {
 	HasLoopCarriedMemDep bool
 	// IVDep carries the source loop's #pragma ivdep assertion.
 	IVDep bool
+	// IdleFixpoint marks an autorun polling loop whose idle cycles the
+	// simulator may replay in closed form (see idle.go).
+	IdleFixpoint bool
 }
 
 func (*XRegion) xitem() {}

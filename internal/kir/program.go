@@ -92,9 +92,11 @@ type LibFunc struct {
 	// Synth is the synthesized semantics: given the global cycle counter and
 	// the evaluated arguments, produce the result. For get_time this returns
 	// the cycle count, ignoring the dependence-manufacturing command arg.
+	// The simulator reuses args across calls, so Synth must not retain it.
 	Synth func(cycle int64, args []int64) int64
 	// Emu is the emulation semantics from the OpenCL definition; for
-	// get_time the paper's body is `return command + 1`.
+	// get_time the paper's body is `return command + 1`. Like Synth, it
+	// must not retain args.
 	Emu func(args []int64) int64
 }
 

@@ -172,6 +172,10 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("op(%d)", int(k))
 }
 
+// IsALU reports whether the op is pure arithmetic, logic, compare or select
+// on its value operands (OpConst through OpSelect).
+func (k OpKind) IsALU() bool { return k >= OpConst && k <= OpSelect }
+
 // IsChannelOp reports whether the op touches a channel endpoint.
 func (k OpKind) IsChannelOp() bool {
 	switch k {

@@ -18,10 +18,11 @@ type Ctx struct {
 	resID int       // resident id within owner (work-item threading)
 	wiID  int64     // get_global_id(0) for NDRange work-items
 
-	// fwd maps a slot to the carried-variable indexes of owner whose Next
-	// value that slot holds; writes trigger forwarding to the successor
-	// iteration.
-	fwd map[int][]int
+	// fwd is indexed by slot: the carried-variable indexes of owner whose
+	// Next value that slot holds (nil for most slots); writes trigger
+	// forwarding to the successor iteration. A dense table keeps the map
+	// lookup off every slot write of every iteration.
+	fwd [][]int
 }
 
 // allocCtx returns a cleared context sized for the unit's kernel, recycling
@@ -131,11 +132,9 @@ func (c *Ctx) write(s int, v, at int64) {
 	c.grow(s + 1)
 	c.slots[s] = v
 	c.ready[s] = at
-	if c.owner != nil {
-		if ks, ok := c.fwd[s]; ok {
-			for _, k := range ks {
-				c.owner.forward(c, k, v, at)
-			}
+	if c.owner != nil && s < len(c.fwd) {
+		for _, k := range c.fwd[s] {
+			c.owner.forward(c, k, v, at)
 		}
 	}
 }

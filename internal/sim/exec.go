@@ -40,8 +40,8 @@ func buildRegionExec(u *Unit, r *hls.XRegion, onDone func(*Ctx)) *regionExec {
 			// iteration; build it once and share it across contexts
 			for k, cc := range it.Carried {
 				if cc.NextSlot >= 0 {
-					if le.fwdShared == nil {
-						le.fwdShared = map[int][]int{}
+					if cc.NextSlot >= len(le.fwdShared) {
+						le.fwdShared = append(le.fwdShared, make([][]int, cc.NextSlot+1-len(le.fwdShared))...)
 					}
 					le.fwdShared[cc.NextSlot] = append(le.fwdShared[cc.NextSlot], k)
 				}
@@ -227,13 +227,19 @@ type loopExec struct {
 
 	residents      []*resident
 	nextResID      int
-	lastIssue      int64
 	lastIssueShift int64
 	anyIssue       bool
 
-	// fwdShared maps a Next slot to the carried indexes it defines; computed
-	// once at build time (identical for every iteration context).
-	fwdShared map[int][]int
+	// fwdShared is indexed by Next slot: the carried indexes it defines;
+	// computed once at build time (identical for every iteration context).
+	fwdShared [][]int
+
+	// idle marks the loop at its idle fixpoint for the open fast-forward
+	// window; idlePolls lists the channel reads each skipped cycle fails,
+	// one entry per read. probe memoizes the idle-iteration evaluation.
+	idle      bool
+	idlePolls []int
+	probe     *idleProbe
 }
 
 // bodyShifts reports the body pipeline's shift counter (0 when the body does
@@ -397,7 +403,6 @@ func (le *loopExec) issue(r *resident, now int64) {
 
 	r.nextIter++
 	r.inflight++
-	le.lastIssue = now
 	le.lastIssueShift = le.bodyShifts()
 	le.anyIssue = true
 	le.body.enter(le.u.newFlow(c))

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"oclfpga/internal/channel"
@@ -25,9 +26,33 @@ import (
 // The wake computation is deliberately conservative in one direction only:
 // it may UNDER-estimate the next wake (costing an extra real tick), never
 // over-estimate it (which would change observable behaviour). Channel-blocked
-// ops report "no timed wake" — only a counterpart's commit can unblock them,
-// and a counterpart that could commit would have made the tick non-quiescent.
+// ops report "no timed wake" — only a counterpart's transfer can unblock
+// them, and every transfer makes its tick non-quiescent.
 // Opaque blockages (intrinsic logic) report now+1, disabling skipping.
+//
+// Idle-fixpoint rule. Autorun polling loops (the paper's ibuffers) issue an
+// iteration every cycle; counting each one as work would keep any
+// instrumented design from skipping a cycle. An infinite, in-order,
+// II=1 autorun loop is quiescent, with no timed wake, when every iteration
+// in flight and every iteration it will issue is idle: its non-blocking
+// reads fail on empty channels, it executes no memory access and no channel
+// write, and it hands on its carried values unchanged. Such a cycle differs
+// from the one before only in iteration numbers, the body's shift counter,
+// the read-stall counters of the polled channels, and values the compiler's
+// taint analysis proves dead (hls.XRegion.IdleFixpoint: time stamps and the
+// induction variable). batchAdvance replays exactly those (replayIdle). As
+// for blocked channel ops, only another unit's write can fill a polled
+// channel, and that write makes its tick non-quiescent. So does any transfer
+// by the loop itself (Machine.tick marks every tick that touched a channel),
+// so a window never opens past a counterpart the loop just unblocked.
+//
+// The check (autorunIdle) runs only after a tick in which nothing else made
+// progress. A fresh iteration is evaluated once on a scratch context and
+// memoized on the carried values; the HDL ibuffer's opaque block answers
+// through the Idler interface. Loops that carry a timestamp (LatencyPair,
+// the II>1 Histogram) fail the taint analysis and keep stepping, and so does
+// the persistent-timer kernel (Listing 1), which writes its channel every
+// cycle and is therefore never idle.
 
 // wakeInf means "no timed wake-up: only another unit's progress (or a fault
 // boundary, accounted separately) can change this item's state".
@@ -267,12 +292,15 @@ func (m *Machine) opWake(c *Ctx, op *hls.XOp, now int64) int64 {
 	}
 	switch op.Kind {
 	case kir.OpChanRead, kir.OpChanWrite:
-		return wakeInf // only a counterpart commit or a fault thaw helps
+		return wakeInf // only a counterpart transfer or a fault thaw helps
 	}
 	return now + 1
 }
 
 func (m *Machine) loopWake(le *loopExec, now int64) int64 {
+	if le.idle {
+		return wakeInf
+	}
 	w := m.regionWake(le.body, now)
 	for _, r := range le.residents {
 		if rw := m.residentWake(le, r, now); rw < w {
@@ -474,8 +502,246 @@ func (m *Machine) batchRegion(u *Unit, re *regionExec, from, to int64, stalledSe
 				break // only the front blocked op retries each cycle
 			}
 		case *loopExec:
+			if it.idle {
+				m.replayIdle(it, to-from)
+				continue
+			}
 			m.batchRegion(u, it.body, from, to, stalledSegs)
 		}
+	}
+}
+
+// autorunIdle applies the idle-fixpoint rule after a tick in which nothing
+// outside the autorun units made progress: every autorun unit that did must
+// consist of idle-fixpoint loops and empty segments. It marks those loops
+// idle for the window and reports whether the tick is quiescent.
+func (m *Machine) autorunIdle() bool {
+	for _, u := range m.units {
+		if u.busy && !m.regionIdle(u, u.top) {
+			m.clearIdleLoops()
+			return false
+		}
+	}
+	return true
+}
+
+// clearIdleLoops drops the idle marks of the last quiescent tick.
+func (m *Machine) clearIdleLoops() {
+	for _, le := range m.idleLoops {
+		le.idle = false
+	}
+	m.idleLoops = m.idleLoops[:0]
+}
+
+func (m *Machine) regionIdle(u *Unit, re *regionExec) bool {
+	for _, it := range re.items {
+		switch it := it.(type) {
+		case *segExec:
+			if len(it.flows) > 0 {
+				return false
+			}
+		case *loopExec:
+			if len(it.residents) == 0 {
+				if !m.regionIdle(u, it.body) {
+					return false
+				}
+				continue
+			}
+			if !m.loopIdle(u, it) {
+				return false
+			}
+			it.idle = true
+			m.idleLoops = append(m.idleLoops, it)
+		}
+	}
+	return true
+}
+
+// loopIdle reports whether le is at its idle fixpoint: its body pipeline is
+// full and flowing (one iteration per stage past the first, issued one shift
+// apart), a fresh iteration with the current carried values is idle, every
+// channel it polls is empty, and each iteration in flight matches the fresh
+// one — carried inputs equal where already delivered, and every non-blocking
+// read it already executed failed.
+func (m *Machine) loopIdle(u *Unit, le *loopExec) bool {
+	if !le.r.IdleFixpoint || len(le.residents) != 1 {
+		return false
+	}
+	r := le.residents[0]
+	se := le.body.items[0].(*segExec)
+	depth := len(se.byStage)
+	if !r.evaluated || se.stallUntil > m.cycle || !le.anyIssue ||
+		se.shifts-le.lastIssueShift != 1 || len(se.flows) != depth-1 {
+		return false
+	}
+	for i, f := range se.flows {
+		if f.stage != depth-1-i || f.opPtr != 0 {
+			return false
+		}
+	}
+	p := le.idleIteration(r)
+	if !p.idle {
+		return false
+	}
+	polls := append(le.idlePolls[:0], p.polls...)
+	for _, op := range p.intrinsics {
+		idler, ok := op.IBuf.(Idler)
+		if !ok {
+			return false
+		}
+		polls, ok = idler.Idle(u.intrinsicEnv(nil, op, m.cycle+1), polls)
+		u.ienv.Op, u.ienv.State = nil, nil
+		if !ok {
+			return false
+		}
+	}
+	le.idlePolls = polls
+	for _, ch := range polls {
+		if m.chans[ch].Len() != 0 {
+			return false
+		}
+	}
+	for _, f := range se.flows {
+		c := f.c
+		for k, cc := range le.r.Carried {
+			if c.readyAt(cc.PhiSlot) != Future && c.val(cc.PhiSlot) != r.carr[k].val {
+				return false
+			}
+		}
+		for _, op := range p.reads {
+			if op.Start < f.stage && c.val(op.OkDst) != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// idleProbe is a loop's memoized evaluation of one fresh iteration for its
+// resident's carried values (key): whether it is idle, the channels its
+// non-blocking reads poll, and the intrinsic ops left to their Idler, which
+// is asked at every check because its state is opaque. It also keeps the
+// scratch context and the body's non-blocking reads. An infinite loop's
+// resident never leaves, so the carried values are the whole key.
+type idleProbe struct {
+	key        []int64
+	idle       bool
+	polls      []int
+	intrinsics []*hls.XOp
+	scratch    *Ctx
+	reads      []*hls.XOp // the body's non-blocking reads
+}
+
+// idleIteration returns the probe for r's current carried values,
+// re-evaluating it only when they changed.
+func (le *loopExec) idleIteration(r *resident) *idleProbe {
+	p := le.probe
+	if p != nil && slices.EqualFunc(p.key, r.carr, func(v int64, st carrState) bool { return v == st.val }) {
+		return p
+	}
+	if p == nil {
+		p = &idleProbe{scratch: &Ctx{}}
+		for _, op := range le.body.items[0].(*segExec).seg.Ops {
+			if op.Kind == kir.OpChanReadNB {
+				p.reads = append(p.reads, op)
+			}
+		}
+		le.probe = p
+	}
+	p.key = p.key[:0]
+	for k := range r.carr {
+		p.key = append(p.key, r.carr[k].val)
+	}
+	p.idle = le.evalIdle(r, p)
+	return p
+}
+
+// evalIdle runs one fresh iteration of le on the probe's scratch context
+// with every non-blocking read failing, in stage order, ignoring time. The
+// iteration is idle if it touches no memory, writes no channel, reads no
+// blocking channel, and produces every carried Next equal to its input.
+// Library calls are tainted, hence dead, so their value is left at zero.
+func (le *loopExec) evalIdle(r *resident, p *idleProbe) bool {
+	p.polls, p.intrinsics = p.polls[:0], p.intrinsics[:0]
+	pc, c := r.parentFlow.c, p.scratch
+	c.slots = append(c.slots[:0], pc.slots...)
+	c.ready = append(c.ready[:0], pc.ready...)
+	c.grow(le.u.xk.NumSlots)
+	c.wiID = pc.wiID
+	if ind := le.r.IndSlot; ind >= 0 {
+		c.slots[ind], c.ready[ind] = r.start+r.nextIter*r.step, 0
+	}
+	for k, cc := range le.r.Carried {
+		if cc.NextSlot < 0 {
+			return false
+		}
+		c.slots[cc.PhiSlot], c.ready[cc.PhiSlot] = r.carr[k].val, 0
+	}
+	for _, ops := range le.body.items[0].(*segExec).byStage {
+		for _, op := range ops {
+			if op.Guard >= 0 {
+				if c.readyAt(op.Guard) == Future {
+					return false
+				}
+				if c.val(op.Guard) == 0 {
+					continue
+				}
+			}
+			for _, a := range op.Args {
+				if a >= 0 && c.readyAt(a) == Future {
+					return false
+				}
+			}
+			switch {
+			case op.Kind.IsALU():
+				c.write(op.Dst, alu(op, c), 0)
+			case op.Kind == kir.OpCall:
+				c.write(op.Dst, 0, 0)
+			case op.Kind == kir.OpGlobalID:
+				c.write(op.Dst, c.wiID, 0)
+			case op.Kind == kir.OpChanReadNB:
+				c.write(op.Dst, 0, 0)
+				c.write(op.OkDst, 0, 0)
+				p.polls = append(p.polls, op.ChID)
+			case op.Kind == kir.OpIBufLogic:
+				p.intrinsics = append(p.intrinsics, op)
+			case op.Kind == kir.OpFence:
+			default:
+				return false
+			}
+		}
+	}
+	for k, cc := range le.r.Carried {
+		if c.readyAt(cc.NextSlot) == Future || c.val(cc.NextSlot) != r.carr[k].val {
+			return false
+		}
+	}
+	return true
+}
+
+// replayIdle advances an idle-fixpoint loop n cycles: n more iterations
+// issued and as many retired, which leaves every in-flight context where it
+// was under an iteration number n higher. Carried values, pipeline stages
+// and the live slot values are those of the cycle before; stale time stamps
+// and ready times are dead by the taint analysis, and the induction slot is
+// recomputed. Each skipped cycle fails every polled read once.
+func (m *Machine) replayIdle(le *loopExec, n int64) {
+	se := le.body.items[0].(*segExec)
+	se.shifts += n
+	le.lastIssueShift += n
+	r := le.residents[0]
+	r.nextIter += n
+	for k := range r.carr {
+		r.carr[k].iter += n
+	}
+	for _, f := range se.flows {
+		f.c.iter += n
+		if ind := le.r.IndSlot; ind >= 0 {
+			f.c.slots[ind] = r.start + f.c.iter*r.step
+		}
+	}
+	for _, ch := range le.idlePolls {
+		m.chans[ch].AddReadStalls(n)
 	}
 }
 

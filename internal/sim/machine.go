@@ -99,9 +99,15 @@ type Machine struct {
 	err          error
 
 	// workDone is reset at the top of every tick and set whenever the tick
-	// changes machine state in a way that is not batch-replayable; a tick
-	// that ends with workDone false is quiescent and Run may fast-forward.
+	// changes machine state in a way that is not batch-replayable, and by
+	// every channel transfer. Other progress by autorun units marks only
+	// the unit (Unit.busy): a tick that ends with workDone false is
+	// quiescent, and Run may fast-forward, when every busy autorun unit
+	// passes the idle-fixpoint check.
 	workDone bool
+	// idleLoops are the loops the last quiescent tick found at their idle
+	// fixpoint (loopExec.idle); cleared at the top of the next tick.
+	idleLoops []*loopExec
 	// dirtyChans lists channels touched since their last EndCycle.
 	dirtyChans []*channel.Channel
 	// fast-forward statistics (see FastForwardStats).
@@ -385,7 +391,7 @@ func (m *Machine) run(stop, idle int64) error {
 		if m.cycle > m.opts.MaxCycles {
 			return &DeadlockError{Report: m.DeadlockReport(ReasonMaxCycles)}
 		}
-		if ticked && !m.workDone && m.fastForwardOK() {
+		if ticked && !m.workDone && m.fastForwardOK() && m.autorunIdle() {
 			m.openWindow()
 		}
 	}
@@ -398,10 +404,12 @@ func (m *Machine) run(stop, idle int64) error {
 func (m *Machine) tick() {
 	m.cycle++
 	m.workDone = false
+	m.clearIdleLoops()
 	m.applyFaults()
 	// channels re-snapshot lazily: the dirty set built by their notify
 	// callbacks replaces the old begin-of-cycle scan over every channel
 	for _, u := range m.units {
+		u.busy = false
 		if m.stuck(u) {
 			continue
 		}
@@ -425,6 +433,8 @@ func (m *Machine) tick() {
 	}
 	m.active = stillActive
 	if len(m.dirtyChans) > 0 {
+		// a transfer can unblock a counterpart, whichever unit made it
+		m.workDone = true
 		for i, c := range m.dirtyChans {
 			c.EndCycle()
 			m.dirtyChans[i] = nil
@@ -476,9 +486,14 @@ type Unit struct {
 	// lowering) — the hot path avoids a per-op map lookup.
 	intrinsicState []any
 	ienv           IntrinsicEnv
+	// callArgs is the reused argument scratch of OpCall.
+	callArgs []int64
 	// ctxPool / flowPool recycle retired iteration and work-item carriers.
 	ctxPool  []*Ctx
 	flowPool []*flow
+	// auto marks an autorun unit; busy records that it made progress in the
+	// current tick (see Machine.workDone).
+	auto, busy bool
 	// block tracks the most recent blocked operation for hang diagnostics.
 	block blockState
 }
@@ -504,6 +519,7 @@ func (m *Machine) newUnit(xk *hls.XKernel) *Unit {
 		m:    m,
 		xk:   xk,
 		lsus: make([]*mem.LSU, len(xk.LSUs)),
+		auto: xk.Mode == kir.Autorun,
 	}
 	if xk.NumIBufStates > 0 {
 		u.intrinsicState = make([]any, xk.NumIBufStates)
@@ -547,13 +563,13 @@ func (u *Unit) Done() bool {
 	}
 }
 
-func (u *Unit) autorun() bool { return u.xk.Mode == kir.Autorun }
-
 func (u *Unit) noteProgress() {
-	u.m.workDone = true
-	if !u.autorun() {
-		u.m.lastProgress = u.m.cycle
+	if u.auto {
+		u.busy = true
+		return
 	}
+	u.m.workDone = true
+	u.m.lastProgress = u.m.cycle
 }
 
 // noteBlockedOp records that op could not proceed this cycle. Consecutive

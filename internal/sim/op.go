@@ -36,6 +36,17 @@ type Intrinsic interface {
 	Exec(env *IntrinsicEnv) bool
 }
 
+// Idler is an optional extension of Intrinsic for the idle-fixpoint
+// fast-forward rule (see fastforward.go). Idle reports whether Exec at env,
+// with every channel it polls empty, would complete while changing nothing
+// but those channels' read-stall counters. When it would, Idle appends the
+// polled channel ids to polls, one entry per failed read, and returns the
+// extended slice; the caller checks that they are empty. Idle must not
+// change any state.
+type Idler interface {
+	Idle(env *IntrinsicEnv, polls []int) ([]int, bool)
+}
+
 // IntrinsicEnv is the machine access an intrinsic gets.
 type IntrinsicEnv struct {
 	M     *Machine
@@ -75,58 +86,11 @@ func (u *Unit) execOp(c *Ctx, op *hls.XOp, now int64, se *segExec) bool {
 
 	done := now + int64(op.Lat)
 
-	// ALU ops funnel through one write at the bottom; the hot path avoids
-	// closure allocation by indexing operands directly.
+	if op.Kind.IsALU() {
+		c.write(op.Dst, alu(op, c), done)
+		return true
+	}
 	switch op.Kind {
-	case kir.OpConst:
-		c.write(op.Dst, truncBits(op.Const, op.Bits), done)
-	case kir.OpAdd:
-		c.write(op.Dst, truncBits(c.val(op.Args[0])+c.val(op.Args[1]), op.Bits), done)
-	case kir.OpSub:
-		c.write(op.Dst, truncBits(c.val(op.Args[0])-c.val(op.Args[1]), op.Bits), done)
-	case kir.OpMul:
-		c.write(op.Dst, truncBits(c.val(op.Args[0])*c.val(op.Args[1]), op.Bits), done)
-	case kir.OpDiv:
-		var v int64
-		if d := c.val(op.Args[1]); d != 0 {
-			v = c.val(op.Args[0]) / d
-		}
-		c.write(op.Dst, truncBits(v, op.Bits), done)
-	case kir.OpMod:
-		var v int64
-		if d := c.val(op.Args[1]); d != 0 {
-			v = c.val(op.Args[0]) % d
-		}
-		c.write(op.Dst, truncBits(v, op.Bits), done)
-	case kir.OpAnd:
-		c.write(op.Dst, truncBits(c.val(op.Args[0])&c.val(op.Args[1]), op.Bits), done)
-	case kir.OpOr:
-		c.write(op.Dst, truncBits(c.val(op.Args[0])|c.val(op.Args[1]), op.Bits), done)
-	case kir.OpXor:
-		c.write(op.Dst, truncBits(c.val(op.Args[0])^c.val(op.Args[1]), op.Bits), done)
-	case kir.OpShl:
-		c.write(op.Dst, truncBits(c.val(op.Args[0])<<uint64(c.val(op.Args[1])&63), op.Bits), done)
-	case kir.OpShr:
-		c.write(op.Dst, truncBits(c.val(op.Args[0])>>uint64(c.val(op.Args[1])&63), op.Bits), done)
-	case kir.OpCmpLT:
-		c.write(op.Dst, b2i(c.val(op.Args[0]) < c.val(op.Args[1])), done)
-	case kir.OpCmpLE:
-		c.write(op.Dst, b2i(c.val(op.Args[0]) <= c.val(op.Args[1])), done)
-	case kir.OpCmpEQ:
-		c.write(op.Dst, b2i(c.val(op.Args[0]) == c.val(op.Args[1])), done)
-	case kir.OpCmpNE:
-		c.write(op.Dst, b2i(c.val(op.Args[0]) != c.val(op.Args[1])), done)
-	case kir.OpCmpGT:
-		c.write(op.Dst, b2i(c.val(op.Args[0]) > c.val(op.Args[1])), done)
-	case kir.OpCmpGE:
-		c.write(op.Dst, b2i(c.val(op.Args[0]) >= c.val(op.Args[1])), done)
-	case kir.OpSelect:
-		v := c.val(op.Args[2])
-		if c.val(op.Args[0]) != 0 {
-			v = c.val(op.Args[1])
-		}
-		c.write(op.Dst, truncBits(v, op.Bits), done)
-
 	case kir.OpLoad:
 		lsu := u.lsus[op.LSU]
 		if lsu == nil {
@@ -182,13 +146,15 @@ func (u *Unit) execOp(c *Ctx, op *hls.XOp, now int64, se *segExec) bool {
 	case kir.OpGlobalID:
 		c.write(op.Dst, c.wiID, now)
 	case kir.OpCall:
-		args := make([]int64, len(op.Args))
-		for i, a := range op.Args {
-			args[i] = c.val(a)
-		}
 		var v int64
 		if op.Lib.Synth != nil {
-			v = op.Lib.Synth(now, args)
+			// the args scratch is reused across calls: library semantics
+			// must not retain it
+			u.callArgs = u.callArgs[:0]
+			for _, a := range op.Args {
+				u.callArgs = append(u.callArgs, c.val(a))
+			}
+			v = op.Lib.Synth(now, u.callArgs)
 		}
 		c.write(op.Dst, v, done)
 	case kir.OpFence:
@@ -201,13 +167,8 @@ func (u *Unit) execOp(c *Ctx, op *hls.XOp, now int64, se *segExec) bool {
 		if op.StateIdx < 0 || op.StateIdx >= len(u.intrinsicState) {
 			return u.fail("OpIBufLogic without a lowered StateIdx (%s)", op)
 		}
-		// the env is reused across calls (intrinsics must not retain it);
-		// state lives in a dense per-unit slice indexed by the op's StateIdx
-		env := &u.ienv
-		env.M, env.U, env.C, env.Op, env.Now = u.m, u, c, op, now
-		env.State = &u.intrinsicState[op.StateIdx]
-		ok = in.Exec(env)
-		env.C, env.Op, env.State = nil, nil, nil
+		ok = in.Exec(u.intrinsicEnv(c, op, now))
+		u.ienv.C, u.ienv.Op, u.ienv.State = nil, nil, nil
 		if !ok {
 			return false
 		}
@@ -215,6 +176,73 @@ func (u *Unit) execOp(c *Ctx, op *hls.XOp, now int64, se *segExec) bool {
 		return u.fail("unimplemented op %s", op.Kind)
 	}
 	return true
+}
+
+// alu evaluates an arithmetic, logic, compare or select op on c's slot
+// values, wrapped to the op's datapath width. Operands are indexed directly
+// so the hot path allocates no closure.
+func alu(op *hls.XOp, c *Ctx) int64 {
+	switch op.Kind {
+	case kir.OpConst:
+		return truncBits(op.Const, op.Bits)
+	case kir.OpSelect:
+		v := c.val(op.Args[2])
+		if c.val(op.Args[0]) != 0 {
+			v = c.val(op.Args[1])
+		}
+		return truncBits(v, op.Bits)
+	}
+	a, b := c.val(op.Args[0]), c.val(op.Args[1])
+	var v int64
+	switch op.Kind {
+	case kir.OpAdd:
+		v = a + b
+	case kir.OpSub:
+		v = a - b
+	case kir.OpMul:
+		v = a * b
+	case kir.OpDiv:
+		if b != 0 {
+			v = a / b
+		}
+	case kir.OpMod:
+		if b != 0 {
+			v = a % b
+		}
+	case kir.OpAnd:
+		v = a & b
+	case kir.OpOr:
+		v = a | b
+	case kir.OpXor:
+		v = a ^ b
+	case kir.OpShl:
+		v = a << uint64(b&63)
+	case kir.OpShr:
+		v = a >> uint64(b&63)
+	case kir.OpCmpLT:
+		return b2i(a < b)
+	case kir.OpCmpLE:
+		return b2i(a <= b)
+	case kir.OpCmpEQ:
+		return b2i(a == b)
+	case kir.OpCmpNE:
+		return b2i(a != b)
+	case kir.OpCmpGT:
+		return b2i(a > b)
+	case kir.OpCmpGE:
+		return b2i(a >= b)
+	}
+	return truncBits(v, op.Bits)
+}
+
+// intrinsicEnv fills the unit's reused intrinsic environment for op (an
+// intrinsic must not retain it); state lives in a dense per-unit slice
+// indexed by the op's StateIdx.
+func (u *Unit) intrinsicEnv(c *Ctx, op *hls.XOp, now int64) *IntrinsicEnv {
+	env := &u.ienv
+	env.M, env.U, env.C, env.Op, env.Now = u.m, u, c, op, now
+	env.State = &u.intrinsicState[op.StateIdx]
+	return env
 }
 
 func b2i(b bool) int64 {

@@ -294,7 +294,7 @@ func (m *Machine) unitStateName(u *Unit) string {
 	switch {
 	case !u.started:
 		return "pending"
-	case !u.autorun() && (u.finishedAt > 0 || u.Done()):
+	case !u.auto && (u.finishedAt > 0 || u.Done()):
 		return "done"
 	case m.unitBlocked(u):
 		return "blocked"
