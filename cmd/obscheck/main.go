@@ -42,7 +42,7 @@ var (
 	flagDiff     = flag.String("diff", "", "diff report (oclprof -diff) to validate")
 	flagSpill    = flag.String("spill", "", "NDJSON spill stream (oclprof -spill) to replay and validate")
 	flagSpillDir = flag.String("spill-dir", "", "segmented spill directory (oclprof -spill-dir / oclmon) to stitch, replay, and validate")
-	flagIndex    = flag.String("index", "", "build or repair the per-segment index sidecars (.idx.json + .flat) for this spill directory")
+	flagIndex    = flag.String("index", "", "build or repair the per-segment .flat sidecars (pinned OBSFLAT2 index + events) for this spill directory")
 	flagFsck     = flag.String("fsck", "", "scrub this spill directory: verify every fingerprint, classify damage, exit 1 if any")
 	flagRepair   = flag.Bool("repair", false, "with -fsck: repair what the scrubber can (orphans, sidecars, re-executable segments)")
 	flagFsckOut  = flag.String("fsck-report", "", "with -fsck: write the machine-readable scrub report (JSON) to this file")
@@ -196,8 +196,11 @@ func segmentStats(dir string, man *obs.Manifest) {
 	for i, seg := range man.Segments {
 		c := obs.CheckSegment(dir, man, i)
 		cycles := ""
-		if idx, err := obs.LoadSegIndex(dir, seg); err == nil && idx.FirstCycle >= 0 {
-			cycles = fmt.Sprintf(", cycles [%d,%d]", idx.FirstCycle, idx.LastCycle)
+		if c.SidecarState == "ok" { // a fresh sidecar loads without a rebuild
+			if fl, err := obs.LoadSegFlat(dir, seg); err == nil && len(fl.Records) > 0 {
+				idx := fl.Index()
+				cycles = fmt.Sprintf(", cycles [%d,%d]", idx.FirstCycle, idx.LastCycle)
+			}
 		}
 		fmt.Printf("  %s: checksum %s, sidecar %s, %d lines (%d events, %d samples), %d bytes%s, sealed\n",
 			c.File, c.ChecksumState, c.SidecarState, c.Lines, c.Events, c.Samples, seg.Bytes, cycles)

@@ -197,7 +197,7 @@ func TestFsckDetectsDamageAndRepairs(t *testing.T) {
 	if err := obs.FlipByte(first, 30); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, "seg-000001.idx.json")); err != nil {
+	if err := os.Remove(filepath.Join(dir, "seg-000001.flat")); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "manifest.json.tmp"), []byte("{torn"), 0o666); err != nil {

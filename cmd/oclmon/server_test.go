@@ -808,7 +808,7 @@ func TestBootScrubRepairsDamagedSpill(t *testing.T) {
 	if err := obs.FlipByte(first, 30); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, man.Segments[1].File[:len(man.Segments[1].File)-len(".ndjson")]+".idx.json")); err != nil {
+	if err := os.Remove(filepath.Join(dir, man.Segments[1].File[:len(man.Segments[1].File)-len(".ndjson")]+".flat")); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "manifest.json.tmp"), []byte("{torn"), 0o666); err != nil {

@@ -75,7 +75,7 @@ func TestScrubRepairSimBenchPinned(t *testing.T) {
 			if err := os.Truncate(filepath.Join(dir, mid), st.Size()-13); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.Remove(filepath.Join(dir, "seg-000002.idx.json")); err != nil {
+			if err := os.Remove(filepath.Join(dir, "seg-000002.flat")); err != nil {
 				t.Fatal(err)
 			}
 			if err := os.WriteFile(filepath.Join(dir, "manifest.json.tmp"), []byte("{torn"), 0o666); err != nil {

@@ -77,7 +77,7 @@ func (k Kind) ChannelFault() bool {
 // Event is one scheduled fault.
 type Event struct {
 	Kind   Kind
-	Target string // channel name or kernel name ("" for MemDelay)
+	Target string // channel, kernel or unit ("k[1]") name; "" for MemDelay
 	At     int64  // trigger cycle
 	// Duration is how many cycles the fault stays active; 0 means forever.
 	// Ignored for DepthOverride and LaunchSkew, which are point events.

@@ -27,7 +27,7 @@ func NewAccumulator(design string, endCycle int64) *Accumulator {
 	return &Accumulator{design: design, endCycle: endCycle, runCycles: map[string]int64{}}
 }
 
-// AddFlatLog folds one decoded OBSFLAT1 log (typically a segment's binary
+// AddFlatLog folds one decoded OBSFLAT2 log (typically a segment's binary
 // sidecar) into the accumulation. It mirrors AttributeRecorder's read path:
 // kinds match by interned ID against the log's own string table, the
 // chan-stall unit comes straight from the TmplUnit argument (falling back to
@@ -78,20 +78,6 @@ func (ac *Accumulator) AddFlatLog(l *obs.FlatLog) {
 			ac.links = append(ac.links, ChainLink{
 				Unit: unit, Op: op, Resource: site, Start: f.Start, End: f.End,
 			})
-		}
-	}
-}
-
-// AddEvents folds materialized events into the accumulation — the NDJSON
-// fallback for segments whose binary sidecar is missing or stale.
-func (ac *Accumulator) AddEvents(events []obs.Event) {
-	for _, e := range events {
-		if e.Kind == obs.KindUnitRun {
-			ac.runCycles[strings.TrimPrefix(e.Track, "unit:")] += e.End - e.Start + 1
-			continue
-		}
-		if l, ok := stallLink(e); ok {
-			ac.links = append(ac.links, l)
 		}
 	}
 }

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"fmt"
 	"os"
-	"path/filepath"
 )
 
 // SegmentCheck is one sealed segment's integrity status — the row
@@ -18,7 +16,7 @@ type SegmentCheck struct {
 	Lines   int `json:"lines"`
 	Events  int `json:"events"`
 	Samples int `json:"samples"`
-	// SidecarState is "ok", "stale", or "missing" for the idx.json/flat pair.
+	// SidecarState is "ok", "stale", or "missing" for the .flat sidecar.
 	SidecarState string `json:"sidecar"`
 	// Err is the typed corruption verdict, nil when healthy.
 	Err error `json:"-"`
@@ -31,66 +29,25 @@ type SegmentCheck struct {
 // never modifies the directory.
 func CheckSegment(dir string, man *Manifest, idx int) SegmentCheck {
 	seg := man.Segments[idx]
-	c := SegmentCheck{File: seg.File, ChecksumState: "unverified"}
-	fingerprinted := seg.FileBytes != 0 || seg.CRC32C != 0
-	data, err := os.ReadFile(filepath.Join(dir, seg.File))
+	last := idx == len(man.Segments)-1 && man.Complete
+	ps, fp, err := readSealed(dir, seg, segmentParse{
+		design: man.Design, sampleEvery: man.SampleEvery,
+		allowFin: last, needFin: last, endCycle: man.EndCycle,
+	})
+	c := SegmentCheck{File: seg.File, ChecksumState: fp, Err: err}
 	if err != nil {
-		c.ChecksumState = "missing"
-		c.Err = corrupt(dir, seg.File, -1, "missing", "sealed segment file", "no file")
-		if !os.IsNotExist(err) {
-			c.Err = err
+		c.Error = err.Error()
+		if fp == "missing" {
+			return c
 		}
-		c.Error = c.Err.Error()
-		return c
-	}
-	if fingerprinted {
-		switch {
-		case int64(len(data)) != seg.FileBytes:
-			c.ChecksumState = "bad"
-			reason := "truncated"
-			if int64(len(data)) > seg.FileBytes {
-				reason = "structure"
-			}
-			c.Err = corrupt(dir, seg.File, min64(len(data), seg.FileBytes), reason,
-				fmt.Sprintf("%d bytes", seg.FileBytes), fmt.Sprintf("%d bytes", len(data)))
-		case Checksum(data) != seg.CRC32C:
-			c.ChecksumState = "bad"
-			c.Err = corrupt(dir, seg.File, 0, "checksum",
-				fmt.Sprintf("crc32c %08x", seg.CRC32C), fmt.Sprintf("%08x", Checksum(data)))
-		default:
-			c.ChecksumState = "ok"
-		}
-	}
-	if c.Err == nil {
-		last := idx == len(man.Segments)-1
-		lines, samples, events, err := parseSegment(dir, seg.File, data, segmentParse{
-			design: man.Design, sampleEvery: man.SampleEvery,
-			wantLines: seg.Lines,
-			allowFin:  last && man.Complete, needFin: last && man.Complete,
-			endCycle: man.EndCycle,
-		})
-		if err != nil {
-			c.Err = err
-		} else {
-			c.Lines, c.Samples, c.Events = len(lines), samples, events
-		}
+	} else {
+		c.Lines, c.Events, c.Samples = ps.nEvents+ps.samples, ps.nEvents, ps.samples
 	}
 	c.SidecarState = "ok"
-	if _, err := LoadSegIndex(dir, seg); err != nil {
+	if _, err := readSegFlat(dir, seg); os.IsNotExist(err) {
+		c.SidecarState = "missing"
+	} else if err != nil {
 		c.SidecarState = "stale"
-		if os.IsNotExist(err) {
-			c.SidecarState = "missing"
-		}
-	} else if want := mustEventCount(dir, seg); want >= 0 {
-		if _, err := LoadSegFlat(dir, seg, want); err != nil {
-			c.SidecarState = "stale"
-			if os.IsNotExist(err) {
-				c.SidecarState = "missing"
-			}
-		}
-	}
-	if c.Err != nil {
-		c.Error = c.Err.Error()
 	}
 	return c
 }

@@ -17,13 +17,12 @@ type SpillSide struct {
 	SegmentsRead  int
 }
 
-// AttributeSpill attributes a completed segmented spill by walking its flat
-// records segment by segment — no Event materialization, no whole-run replay.
-// Segments whose sidecar index (built on demand when missing or stale) proves
-// they hold no unit-run, chan-stall, or line-fetch records are never opened;
-// the rest decode from their binary OBSFLAT1 sidecar, falling back to the
-// NDJSON truth. The result is identical to replaying the spill and running
-// analyze.Attribute on the reconstructed timeline.
+// AttributeSpill attributes a completed segmented spill by walking each
+// segment's pinned OBSFLAT2 sidecar (rebuilt from the NDJSON truth when
+// missing or stale) — no Event materialization, no whole-run replay.
+// Segments whose index proves they hold no unit-run, chan-stall, or
+// line-fetch records are skipped. The result is identical to replaying the
+// spill and running analyze.Attribute on the reconstructed timeline.
 func AttributeSpill(dir string) (*SpillSide, error) {
 	man, err := obs.LoadManifest(dir)
 	if err != nil {
@@ -35,21 +34,16 @@ func AttributeSpill(dir string) (*SpillSide, error) {
 	ac := analyze.NewAccumulator(man.Design, man.EndCycle)
 	side := &SpillSide{Dir: dir, SegmentsTotal: len(man.Segments)}
 	for _, seg := range man.Segments {
-		idx, _, err := obs.EnsureSegIndex(dir, seg)
+		fl, err := obs.LoadSegFlat(dir, seg)
 		if err != nil {
 			return nil, err
 		}
+		idx := fl.Index()
 		if idx.Kinds[obs.KindUnitRun]+idx.Kinds[obs.KindChanStall]+idx.Kinds[obs.KindLineFetch] == 0 {
 			continue
 		}
 		side.SegmentsRead++
-		if fl, err := obs.LoadSegFlat(dir, seg, idx.Events); err == nil {
-			ac.AddFlatLog(fl)
-		} else if events, _, err := obs.ReadSegmentEvents(dir, seg); err == nil {
-			ac.AddEvents(events)
-		} else {
-			return nil, err
-		}
+		ac.AddFlatLog(fl)
 	}
 	side.Attr = ac.Attribution()
 	return side, nil

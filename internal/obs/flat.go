@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strconv"
@@ -229,15 +230,30 @@ type flatRef struct {
 	shard, idx int32
 }
 
-// FlatLog is a standalone snapshot of a recorder's flat state: the intern
-// table and the merged (sequence-ordered) record stream. It is the unit the
-// binary flat codec round-trips, and what the codec fuzz target exercises.
+// FlatLog is a standalone flat record stream: an intern table and the merged
+// (sequence-ordered) records. It is the unit the binary flat codec
+// round-trips, and what the codec fuzz target exercises. A recorder snapshot
+// leaves Pin and Samples zero; a sealed segment's sidecar (index.go) carries
+// both.
 type FlatLog struct {
+	// Pin ties a segment sidecar to the sealed segment bytes it was built
+	// from.
+	Pin FlatPin
+	// Samples counts the segment's sample lines, which the log does not hold.
+	Samples int
 	Strings []string
 	Records []FlatRecord
 }
 
-const flatMagic = "OBSFLAT1"
+// FlatPin is the manifest fingerprint a segment sidecar answers for: the
+// entry's payload line and byte counts and the sealed file's CRC32C.
+type FlatPin struct {
+	Lines  int
+	Bytes  int64
+	CRC32C uint32
+}
+
+const flatMagic = "OBSFLAT2"
 
 // maxFlatStrings/maxFlatRecords bound DecodeFlat's up-front allocations; the
 // per-item length checks against the remaining input are the real guard, these
@@ -250,15 +266,85 @@ const (
 // recBytes is one encoded record: the six packed words plus its CRC32C.
 const recBytes = recWords*8 + 4
 
-// AppendFlat serializes the log to buf: magic, string table (index 0's empty
-// string implicit) closed by its CRC32C, then the fixed-width records, each
-// carrying a CRC32C of its packed words — a flipped bit anywhere in the
-// artifact is a decode error with a byte offset, never a wrong event. The
+// Index section sizes: the fixed head (events, samples, first and last
+// cycle, entry count) and one entry (string ID, kind count, role bits).
+const (
+	idxHeadBytes  = 4 + 4 + 8 + 8 + 4
+	idxEntryBytes = 4 + 4 + 1
+)
+
+// Role bits of an index entry.
+const (
+	roleTrack uint8 = 1 << iota
+	roleName
+)
+
+// appendIndex appends the index section: the log's event and sample counts,
+// its cycle span (min Start, max End; both -1 with no records), and one
+// entry per string ID the records use, ascending. The entries are tallied
+// in place — one slot per string, then compacted — so encoding allocates
+// nothing beyond buf.
+func (l *FlatLog) appendIndex(buf []byte) []byte {
+	le := binary.LittleEndian
+	start := len(buf)
+	buf = append(buf, make([]byte, idxHeadBytes)...)
+	entStart := len(buf)
+	for id := range l.Strings {
+		buf = le.AppendUint32(buf, uint32(id))
+		buf = append(buf, 0, 0, 0, 0, 0)
+	}
+	ents := buf[entStart:]
+	first, last := int64(-1), int64(-1)
+	for i, f := range l.Records {
+		k := ents[int(f.Kind)*idxEntryBytes+4:]
+		le.PutUint32(k, le.Uint32(k)+1)
+		ents[int(f.Track)*idxEntryBytes+8] |= roleTrack
+		ents[int(f.Name)*idxEntryBytes+8] |= roleName
+		if i == 0 || f.Start < first {
+			first = f.Start
+		}
+		if i == 0 || f.End > last {
+			last = f.End
+		}
+	}
+	n := 0
+	for id := range l.Strings {
+		e := ents[id*idxEntryBytes : (id+1)*idxEntryBytes]
+		if le.Uint32(e[4:]) != 0 || e[8] != 0 {
+			copy(ents[n*idxEntryBytes:], e)
+			n++
+		}
+	}
+	buf = buf[:entStart+n*idxEntryBytes]
+	head := buf[start:entStart]
+	le.PutUint32(head, uint32(len(l.Records)))
+	le.PutUint32(head[4:], uint32(l.Samples))
+	le.PutUint64(head[8:], uint64(first))
+	le.PutUint64(head[16:], uint64(last))
+	le.PutUint32(head[24:], uint32(n))
+	return le.AppendUint32(buf, Checksum(buf[start:]))
+}
+
+// AppendFlat serializes the log to buf in four checksummed sections:
+//
+//	magic    "OBSFLAT2"
+//	pin      lines u64, bytes u64, segment CRC32C u32; then the section's CRC32C
+//	strings  count u32, then length u32 + bytes per string (index 0's empty
+//	         string implicit); then the section's CRC32C
+//	index    events u32, samples u32, first and last cycle i64, entry count
+//	         u32, then per string ID in use, ascending: ID u32, kind count
+//	         u32, role bits u8 (1 track, 2 name); then the section's CRC32C
+//	records  count u32, then per record its six packed words and their CRC32C
+//
+// A flipped bit anywhere in the artifact is a decode error with a byte
+// offset, never a wrong event. The index section is a function of the
+// records and the sample count, so a reader can prune on it without
+// decoding records, and DecodeFlat holds it to the records it decodes. The
 // encoding is canonical — DecodeFlat∘AppendFlat is the identity, which the
 // codec fuzz target checks (checksums are functions of the data, so the
 // identity survives them).
 func (l *FlatLog) AppendFlat(buf []byte) []byte {
-	size := len(flatMagic) + 4 + 4 + 4 + len(l.Records)*recBytes
+	size := len(flatMagic) + 8 + 8 + 4 + 4 + 4 + 4 + idxHeadBytes + len(l.Strings)*idxEntryBytes + 4 + 4 + len(l.Records)*recBytes
 	for _, s := range l.Strings[1:] {
 		size += 4 + len(s)
 	}
@@ -266,6 +352,11 @@ func (l *FlatLog) AppendFlat(buf []byte) []byte {
 		buf = append(make([]byte, 0, len(buf)+size), buf...)
 	}
 	buf = append(buf, flatMagic...)
+	pinStart := len(buf)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(l.Pin.Lines))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(l.Pin.Bytes))
+	buf = binary.LittleEndian.AppendUint32(buf, l.Pin.CRC32C)
+	buf = binary.LittleEndian.AppendUint32(buf, Checksum(buf[pinStart:]))
 	strStart := len(buf)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(l.Strings)))
 	for _, s := range l.Strings[1:] {
@@ -273,6 +364,7 @@ func (l *FlatLog) AppendFlat(buf []byte) []byte {
 		buf = append(buf, s...)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, Checksum(buf[strStart:]))
+	buf = l.appendIndex(buf)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(l.Records)))
 	var w [recWords]uint64
 	for _, f := range l.Records {
@@ -288,56 +380,96 @@ func (l *FlatLog) AppendFlat(buf []byte) []byte {
 
 // DecodeFlat parses a stream written by AppendFlat, validating every index and
 // checksum: kind/track/name/literal-detail IDs must land inside the decoded
-// string table, templates and flags must be known, the string-table and
-// per-record CRCs must match, and no trailing bytes may follow. Malformed
-// input yields an error, never a panic.
+// string table, templates and flags must be known, every section and record
+// CRC must match, the index section must be exactly the one the decoded
+// records imply, and no trailing bytes may follow. Malformed input yields an
+// error, never a panic.
 func DecodeFlat(data []byte) (*FlatLog, error) {
 	if len(data) < len(flatMagic) || string(data[:len(flatMagic)]) != flatMagic {
 		return nil, fmt.Errorf("obs: flat: bad magic")
 	}
 	orig := data
 	data = data[len(flatMagic):]
-	u32 := func() (uint32, error) {
-		if len(data) < 4 {
-			return 0, fmt.Errorf("obs: flat: truncated")
+	var short bool
+	take := func(n int) []byte {
+		if short || len(data) < n {
+			short = true
+			return make([]byte, n)
 		}
-		v := binary.LittleEndian.Uint32(data)
-		data = data[4:]
-		return v, nil
+		b := data[:n]
+		data = data[n:]
+		return b
 	}
+	u32 := func() uint32 { return binary.LittleEndian.Uint32(take(4)) }
+	u64 := func() uint64 { return binary.LittleEndian.Uint64(take(8)) }
 	off := func() int64 { return int64(len(orig) - len(data)) }
-	strStart := off()
-	nStr, err := u32()
-	if err != nil {
+	truncated := fmt.Errorf("obs: flat: truncated")
+	// section checks a section's trailing CRC32C over orig[start:off()].
+	section := func(name string, start int64) error {
+		body := orig[start:off()]
+		crc := u32()
+		if short {
+			return truncated
+		}
+		if got := Checksum(body); got != crc {
+			return fmt.Errorf("obs: flat: %s checksum mismatch at byte %d (expected %08x, got %08x)",
+				name, start, crc, got)
+		}
+		return nil
+	}
+
+	l := &FlatLog{}
+	pinStart := off()
+	l.Pin = FlatPin{Lines: int(u64()), Bytes: int64(u64()), CRC32C: u32()}
+	if err := section("pin", pinStart); err != nil {
 		return nil, err
+	}
+
+	strStart := off()
+	nStr := u32()
+	if short {
+		return nil, truncated
 	}
 	if nStr == 0 || nStr > maxFlatStrings {
 		return nil, fmt.Errorf("obs: flat: string count %d out of range", nStr)
 	}
-	l := &FlatLog{Strings: make([]string, 1, nStr)}
+	l.Strings = make([]string, 1, nStr)
 	for i := uint32(1); i < nStr; i++ {
-		n, err := u32()
-		if err != nil {
-			return nil, err
+		n := u32()
+		if short {
+			return nil, truncated
 		}
 		if uint64(n) > uint64(len(data)) {
 			return nil, fmt.Errorf("obs: flat: string %d length %d past end", i, n)
 		}
-		l.Strings = append(l.Strings, string(data[:n]))
-		data = data[n:]
+		l.Strings = append(l.Strings, string(take(int(n))))
 	}
-	strSection := orig[strStart:off()]
-	strCRC, err := u32()
-	if err != nil {
+	if err := section("string table", strStart); err != nil {
 		return nil, err
 	}
-	if got := Checksum(strSection); got != strCRC {
-		return nil, fmt.Errorf("obs: flat: string table checksum mismatch at byte %d (expected %08x, got %08x)",
-			strStart, strCRC, got)
+
+	// The index section is read for its extent and sample count here, and
+	// held to the decoded records below.
+	idxStart := off()
+	take(4)
+	l.Samples = int(u32())
+	take(16)
+	nEnt := u32()
+	if short {
+		return nil, truncated
 	}
-	nRec, err := u32()
-	if err != nil {
+	if uint64(nEnt)*idxEntryBytes > uint64(len(data)) {
+		return nil, fmt.Errorf("obs: flat: index entry count %d past end", nEnt)
+	}
+	take(int(nEnt) * idxEntryBytes)
+	if err := section("index", idxStart); err != nil {
 		return nil, err
+	}
+	idxEnd := off()
+
+	nRec := u32()
+	if short {
+		return nil, truncated
 	}
 	if nRec > maxFlatRecords || uint64(nRec)*recBytes != uint64(len(data)) {
 		return nil, fmt.Errorf("obs: flat: record count %d does not match %d remaining bytes", nRec, len(data))
@@ -348,11 +480,9 @@ func DecodeFlat(data []byte) (*FlatLog, error) {
 		recOff := off()
 		recRaw := data[:recWords*8]
 		for j := range w {
-			w[j] = binary.LittleEndian.Uint64(data)
-			data = data[8:]
+			w[j] = u64()
 		}
-		crc, _ := u32()
-		if got := Checksum(recRaw); got != crc {
+		if got, crc := Checksum(recRaw), u32(); got != crc {
 			return nil, fmt.Errorf("obs: flat: record %d checksum mismatch at byte %d (expected %08x, got %08x)",
 				i, recOff, crc, got)
 		}
@@ -373,6 +503,9 @@ func DecodeFlat(data []byte) (*FlatLog, error) {
 			return nil, fmt.Errorf("obs: flat: record %d: detail string ID out of range", i)
 		}
 		l.Records = append(l.Records, f)
+	}
+	if !bytes.Equal(l.appendIndex(nil), orig[idxStart:idxEnd]) {
+		return nil, fmt.Errorf("obs: flat: index section at byte %d disagrees with the records", idxStart)
 	}
 	return l, nil
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -63,15 +64,20 @@ func TestFlatCodecRejectsMalformed(t *testing.T) {
 		r.Finalize(500)
 		return r.FlatLog().AppendFlat(nil)
 	}()
+	pin := (&FlatLog{Strings: []string{""}}).AppendFlat(nil)[:len(flatMagic)+24]
 	cases := map[string][]byte{
 		"empty":       nil,
-		"bad magic":   []byte("OBSFLAT2xxxxxxxx"),
-		"magic only":  []byte("OBSFLAT1"),
+		"bad magic":   []byte("OBSFLAT9xxxxxxxx"),
+		"retired v1":  []byte("OBSFLAT1\x01\x00\x00\x00\x00\x00\x00\x00"),
+		"magic only":  []byte("OBSFLAT2"),
 		"truncated":   good[:len(good)-3],
 		"trailing":    append(append([]byte(nil), good...), 0),
-		"zero nstr":   append([]byte("OBSFLAT1"), 0, 0, 0, 0),
-		"huge nstr":   append([]byte("OBSFLAT1"), 0xff, 0xff, 0xff, 0xff),
-		"str too big": append([]byte("OBSFLAT1"), 2, 0, 0, 0, 0xff, 0xff, 0, 0),
+		"zero nstr":   append(append([]byte(nil), pin...), 0, 0, 0, 0),
+		"huge nstr":   append(append([]byte(nil), pin...), 0xff, 0xff, 0xff, 0xff),
+		"str too big": append(append([]byte(nil), pin...), 2, 0, 0, 0, 0xff, 0xff, 0, 0),
+	}
+	for name, bad := range badIndexes(sidecarLog().AppendFlat(nil)) {
+		cases[name] = bad
 	}
 	for name, data := range cases {
 		if _, err := DecodeFlat(data); err == nil {
@@ -276,5 +282,45 @@ func TestReleaseContract(t *testing.T) {
 	r2.FFJump(1, 2)
 	if d := r2.DroppedEvents(); d != 1 {
 		t.Fatalf("DroppedEvents = %d, want 1", d)
+	}
+}
+
+// sidecarLog is a small segment sidecar: pin and sample count set, and an
+// event with a detail so the index has kind, track and name entries.
+func sidecarLog() *FlatLog {
+	b := newFlatBuilder()
+	b.addEvent(&Event{Kind: KindChanStall, Track: "chan:pipe", Name: "read-stall", Start: 5, End: 40})
+	b.addEvent(&Event{Kind: KindLaunch, Track: "unit:k", Name: "go", Start: 0, End: 0, Instant: true, Detail: "x"})
+	b.samples = 1
+	return b.finish(SegmentInfo{File: "seg-000001.ndjson", Lines: 3, Bytes: 222, CRC32C: 0xdeadbeef})
+}
+
+// badIndexes damages an encoded sidecar's index section and pin in the ways
+// DecodeFlat must refuse. The index damage keeps the section CRC valid, so
+// only the structure or the cross-check against the records can catch it.
+func badIndexes(enc []byte) map[string][]byte {
+	le := binary.LittleEndian
+	idx := len(flatMagic) + 24
+	n := le.Uint32(enc[idx:])
+	for idx += 4; n > 1; n-- {
+		idx += 4 + int(le.Uint32(enc[idx:]))
+	}
+	idx += 4 // string table CRC
+	end := idx + idxHeadBytes + int(le.Uint32(enc[idx+24:]))*idxEntryBytes
+	reseal := func(at int, v uint32) []byte {
+		out := append([]byte(nil), enc...)
+		le.PutUint32(out[at:], v)
+		le.PutUint32(out[end:], Checksum(out[idx:end]))
+		return out
+	}
+	pin := append([]byte(nil), enc...)
+	pin[len(flatMagic)] ^= 1 // pin lines changed under a stale section CRC
+	return map[string][]byte{
+		"truncated index":     enc[:idx+idxHeadBytes/2],
+		"index ID past table": reseal(idx+idxHeadBytes, 99),  // role bits on an out-of-range ID
+		"index kind count":    reseal(idx+idxHeadBytes+4, 7), // a count the records disagree with
+		"index event count":   reseal(idx, 5),                // events != records
+		"index cycle span":    reseal(idx+8, 1),              // first cycle moved
+		"pin crc stale":       pin,
 	}
 }

@@ -11,8 +11,9 @@ import (
 // FuzzFlatCodec throws arbitrary byte streams at the flat binary codec.
 // DecodeFlat must classify every input — a log or an error, never a panic —
 // and the encoding is canonical: when an input decodes, re-encoding the log
-// must reproduce the input byte for byte, string table and all (the
-// intern-table round-trip), and the re-decode must accept it again.
+// must reproduce the input byte for byte, pin, string table, index section
+// and all (the intern-table round-trip), and the re-decode must accept it
+// again.
 func FuzzFlatCodec(f *testing.F) {
 	live := NewRecorder("fuzz", Config{})
 	k := live.Intern(KindChanStall)
@@ -26,9 +27,17 @@ func FuzzFlatCodec(f *testing.F) {
 	live.FFJump(41, 49)
 	f.Add(live.FlatLog().AppendFlat(nil))
 	f.Add((&FlatLog{Strings: []string{""}}).AppendFlat(nil))
-	f.Add([]byte("OBSFLAT1"))
-	f.Add([]byte("OBSFLAT2 wrong magic"))
+	f.Add([]byte("OBSFLAT2"))
+	f.Add([]byte("OBSFLAT1 retired magic"))
 	f.Add([]byte(""))
+	// A segment sidecar: pin and sample count set, then the index section
+	// damaged in the ways DecodeFlat must refuse.
+	side := sidecarLog()
+	enc := side.AppendFlat(nil)
+	f.Add(enc)
+	for _, bad := range badIndexes(enc) {
+		f.Add(bad)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, err := DecodeFlat(data)
@@ -150,44 +159,6 @@ func FuzzManifest(f *testing.F) {
 		}
 		if len(man2.Segments) != len(man.Segments) || man2.Complete != man.Complete || man2.EndCycle != man.EndCycle {
 			t.Fatal("manifest round-trip lost durable-truth fields")
-		}
-	})
-}
-
-// FuzzSegIndex throws arbitrary bytes at the sidecar index parser: error or
-// accept, never panic, and accepted indexes round-trip through JSON.
-func FuzzSegIndex(f *testing.F) {
-	b := newSegIndexBuilder()
-	b.addEvent(&Event{Kind: KindChanStall, Track: "chan:pipe", Name: "read-stall", Start: 5, End: 40})
-	b.addEvent(&Event{Kind: KindLaunch, Track: "unit:k", Name: "go", Start: 0, End: 0, Instant: true, Detail: "x"})
-	b.addSample()
-	idx, _ := b.finish(SegmentInfo{File: "seg-000001.ndjson", Lines: 3, Bytes: 222, CRC32C: 0xdeadbeef})
-	seed, err := json.Marshal(&idx)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed)
-	f.Add([]byte(`{"obsSegIndex":1,"file":"seg-000001.ndjson","lines":0,"events":0,"samples":0,"firstCycle":-1,"lastCycle":-1}`))
-	f.Add([]byte(`{"obsSegIndex":1,"lines":2,"events":1,"samples":0}`))
-	f.Add([]byte(`{"obsSegIndex":1,"firstCycle":-7}`))
-	f.Add([]byte(`{"obsSegIndex":2}`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(""))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		idx, err := ParseSegIndex(data)
-		if err != nil {
-			return // rejection is fine; crashing is not
-		}
-		if idx.Events+idx.Samples != idx.Lines {
-			t.Fatalf("accepted inconsistent counts: %+v", idx)
-		}
-		out, err := json.Marshal(idx)
-		if err != nil {
-			t.Fatalf("accepted index does not marshal: %v", err)
-		}
-		if _, err := ParseSegIndex(out); err != nil {
-			t.Fatalf("re-parse of accepted index failed: %v", err)
 		}
 	})
 }

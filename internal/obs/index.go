@@ -1,7 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,42 +10,31 @@ import (
 	"strings"
 )
 
-// Per-segment index sidecars (DESIGN.md §14). Each sealed NDJSON segment
-// gains two derived artifacts next to it:
+// Per-segment sidecars (DESIGN.md §14). Each sealed NDJSON segment gains one
+// derived artifact next to it:
 //
-//	seg-000001.ndjson           the durable truth (listed in the manifest)
-//	seg-000001.idx.json         sidecar index: cycle range, event-kind
-//	                            counts, track/name vocabulary sets
-//	seg-000001.flat             the segment's events in the OBSFLAT1 binary
-//	                            codec (per-segment string table; samples and
-//	                            the fin line excluded)
+//	seg-000001.ndjson   the durable truth (listed in the manifest)
+//	seg-000001.flat     the segment's events in the OBSFLAT2 binary codec
+//	                    (flat.go): pinned to the manifest entry, with a
+//	                    per-segment string table, an index section and the
+//	                    records (samples and the fin line excluded)
 //
-// The sidecars are caches, never sources of truth: they are not listed in
-// the manifest (LoadSegments ignores unlisted files by design), they are
-// validated against the manifest entry's file/lines/bytes before use, and
-// anything missing or stale is rebuilt from the NDJSON segment — at seal
-// time by the sink, on demand by `obscheck -index` or the query engine.
-// Seal-time and rebuilt artifacts are byte-identical: both walk the same
-// events in append order through the same builder, so intern order, record
-// order, and JSON rendering agree.
+// The sidecar is a cache, never a source of truth: it is not listed in the
+// manifest (LoadSegments ignores unlisted files by design), its pin must
+// equal the manifest entry's lines/bytes/CRC32C before it is used, and a
+// missing, undecodable or stale one is rebuilt from the NDJSON segment — at
+// seal time by the sink, on demand by LoadSegFlat. Seal-time and rebuilt
+// sidecars are byte-identical: both walk the same events in append order
+// through the same builder, so intern order and record order agree.
 //
 // The index is what lets a query answer by reading only matching segments:
 // a segment is skipped outright when the queried kind has a zero count, the
 // track/name is absent from the vocabulary sets, or the cycle range is
-// disjoint — no replay, no JSON parse of skipped segments.
+// disjoint — no replay, no JSON parse.
 
-// SegIndex is one segment's sidecar index.
+// SegIndex is the Go view of a sidecar's index section.
 type SegIndex struct {
-	Version int    `json:"obsSegIndex"`
-	File    string `json:"file"`
-	// Lines/Bytes/SegCRC32C mirror the manifest entry; a mismatch means the
-	// sidecar is stale and must be rebuilt. SegCRC32C is the sealed segment
-	// file's checksum (zero when the manifest predates checksumming), which
-	// pins the sidecar to the exact segment bytes it was derived from.
-	Lines     int    `json:"lines"`
-	Bytes     int64  `json:"bytes"`
-	SegCRC32C uint32 `json:"segCrc32c,omitempty"`
-	// Events/Samples split the payload lines by type.
+	// Events/Samples split the segment's payload lines by type.
 	Events  int `json:"events"`
 	Samples int `json:"samples"`
 	// FirstCycle/LastCycle span the segment's events (min Start, max End);
@@ -58,49 +48,56 @@ type SegIndex struct {
 	Names  []string       `json:"names,omitempty"`
 }
 
-const segIndexVersion = 1
-
-func indexName(segFile string) string {
-	return strings.TrimSuffix(segFile, ".ndjson") + ".idx.json"
+// Index decodes the log's index section into its Go view.
+func (l *FlatLog) Index() *SegIndex {
+	le := binary.LittleEndian
+	sec := l.appendIndex(nil)
+	idx := &SegIndex{
+		Events: len(l.Records), Samples: l.Samples,
+		FirstCycle: int64(le.Uint64(sec[8:])), LastCycle: int64(le.Uint64(sec[16:])),
+	}
+	for e := sec[idxHeadBytes : len(sec)-4]; len(e) > 0; e = e[idxEntryBytes:] {
+		s := l.Strings[le.Uint32(e)]
+		if k := le.Uint32(e[4:]); k > 0 {
+			if idx.Kinds == nil {
+				idx.Kinds = map[string]int{}
+			}
+			idx.Kinds[s] = int(k)
+		}
+		if e[8]&roleTrack != 0 {
+			idx.Tracks = append(idx.Tracks, s)
+		}
+		if e[8]&roleName != 0 {
+			idx.Names = append(idx.Names, s)
+		}
+	}
+	sort.Strings(idx.Tracks)
+	sort.Strings(idx.Names)
+	return idx
 }
 
-// FlatSegmentName returns the binary OBSFLAT1 artifact name for a segment
-// file name.
+// FlatSegmentName returns the OBSFLAT2 sidecar name for a segment file name.
 func FlatSegmentName(segFile string) string {
 	return strings.TrimSuffix(segFile, ".ndjson") + ".flat"
 }
 
-// segIndexBuilder accumulates one segment's index and flat encoding as
-// events/samples are appended — shared by the seal-time path (SegmentSink)
-// and the rebuild path (BuildSegArtifacts), which is what makes the two
-// byte-identical.
-type segIndexBuilder struct {
+// pinOf is the pin a sidecar of the segment must carry.
+func pinOf(seg SegmentInfo) FlatPin {
+	return FlatPin{Lines: seg.Lines, Bytes: seg.Bytes, CRC32C: seg.CRC32C}
+}
+
+// flatBuilder accumulates one segment's flat sidecar as events and samples
+// are appended — shared by the segment encoder (seal and repair) and the
+// rebuild path, which is what makes the three byte-identical.
+type flatBuilder struct {
 	tab     internTable
 	records []FlatRecord
-	// use tallies how each interned string serves the segment's events,
-	// indexed by its intern ID — the kind counts and track/name sets without
-	// a string-keyed map lookup per event.
-	use        []idUse
-	samples    int
-	firstCycle int64
-	lastCycle  int64
+	samples int
 }
 
-// idUse is one interned string's role in a segment's events.
-type idUse struct {
-	kind         int // events of this kind
-	track, named bool
-}
+func newFlatBuilder() *flatBuilder { return &flatBuilder{tab: newInternTable()} }
 
-func newSegIndexBuilder() *segIndexBuilder {
-	return &segIndexBuilder{
-		tab:        newInternTable(),
-		firstCycle: -1,
-		lastCycle:  -1,
-	}
-}
-
-func (b *segIndexBuilder) addEvent(e *Event) {
+func (b *flatBuilder) addEvent(e *Event) {
 	rec := FlatRecord{
 		Seq:   uint64(len(b.records)),
 		Kind:  b.tab.intern(e.Kind),
@@ -120,89 +117,22 @@ func (b *segIndexBuilder) addEvent(e *Event) {
 		rec.Arg = uint64(b.tab.intern(e.Detail))
 	}
 	b.records = append(b.records, rec)
-	for len(b.use) < len(b.tab.strs) {
-		b.use = append(b.use, idUse{})
-	}
-	b.use[rec.Kind].kind++
-	b.use[rec.Track].track = true
-	b.use[rec.Name].named = true
-	if b.firstCycle < 0 || e.Start < b.firstCycle {
-		b.firstCycle = e.Start
-	}
-	if e.End > b.lastCycle {
-		b.lastCycle = e.End
-	}
 }
 
-func (b *segIndexBuilder) addSample() { b.samples++ }
-
-// finish closes the builder into the sidecar index and flat log for the
-// sealed segment described by the manifest entry.
-func (b *segIndexBuilder) finish(seg SegmentInfo) (SegIndex, *FlatLog) {
-	idx := SegIndex{
-		Version:    segIndexVersion,
-		File:       seg.File,
-		Lines:      seg.Lines,
-		Bytes:      seg.Bytes,
-		SegCRC32C:  seg.CRC32C,
-		Events:     len(b.records),
-		Samples:    b.samples,
-		FirstCycle: b.firstCycle,
-		LastCycle:  b.lastCycle,
-	}
-	if len(b.records) > 0 {
-		idx.Kinds = map[string]int{}
-		for id, u := range b.use {
-			s := b.tab.strs[id]
-			if u.kind > 0 {
-				idx.Kinds[s] = u.kind
-			}
-			if u.track {
-				idx.Tracks = append(idx.Tracks, s)
-			}
-			if u.named {
-				idx.Names = append(idx.Names, s)
-			}
-		}
-		sort.Strings(idx.Tracks)
-		sort.Strings(idx.Names)
-	}
-	return idx, &FlatLog{Strings: b.tab.strs, Records: b.records}
+// finish closes the builder into the sidecar of the sealed segment seg.
+func (b *flatBuilder) finish(seg SegmentInfo) *FlatLog {
+	return &FlatLog{Pin: pinOf(seg), Samples: b.samples, Strings: b.tab.strs, Records: b.records}
 }
 
-// writeSegArtifacts commits both sidecars with temp-file + rename, matching
+// writeSegFlat commits a segment's sidecar with temp-file + rename, matching
 // the segment commit discipline so a crash never leaves a torn sidecar.
-func writeSegArtifacts(dir string, idx SegIndex, flat *FlatLog) error {
-	return writeSegArtifactsFS(OSFS(), dir, idx, flat)
-}
-
-// WriteSegArtifacts is the exported sidecar commit — the scrubber's
-// rebuild-sidecar repair pairs it with BuildSegArtifacts.
-func WriteSegArtifacts(dir string, idx SegIndex, flat *FlatLog) error {
-	return writeSegArtifacts(dir, idx, flat)
-}
-
-// writeSegArtifactsFS is writeSegArtifacts through an explicit VFS — the
-// seal-time path, so sidecar writes are visible to the fault injector too.
-func writeSegArtifactsFS(fs VFS, dir string, idx SegIndex, flat *FlatLog) error {
-	buf, err := json.MarshalIndent(&idx, "", "  ")
-	if err != nil {
-		return fmt.Errorf("obs: segindex: %w", err)
+func writeSegFlat(fs VFS, dir, segFile string, fl *FlatLog) error {
+	path := filepath.Join(dir, FlatSegmentName(segFile))
+	if err := fs.WriteFile(path+".tmp", fl.AppendFlat(nil), 0o666); err != nil {
+		return fmt.Errorf("obs: segflat: %w", err)
 	}
-	buf = append(buf, '\n')
-	if err := atomicWrite(fs, filepath.Join(dir, indexName(idx.File)), buf); err != nil {
-		return err
-	}
-	return atomicWrite(fs, filepath.Join(dir, FlatSegmentName(idx.File)), flat.AppendFlat(nil))
-}
-
-func atomicWrite(fs VFS, path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := fs.WriteFile(tmp, data, 0o666); err != nil {
-		return fmt.Errorf("obs: segindex: %w", err)
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		return fmt.Errorf("obs: segindex: %w", err)
+	if err := fs.Rename(path+".tmp", path); err != nil {
+		return fmt.Errorf("obs: segflat: %w", err)
 	}
 	return nil
 }
@@ -217,62 +147,20 @@ func LoadManifest(dir string) (*Manifest, error) {
 	return ParseManifest(raw)
 }
 
-// ParseSegIndex parses and validates sidecar index bytes. Like ParseManifest
-// it must error (never panic) on arbitrary input — the sidecar fuzz target's
-// contract.
-func ParseSegIndex(raw []byte) (*SegIndex, error) {
-	var idx SegIndex
-	if err := json.Unmarshal(raw, &idx); err != nil {
-		return nil, fmt.Errorf("obs: segindex: %w", err)
-	}
-	if idx.Version != segIndexVersion {
-		return nil, fmt.Errorf("obs: segindex: unsupported version %d", idx.Version)
-	}
-	if idx.Lines < 0 || idx.Bytes < 0 || idx.Events < 0 || idx.Samples < 0 {
-		return nil, fmt.Errorf("obs: segindex: negative size field")
-	}
-	if idx.Events+idx.Samples != idx.Lines {
-		return nil, fmt.Errorf("obs: segindex: %d events + %d samples != %d lines", idx.Events, idx.Samples, idx.Lines)
-	}
-	if idx.FirstCycle < -1 || idx.LastCycle < -1 {
-		return nil, fmt.Errorf("obs: segindex: cycle range below -1")
-	}
-	return &idx, nil
-}
-
-// LoadSegIndex reads and validates one segment's sidecar index. A missing,
-// unreadable, or stale sidecar (file/lines/bytes/checksum disagreeing with
-// the manifest entry) is an error; callers rebuild via BuildSegArtifacts.
-func LoadSegIndex(dir string, seg SegmentInfo) (*SegIndex, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, indexName(seg.File)))
-	if err != nil {
-		return nil, err
-	}
-	idx, err := ParseSegIndex(raw)
-	if err != nil {
-		return nil, fmt.Errorf("obs: segindex: %s: %w", seg.File, err)
-	}
-	if idx.File != seg.File || idx.Lines != seg.Lines || idx.Bytes != seg.Bytes || idx.SegCRC32C != seg.CRC32C {
-		return nil, fmt.Errorf("obs: segindex: %s: stale sidecar (segment resealed?)", seg.File)
-	}
-	return idx, nil
-}
-
-// LoadSegFlat reads one segment's binary OBSFLAT1 artifact, validating the
-// decode and the expected event count (from the sidecar index) so a stale
-// artifact can never silently satisfy a query.
-func LoadSegFlat(dir string, seg SegmentInfo, wantEvents int) (*FlatLog, error) {
+// readSegFlat reads and decodes the segment's sidecar and checks its pin. It
+// never writes: a missing sidecar is an os.IsNotExist error, an undecodable
+// or stale one any other error.
+func readSegFlat(dir string, seg SegmentInfo) (*FlatLog, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, FlatSegmentName(seg.File)))
 	if err != nil {
 		return nil, err
 	}
 	fl, err := DecodeFlat(raw)
+	if err == nil && fl.Pin != pinOf(seg) {
+		err = errors.New("stale sidecar: pinned to other segment bytes")
+	}
 	if err != nil {
 		return nil, fmt.Errorf("obs: segflat: %s: %w", seg.File, err)
-	}
-	if len(fl.Records) != wantEvents {
-		return nil, fmt.Errorf("obs: segflat: %s: %d records, index says %d events (stale artifact)",
-			seg.File, len(fl.Records), wantEvents)
 	}
 	return fl, nil
 }
@@ -296,113 +184,64 @@ func (l *FlatLog) FlatEvents() []Event {
 	return out
 }
 
-// ReadSegmentEvents parses one sealed NDJSON segment into its events (sample
-// count returned alongside), enforcing the manifest entry's checksum and
-// validating header and line structure the same way LoadSegments does —
-// damage surfaces as a typed *CorruptSegmentError.
-func ReadSegmentEvents(dir string, seg SegmentInfo) ([]Event, int, error) {
-	data, err := os.ReadFile(filepath.Join(dir, seg.File))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, 0, corrupt(dir, seg.File, -1, "missing", "sealed segment file", "no file")
-		}
-		return nil, 0, err
+// ensureSegFlat returns the segment's pinned sidecar. A missing,
+// undecodable or stale one is rebuilt from the NDJSON truth and written
+// back: rebuilt reports that, werr is the write-back's error, and err a
+// failure to read the truth itself (a typed *CorruptSegmentError for
+// damage).
+func ensureSegFlat(dir string, seg SegmentInfo) (fl *FlatLog, rebuilt bool, werr, err error) {
+	if fl, err := readSegFlat(dir, seg); err == nil {
+		return fl, false, nil, nil
 	}
-	if seg.FileBytes != 0 || seg.CRC32C != 0 {
-		if int64(len(data)) != seg.FileBytes {
-			return nil, 0, corrupt(dir, seg.File, min64(len(data), seg.FileBytes), "truncated",
-				fmt.Sprintf("%d bytes", seg.FileBytes), fmt.Sprintf("%d bytes", len(data)))
-		}
-		if got := Checksum(data); got != seg.CRC32C {
-			return nil, 0, corrupt(dir, seg.File, 0, "checksum",
-				fmt.Sprintf("crc32c %08x", seg.CRC32C), fmt.Sprintf("%08x", got))
-		}
-	}
-	lines, samples, _, err := parseSegment(dir, seg.File, data, segmentParse{
-		anyHeader: true, // the manifest's design is not in scope here
-		wantLines: seg.Lines, allowFin: true, needFin: false, endCycle: -1,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	var events []Event
-	for _, raw := range lines {
-		var ln ndjsonLine
-		if err := json.Unmarshal(raw, &ln); err != nil {
-			return nil, 0, fmt.Errorf("obs: segment: %s: %w", seg.File, err)
-		}
-		if ln.E != nil {
-			events = append(events, *ln.E)
-		}
-	}
-	return events, samples, nil
-}
-
-// BuildSegArtifacts rebuilds one segment's index and flat artifacts from its
-// NDJSON truth (without writing them; see EnsureSegIndex / EnsureIndex).
-func BuildSegArtifacts(dir string, seg SegmentInfo) (*SegIndex, *FlatLog, error) {
 	events, samples, err := ReadSegmentEvents(dir, seg)
 	if err != nil {
-		return nil, nil, err
+		return nil, false, nil, err
 	}
-	b := newSegIndexBuilder()
+	b := newFlatBuilder()
 	for i := range events {
 		b.addEvent(&events[i])
 	}
 	b.samples = samples
-	idx, flat := b.finish(seg)
-	return &idx, flat, nil
+	fl = b.finish(seg)
+	return fl, true, writeSegFlat(OSFS(), dir, seg.File, fl), nil
 }
 
-// EnsureSegIndex returns a valid sidecar index for the segment, rebuilding
-// from NDJSON when missing or stale. Rebuilt artifacts are written back
-// best-effort: a read-only spill directory still queries fine, it just
-// rebuilds again next time.
-func EnsureSegIndex(dir string, seg SegmentInfo) (idx *SegIndex, rebuilt bool, err error) {
-	if idx, err = LoadSegIndex(dir, seg); err == nil {
-		return idx, false, nil
-	}
-	idx, flat, err := BuildSegArtifacts(dir, seg)
-	if err != nil {
-		return nil, false, err
-	}
-	_ = writeSegArtifacts(dir, *idx, flat) // cache write; failure is not fatal
-	return idx, true, nil
+// LoadSegFlat returns the segment's pinned OBSFLAT2 sidecar — the one read
+// path of the query engine and the spill diff. A sidecar that is missing,
+// undecodable or pinned to other bytes is rebuilt from the NDJSON truth and
+// written back best-effort: a read-only spill directory still answers, it
+// just rebuilds again next time.
+func LoadSegFlat(dir string, seg SegmentInfo) (*FlatLog, error) {
+	fl, _, _, err := ensureSegFlat(dir, seg)
+	return fl, err
 }
 
-// EnsureIndex builds or repairs the sidecar index artifacts for every sealed
-// segment in the spill directory, returning how many were (re)built. Unlike
-// EnsureSegIndex it is strict: this is `obscheck -index`'s path, where a
-// failed sidecar write must surface.
+// EnsureSegFlat is LoadSegFlat for callers whose job is the sidecar itself
+// (`obscheck -index`, scrub's rebuild-sidecar rung): a failed write-back is
+// an error. It reports whether the sidecar was rebuilt.
+func EnsureSegFlat(dir string, seg SegmentInfo) (rebuilt bool, err error) {
+	_, rebuilt, werr, err := ensureSegFlat(dir, seg)
+	if err == nil {
+		err = werr
+	}
+	return rebuilt, err
+}
+
+// EnsureIndex builds or repairs the sidecar of every sealed segment in the
+// spill directory, returning how many were (re)built.
 func EnsureIndex(dir string) (rebuilt int, err error) {
 	man, err := LoadManifest(dir)
 	if err != nil {
 		return 0, err
 	}
 	for _, seg := range man.Segments {
-		if _, err := LoadSegIndex(dir, seg); err == nil {
-			if _, err := LoadSegFlat(dir, seg, mustEventCount(dir, seg)); err == nil {
-				continue
-			}
-		}
-		idx, flat, err := BuildSegArtifacts(dir, seg)
+		r, err := EnsureSegFlat(dir, seg)
 		if err != nil {
 			return rebuilt, err
 		}
-		if err := writeSegArtifacts(dir, *idx, flat); err != nil {
-			return rebuilt, err
+		if r {
+			rebuilt++
 		}
-		rebuilt++
 	}
 	return rebuilt, nil
-}
-
-// mustEventCount returns the sidecar's event count for flat validation (the
-// sidecar was just validated; a racing rewrite degrades to a rebuild).
-func mustEventCount(dir string, seg SegmentInfo) int {
-	idx, err := LoadSegIndex(dir, seg)
-	if err != nil {
-		return -1 // forces the flat check to fail -> rebuild
-	}
-	return idx.Events
 }

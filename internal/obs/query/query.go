@@ -1,8 +1,8 @@
 // Package query is the time-travel debugging front end over the simulator's
 // observability record (DESIGN.md §14): an indexed query engine that answers
-// event queries from a segmented OBSFLAT1 spill by reading only matching
-// segments, and a breakpoint/watchpoint spec language (breaks.go) the
-// simulator's re-execution engine halts on.
+// event queries from a segmented spill's OBSFLAT2 sidecars, materializing
+// only matching segments, and a breakpoint/watchpoint spec language
+// (breaks.go) the simulator's re-execution engine halts on.
 package query
 
 import (
@@ -164,13 +164,12 @@ type Result struct {
 	Events        []obs.Event `json:"events"`
 }
 
-// Run answers the query from the spill directory using the per-segment
-// sidecar indexes (built on demand when missing or stale), reading only
-// segments the index cannot rule out. Matching segments are decoded from
-// their binary OBSFLAT1 artifact when present and valid, falling back to the
-// NDJSON truth. Works on incomplete (crashed or in-flight) spills — the
-// sealed prefix is queried. Results are byte-identical (as JSON) to
-// ScanAll's full-replay scan.
+// Run answers the query from the spill directory through each segment's
+// pinned OBSFLAT2 sidecar (rebuilt from the NDJSON truth when missing or
+// stale), materializing events only from segments the sidecar's index cannot
+// rule out. Works on incomplete (crashed or in-flight) spills — the sealed
+// prefix is queried. Results are byte-identical (as JSON) to ScanAll's
+// full-replay scan.
 func Run(dir string, q Query) (*Result, error) {
 	man, err := obs.LoadManifest(dir)
 	if err != nil {
@@ -181,20 +180,15 @@ func Run(dir string, q Query) (*Result, error) {
 		SegmentsTotal: len(man.Segments), Events: []obs.Event{},
 	}
 	for _, seg := range man.Segments {
-		idx, _, err := obs.EnsureSegIndex(dir, seg)
+		fl, err := obs.LoadSegFlat(dir, seg)
 		if err != nil {
 			return nil, err
 		}
-		if !q.mightMatch(idx) {
+		if !q.mightMatch(fl.Index()) {
 			continue
 		}
 		res.SegmentsRead++
-		var events []obs.Event
-		if fl, err := obs.LoadSegFlat(dir, seg, idx.Events); err == nil {
-			events = fl.FlatEvents()
-		} else if events, _, err = obs.ReadSegmentEvents(dir, seg); err != nil {
-			return nil, err
-		}
+		events := fl.FlatEvents()
 		for i := range events {
 			if q.Match(&events[i]) {
 				res.Events = append(res.Events, events[i])

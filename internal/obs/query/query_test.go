@@ -120,7 +120,7 @@ func TestRebuiltSidecarsByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	buildSpill(t, dir)
 	sealed := map[string][]byte{}
-	for _, pat := range []string{"*.idx.json", "*.flat"} {
+	for _, pat := range []string{"*.flat"} {
 		files, err := filepath.Glob(filepath.Join(dir, pat))
 		if err != nil {
 			t.Fatal(err)
@@ -164,7 +164,9 @@ func TestRebuiltSidecarsByteIdentical(t *testing.T) {
 	}
 }
 
-// A corrupt flat artifact must degrade to the NDJSON truth, not wrong answers.
+// A corrupt flat sidecar must be rebuilt from the NDJSON truth, not serve
+// wrong answers: the query matches the full scan, and the rebuilt sidecars
+// are the seal-time bytes again.
 func TestCorruptFlatFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	buildSpill(t, dir)
@@ -172,7 +174,11 @@ func TestCorruptFlatFallsBack(t *testing.T) {
 	if err != nil || len(flats) == 0 {
 		t.Fatalf("glob: %v (%d files)", err, len(flats))
 	}
+	sealed := map[string][]byte{}
 	for _, f := range flats {
+		if sealed[f], err = os.ReadFile(f); err != nil {
+			t.Fatal(err)
+		}
 		if err := os.WriteFile(f, []byte("garbage"), 0o666); err != nil {
 			t.Fatal(err)
 		}
@@ -188,6 +194,11 @@ func TestCorruptFlatFallsBack(t *testing.T) {
 	}
 	if mustJSON(t, indexed.Events) != mustJSON(t, full.Events) {
 		t.Error("corrupt flat artifacts changed query results")
+	}
+	for f, want := range sealed {
+		if got, err := os.ReadFile(f); err != nil || string(got) != string(want) {
+			t.Errorf("%s: corrupt flat was not rebuilt to its seal-time bytes (%v)", filepath.Base(f), err)
+		}
 	}
 }
 

@@ -36,11 +36,13 @@ const (
 	// line. Recovery's salvage handles it; fsck reports it.
 	KindTornTail Kind = "torn-tail"
 	// KindTornRename is debris from a crash inside a commit: an orphan
-	// sealed segment the manifest never adopted, a stray .tmp, or a .part
-	// left behind after completion.
+	// sealed segment the manifest never adopted, a stray .tmp, a .part left
+	// behind after completion, or a sidecar without a segment. A leftover
+	// .idx.json from the retired two-file sidecar layout counts too.
 	KindTornRename Kind = "torn-rename"
-	// KindSidecarStale is an idx.json/flat pair disagreeing with the
-	// manifest entry; KindSidecarMissing one that is absent.
+	// KindSidecarStale is a .flat sidecar that does not decode or is pinned
+	// to other bytes than the manifest entry's; KindSidecarMissing one that
+	// is absent.
 	KindSidecarStale   Kind = "sidecar-stale"
 	KindSidecarMissing Kind = "sidecar-missing"
 	// KindBadManifest is an unreadable or invalid manifest — nothing else
@@ -120,6 +122,7 @@ func Scan(dir string) (*Report, error) {
 	listed := map[string]bool{"manifest.json": true, quarantineName: true}
 	for i, seg := range man.Segments {
 		listed[seg.File] = true
+		listed[obs.FlatSegmentName(seg.File)] = true
 		c := obs.CheckSegment(dir, man, i)
 		rep.Segments = append(rep.Segments, c)
 		if c.Err != nil {
@@ -144,10 +147,10 @@ func Scan(dir string) (*Report, error) {
 		}
 		switch c.SidecarState {
 		case "stale":
-			rep.Damage = append(rep.Damage, Damage{Kind: KindSidecarStale, File: sidecarName(seg.File),
+			rep.Damage = append(rep.Damage, Damage{Kind: KindSidecarStale, File: obs.FlatSegmentName(seg.File),
 				Repair: RepairSidecar})
 		case "missing":
-			rep.Damage = append(rep.Damage, Damage{Kind: KindSidecarMissing, File: sidecarName(seg.File),
+			rep.Damage = append(rep.Damage, Damage{Kind: KindSidecarMissing, File: obs.FlatSegmentName(seg.File),
 				Repair: RepairSidecar})
 		}
 	}
@@ -178,44 +181,21 @@ func Scan(dir string) (*Report, error) {
 					Detail: "unsealed segment left behind", Repair: RepairRemoveOrphan})
 				break
 			}
-			if sal := partTail(dir); sal != nil && sal.Truncated {
+			if sal, _ := obs.ProbeTail(dir, man); sal != nil && sal.Truncated {
 				rep.Warnings = append(rep.Warnings, Damage{Kind: KindTornTail, File: name,
 					Detail: fmt.Sprintf("%d salvageable lines, %d torn trailing bytes", sal.Lines, sal.DroppedBytes),
 					Repair: RepairSalvage})
 			}
-		case strings.HasSuffix(name, ".idx.json") || strings.HasSuffix(name, ".flat"):
-			if !sidecarListed(man, name) {
-				rep.Damage = append(rep.Damage, Damage{Kind: KindTornRename, File: name,
-					Detail: "sidecar without a manifest segment", Repair: RepairRemoveOrphan})
-			}
+		case strings.HasSuffix(name, ".idx.json"):
+			rep.Damage = append(rep.Damage, Damage{Kind: KindTornRename, File: name,
+				Detail: "index sidecar of the retired two-file layout", Repair: RepairRemoveOrphan})
+		case strings.HasSuffix(name, ".flat"):
+			rep.Damage = append(rep.Damage, Damage{Kind: KindTornRename, File: name,
+				Detail: "sidecar without a manifest segment", Repair: RepairRemoveOrphan})
 		}
 	}
 	rep.Healthy = len(rep.Damage) == 0 && rep.Quarantined == nil
 	return rep, nil
-}
-
-// sidecarName labels a segment's sidecar pair in damage reports.
-func sidecarName(segFile string) string {
-	return strings.TrimSuffix(segFile, ".ndjson") + ".{idx.json,flat}"
-}
-
-func sidecarListed(man *obs.Manifest, name string) bool {
-	base := strings.TrimSuffix(strings.TrimSuffix(name, ".idx.json"), ".flat")
-	for _, seg := range man.Segments {
-		if strings.TrimSuffix(seg.File, ".ndjson") == base {
-			return true
-		}
-	}
-	return false
-}
-
-// partTail probes the open .part segment's tail without trusting it.
-func partTail(dir string) *obs.TailSalvage {
-	l, err := obs.LoadSegmentsWith(dir, obs.LoadOptions{SkipChecksums: true})
-	if err != nil {
-		return nil
-	}
-	return l.Salvaged
 }
 
 // Rebuild re-executes the deterministic workload a manifest describes,
@@ -231,7 +211,7 @@ type Result struct {
 	Before *Report `json:"before"`
 	// RemovedOrphans lists commit debris deleted.
 	RemovedOrphans []string `json:"removedOrphans,omitempty"`
-	// RebuiltSidecars counts idx/flat pairs regenerated from segment truth.
+	// RebuiltSidecars counts .flat sidecars regenerated from segment truth.
 	RebuiltSidecars int `json:"rebuiltSidecars,omitempty"`
 	// Repaired is the per-segment outcome of the re-execution, if one ran.
 	Repaired []obs.SegmentRepair `json:"repaired,omitempty"`
@@ -279,26 +259,25 @@ func applyDerived(dir string, rep *Report, res *Result) error {
 			if !ok || bodyDamaged[seg.File] {
 				continue // body must be repaired first
 			}
-			idx, flat, err := obs.BuildSegArtifacts(dir, seg)
+			rebuilt, err := obs.EnsureSegFlat(dir, seg)
 			if err != nil {
 				return fmt.Errorf("scrub: rebuild sidecar for %s: %w", seg.File, err)
 			}
-			if err := obs.WriteSegArtifacts(dir, *idx, flat); err != nil {
-				return fmt.Errorf("scrub: rebuild sidecar for %s: %w", seg.File, err)
+			if rebuilt {
+				res.RebuiltSidecars++
 			}
-			res.RebuiltSidecars++
 		}
 	}
 	return nil
 }
 
-func segForSidecar(man *obs.Manifest, damageFile string) (obs.SegmentInfo, bool) {
+// segForSidecar finds the manifest segment a .flat sidecar belongs to.
+func segForSidecar(man *obs.Manifest, flatFile string) (obs.SegmentInfo, bool) {
 	if man == nil {
 		return obs.SegmentInfo{}, false
 	}
-	base := strings.TrimSuffix(damageFile, ".{idx.json,flat}")
 	for _, seg := range man.Segments {
-		if strings.TrimSuffix(seg.File, ".ndjson") == base {
+		if obs.FlatSegmentName(seg.File) == flatFile {
 			return seg, true
 		}
 	}

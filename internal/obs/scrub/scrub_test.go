@@ -177,7 +177,7 @@ func TestScrubDerivedRepairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg0 := man.Segments[0].File
-	idx0 := "seg-000001.idx.json"
+	idx0 := "seg-000001.flat"
 
 	cases := []struct {
 		name   string
@@ -185,7 +185,8 @@ func TestScrubDerivedRepairs(t *testing.T) {
 		kind   scrub.Kind
 	}{
 		{"sidecar-missing", func(t *testing.T, dir string) {
-			os.Remove(filepath.Join(dir, idx0))
+			// The fin-bearing last segment's sidecar.
+			os.Remove(filepath.Join(dir, obs.FlatSegmentName(man.Segments[len(man.Segments)-1].File)))
 		}, scrub.KindSidecarMissing},
 		{"sidecar-stale", func(t *testing.T, dir string) {
 			if err := obs.FlipByte(filepath.Join(dir, idx0), 30); err != nil {
@@ -323,8 +324,10 @@ func TestScrubMidRunDamage(t *testing.T) {
 // TestScrubTornTailIsWarningNotDamage: a crashed run's torn .part tail is
 // recovery's job, not the scrubber's — it must scan as a warning, stay
 // healthy, and never trigger quarantine.
-func TestScrubTornTailIsWarningNotDamage(t *testing.T) {
-	dir := t.TempDir()
+// tornTailSpill leaves an incomplete spill behind: one sealed segment and a
+// .part tail ending in a torn line.
+func tornTailSpill(t *testing.T, dir string) *obs.Manifest {
+	t.Helper()
 	sink, err := obs.NewSegmentSink(cfg(dir))
 	if err != nil {
 		t.Fatal(err)
@@ -355,7 +358,12 @@ func TestScrubTornTailIsWarningNotDamage(t *testing.T) {
 	if err := os.WriteFile(part, torn, 0o666); err != nil {
 		t.Fatal(err)
 	}
+	return man
+}
 
+func TestScrubTornTailIsWarningNotDamage(t *testing.T) {
+	dir := t.TempDir()
+	tornTailSpill(t, dir)
 	rep, err := scrub.Scan(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -365,6 +373,27 @@ func TestScrubTornTailIsWarningNotDamage(t *testing.T) {
 	}
 	if !hasKind(rep.Warnings, scrub.KindTornTail) {
 		t.Fatalf("torn tail not reported as a warning: %+v", rep.Warnings)
+	}
+}
+
+// The torn-tail probe reads the .part alone: damage in a sealed segment must
+// not hide the warning.
+func TestScrubTornTailBesideTruncatedSegment(t *testing.T) {
+	dir := t.TempDir()
+	man := tornTailSpill(t, dir)
+	seg := filepath.Join(dir, man.Segments[0].File)
+	if err := os.Truncate(seg, man.Segments[0].FileBytes-5); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := scrub.Scan(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hasKind(rep.Damage, scrub.KindTruncated) {
+		t.Fatalf("truncated segment not reported: %+v", rep.Damage)
+	}
+	if !hasKind(rep.Warnings, scrub.KindTornTail) {
+		t.Fatalf("torn tail lost beside a truncated segment: %+v", rep.Warnings)
 	}
 }
 

@@ -1,11 +1,11 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -125,21 +125,95 @@ func (c *SegmentConfig) fill() {
 	}
 }
 
-// crcWriter tees bytes that actually reached the file into a running CRC32C
-// and length — the seal-time fingerprint recorded in the manifest. Only the
-// successfully written prefix is hashed, so a short write leaves the CRC
-// describing what is really on disk.
-type crcWriter struct {
-	f   File
+// segEncoder lays out one segment's bytes — header line, payload lines, fin
+// line — and keeps what sealing it needs: the payload line and byte counts,
+// the last cycle, the file's length and CRC32C, and the flat sidecar
+// builder. SegmentSink streams the bytes into the segment's .part file;
+// RepairSink keeps them in memory. Both seal through finish, so the two
+// cannot disagree on the layout or on the sidecar's pin.
+type segEncoder struct {
+	// w receives the bytes in segFlushBytes chunks; nil keeps the whole
+	// segment in buf.
+	w   io.Writer
+	buf []byte
+	err error // sticky write error
 	crc uint32
-	n   int64
+	n   int64 // bytes written to w
+
+	lines int
+	bytes int64
+	last  int64
+	flat  *flatBuilder // nil: no sidecar wanted
 }
 
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.f.Write(p)
-	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
-	c.n += int64(n)
-	return n, err
+// segFlushBytes is a streaming encoder's write size.
+const segFlushBytes = 4096
+
+func newSegEncoder(w io.Writer, design string, sampleEvery int64, sidecar bool) *segEncoder {
+	e := &segEncoder{w: w}
+	if sidecar {
+		e.flat = newFlatBuilder()
+	}
+	e.put(appendHeaderLine(nil, design, sampleEvery))
+	return e
+}
+
+// put lands one newline-terminated line.
+func (e *segEncoder) put(line []byte) {
+	e.buf = append(append(e.buf, line...), '\n')
+	if e.w != nil && len(e.buf) >= segFlushBytes {
+		e.flush()
+	}
+}
+
+// payload lands one payload line reaching cycle: an event's (ev set) or a
+// sample's (ev nil).
+func (e *segEncoder) payload(line []byte, cycle int64, ev *Event) error {
+	switch {
+	case e.flat == nil:
+	case ev != nil:
+		e.flat.addEvent(ev)
+	default:
+		e.flat.samples++
+	}
+	e.put(line)
+	e.lines++
+	e.bytes += int64(len(line)) + 1
+	e.last = max(e.last, cycle)
+	return e.err
+}
+
+func (e *segEncoder) fin(endCycle int64) error {
+	e.put(appendFinLine(nil, endCycle))
+	return e.err
+}
+
+// flush writes the buffered bytes to w, fingerprinting what reached it. A
+// write error is sticky: the segment can no longer seal.
+func (e *segEncoder) flush() error {
+	if e.w == nil || e.err != nil {
+		return e.err
+	}
+	n, err := e.w.Write(e.buf)
+	e.crc = crc32.Update(e.crc, castagnoli, e.buf[:n])
+	e.n += int64(n)
+	e.buf = e.buf[:0]
+	e.err = err
+	return err
+}
+
+// finish closes the segment as manifest entry file: its SegmentInfo and,
+// when built, its sidecar pinned to that entry. A streaming encoder must be
+// flushed first.
+func (e *segEncoder) finish(file string) (SegmentInfo, *FlatLog) {
+	if e.w == nil {
+		e.crc, e.n = Checksum(e.buf), int64(len(e.buf))
+	}
+	info := SegmentInfo{File: file, Lines: e.lines, Bytes: e.bytes, LastCycle: e.last, FileBytes: e.n, CRC32C: e.crc}
+	if e.flat == nil {
+		return info, nil
+	}
+	return info, e.flat.finish(info)
 }
 
 // SegmentSink spills the event/sample stream into rotated, atomically
@@ -161,21 +235,16 @@ type SegmentSink struct {
 	salvageStart int
 	salvageDrop  int
 
-	f       File
-	cw      *crcWriter
-	bw      *bufio.Writer
-	line    []byte // reused encode buffer: steady-state lines allocate nothing
-	lines   int
-	bytes   int64
-	last    int64
-	pending *SegmentInfo // closed .part awaiting rename + manifest commit
+	f    File
+	enc  *segEncoder // the open segment
+	line []byte      // reused encode buffer: steady-state lines allocate nothing
 
-	// art accumulates the open segment's sidecar index + flat encoding
-	// (index.go); pendingArt is the staged pair sealed alongside pending.
-	// Sidecars are caches — their writes are best-effort and happen only
-	// after the segment itself is durably renamed.
-	art        *segIndexBuilder
-	pendingArt *stagedArtifacts
+	// pending is a closed .part awaiting rename + manifest commit, and
+	// pendingFlat its sidecar. Sidecars are caches — their writes are
+	// best-effort and happen only after the segment itself is durably
+	// renamed.
+	pending     *SegmentInfo
+	pendingFlat *FlatLog
 
 	werr      error // sticky stream/data error: not retryable
 	cerr      error // commit error: retryable
@@ -257,11 +326,8 @@ func (s *SegmentSink) open() error {
 		return err
 	}
 	s.f = f
-	s.cw = &crcWriter{f: f}
-	s.bw = bufio.NewWriter(s.cw)
-	s.lines, s.bytes, s.last = 0, 0, 0
-	s.art = newSegIndexBuilder()
-	return putLine(s.bw, appendHeaderLine(nil, s.cfg.Design, s.cfg.SampleEvery))
+	s.enc = newSegEncoder(f, s.cfg.Design, s.cfg.SampleEvery, true)
+	return nil
 }
 
 // seal commits the open segment: flush, fsync, close, atomic rename, and a
@@ -269,28 +335,19 @@ func (s *SegmentSink) open() error {
 // stage is not redone.
 func (s *SegmentSink) seal() error {
 	if s.f != nil {
-		if err := s.bw.Flush(); err != nil {
+		if err := s.enc.flush(); err != nil {
 			return err
 		}
 		if err := s.f.Sync(); err != nil {
 			return err
 		}
-		name := segmentName(len(s.man.Segments) + 1)
-		info := &SegmentInfo{
-			File: name, Lines: s.lines, Bytes: s.bytes, LastCycle: s.last,
-			FileBytes: s.cw.n, CRC32C: s.cw.crc,
-		}
-		if err := s.f.Close(); err != nil {
-			s.f, s.cw, s.bw = nil, nil, nil
+		info, flat := s.enc.finish(segmentName(len(s.man.Segments) + 1))
+		err := s.f.Close()
+		s.f, s.enc = nil, nil
+		if err != nil {
 			return err
 		}
-		s.f, s.cw, s.bw = nil, nil, nil
-		s.pending = info
-		if s.art != nil {
-			idx, flat := s.art.finish(*info)
-			s.pendingArt = &stagedArtifacts{idx: idx, flat: flat}
-			s.art = nil
-		}
+		s.pending, s.pendingFlat = &info, flat
 	}
 	if s.pending != nil {
 		p := filepath.Join(s.cfg.Dir, s.pending.File)
@@ -298,30 +355,22 @@ func (s *SegmentSink) seal() error {
 			return err
 		}
 		s.man.Segments = append(s.man.Segments, *s.pending)
-		s.pending = nil
-		if s.pendingArt != nil {
-			// Cache write: a failure degrades to an on-demand rebuild later.
-			_ = writeSegArtifactsFS(s.cfg.FS, s.cfg.Dir, s.pendingArt.idx, s.pendingArt.flat)
-			s.pendingArt = nil
-		}
+		// Cache write: a failure degrades to an on-demand rebuild later.
+		_ = writeSegFlat(s.cfg.FS, s.cfg.Dir, s.pending.File, s.pendingFlat)
+		s.pending, s.pendingFlat = nil, nil
 	}
 	return s.writeManifest()
 }
 
-type stagedArtifacts struct {
-	idx  SegIndex
-	flat *FlatLog
-}
-
-// append lands one encoded line and reports whether it was appended to
-// the open segment — false while verifying the sealed durable prefix (a
-// resumed run's replayed lines must not re-feed the index builder) or after
-// a sticky error; true for salvaged-tail lines, which are re-landed durably.
-// Rotation is the caller's business (maybeRotate), so the builder can
-// observe the line before its segment seals. Lines arriving after Finalize
-// are dropped: the manifest is already published complete, and lazily
-// opening a fresh segment for them would leave a stray never-sealed .part.
-func (s *SegmentSink) append(line []byte, cycle int64) bool {
+// lands reports whether an encoded line goes to the open segment (opening it
+// if needed) — false while verifying the sealed durable prefix (a resumed
+// run's replayed lines are already durable) or after a sticky error; true
+// for salvaged-tail lines, which are re-landed durably. Rotation is the
+// caller's business (maybeRotate), after the encoder has taken the line.
+// Lines arriving after Finalize are dropped: the manifest is already
+// published complete, and lazily opening a fresh segment for them would
+// leave a stray never-sealed .part.
+func (s *SegmentSink) lands(line []byte) bool {
 	if s.werr != nil || s.finalized {
 		return false
 	}
@@ -353,15 +402,6 @@ func (s *SegmentSink) append(line []byte, cycle int64) bool {
 			return false
 		}
 	}
-	if err := putLine(s.bw, line); err != nil {
-		s.werr = err
-		return false
-	}
-	s.lines++
-	s.bytes += int64(len(line)) + 1
-	if cycle > s.last {
-		s.last = cycle
-	}
 	return true
 }
 
@@ -370,7 +410,7 @@ func (s *SegmentSink) maybeRotate() {
 	if s.werr != nil || s.f == nil {
 		return
 	}
-	if s.lines >= s.cfg.MaxLines || s.bytes >= s.cfg.MaxBytes {
+	if s.enc.lines >= s.cfg.MaxLines || s.enc.bytes >= s.cfg.MaxBytes {
 		if err := s.seal(); err != nil {
 			s.werr = err
 		}
@@ -383,8 +423,8 @@ func (s *SegmentSink) Event(e Event) {
 		return
 	}
 	s.line = appendEventLine(s.line[:0], &e)
-	if s.append(s.line, e.End) {
-		s.art.addEvent(&e)
+	if s.lands(s.line) {
+		s.werr = s.enc.payload(s.line, e.End, &e)
 	}
 	s.maybeRotate()
 }
@@ -395,8 +435,8 @@ func (s *SegmentSink) Sample(sm Sample) {
 		return
 	}
 	s.line = appendSampleLine(s.line[:0], &sm)
-	if s.append(s.line, sm.Cycle) {
-		s.art.addSample()
+	if s.lands(s.line) {
+		s.werr = s.enc.payload(s.line, sm.Cycle, nil)
 	}
 	s.maybeRotate()
 }
@@ -428,8 +468,7 @@ func (s *SegmentSink) Finalize(endCycle int64) error {
 			}
 		}
 		if s.werr == nil {
-			s.line = appendFinLine(s.line[:0], endCycle)
-			s.werr = putLine(s.bw, s.line)
+			s.werr = s.enc.fin(endCycle)
 		}
 	}
 	return s.commit()
@@ -556,71 +595,106 @@ func LoadSegmentsWith(dir string, opt LoadOptions) (*SegmentLog, error) {
 		}
 	}
 	if !l.Manifest.Complete {
-		if err := l.salvagePart(); err != nil {
+		lines, sal, err := salvagePart(dir, &l.Manifest)
+		if err != nil {
 			return nil, err
 		}
+		l.Lines, l.Salvaged = append(l.Lines, lines...), sal
 	}
 	return l, nil
 }
 
 func (l *SegmentLog) loadSegment(idx int, seg SegmentInfo, opt LoadOptions) error {
-	data, err := os.ReadFile(filepath.Join(l.Dir, seg.File))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return corrupt(l.Dir, seg.File, -1, "missing", "sealed segment file", "no file")
-		}
-		return err
-	}
-	fingerprinted := seg.FileBytes != 0 || seg.CRC32C != 0
-	if fingerprinted {
-		if int64(len(data)) != seg.FileBytes {
-			reason := "truncated"
-			if int64(len(data)) > seg.FileBytes {
-				reason = "structure"
-			}
-			return corrupt(l.Dir, seg.File, int64(min64(len(data), seg.FileBytes)), reason,
-				fmt.Sprintf("%d bytes", seg.FileBytes), fmt.Sprintf("%d bytes", len(data)))
-		}
-		if !opt.SkipChecksums {
-			if got := Checksum(data); got != seg.CRC32C {
-				return corrupt(l.Dir, seg.File, 0, "checksum",
-					fmt.Sprintf("crc32c %08x", seg.CRC32C), fmt.Sprintf("%08x", got))
-			}
-		}
-	}
-	lines, _, _, err := parseSegment(l.Dir, seg.File, data, segmentParse{
+	last := idx == len(l.Manifest.Segments)-1 && l.Manifest.Complete
+	ps, _, err := readSealed(l.Dir, seg, segmentParse{
 		design: l.Manifest.Design, sampleEvery: l.Manifest.SampleEvery,
-		wantLines: seg.Lines,
-		allowFin:  idx == len(l.Manifest.Segments)-1 && l.Manifest.Complete,
-		needFin:   idx == len(l.Manifest.Segments)-1 && l.Manifest.Complete,
-		endCycle:  l.Manifest.EndCycle,
+		skipCRC: opt.SkipChecksums, keepLines: true,
+		allowFin: last, needFin: last, endCycle: l.Manifest.EndCycle,
 	})
 	if err != nil {
 		return err
 	}
-	l.Lines = append(l.Lines, lines...)
+	l.Lines = append(l.Lines, ps.lines...)
 	return nil
 }
 
-// segmentParse configures parseSegment's structural validation.
+// ReadSegmentEvents parses one sealed NDJSON segment into its events (sample
+// count returned alongside), enforcing the manifest entry's checksum and
+// validating header and line structure the same way LoadSegments does —
+// damage surfaces as a typed *CorruptSegmentError.
+func ReadSegmentEvents(dir string, seg SegmentInfo) ([]Event, int, error) {
+	ps, _, err := readSealed(dir, seg, segmentParse{
+		anyHeader:  true, // the manifest's design is not in scope here
+		keepEvents: true, allowFin: true, endCycle: -1,
+	})
+	return ps.events, ps.samples, err
+}
+
+// segmentParse configures readSealed's structural validation.
 type segmentParse struct {
 	// anyHeader accepts any version-1 header; otherwise design/sampleEvery
 	// must agree with the manifest.
 	anyHeader   bool
 	design      string
 	sampleEvery int64
-	// wantLines is the expected payload line count (-1 to skip the check).
-	wantLines int
-	allowFin  bool
-	needFin   bool
+	// skipCRC skips the CRC32C comparison (the length check still runs).
+	skipCRC bool
+	// keepLines/keepEvents collect the payload lines / decoded events.
+	keepLines, keepEvents bool
+	allowFin              bool
+	needFin               bool
 	// endCycle is the fin line's required cycle (-1 to skip the check).
 	endCycle int64
 }
 
-// parseSegment validates one sealed segment's bytes — header agreement, one
-// JSON payload object per line, fin placement — returning the payload lines.
-// Every failure is a *CorruptSegmentError carrying the byte offset.
-func parseSegment(dir, file string, data []byte, p segmentParse) (lines [][]byte, samples int, events int, err error) {
+// parsedSegment is what readSealed returns of a sealed segment.
+type parsedSegment struct {
+	lines            [][]byte // payload lines, when keepLines
+	events           []Event  // decoded events, when keepEvents
+	nEvents, samples int
+}
+
+// readSealed reads one sealed segment, checks its length and CRC32C against
+// the manifest entry, and validates its structure — header agreement, one
+// JSON payload object per line, the manifest's line count, fin placement —
+// parsing each line once. Every failure is a *CorruptSegmentError carrying
+// the byte offset, except an unreadable file's own error. fp is the
+// fingerprint verdict CheckSegment reports: "missing", "bad" (length or
+// CRC32C mismatch), "ok", or "unverified" (the manifest predates
+// checksumming, or p.skipCRC).
+func readSealed(dir string, seg SegmentInfo, p segmentParse) (ps parsedSegment, fp string, err error) {
+	data, err := os.ReadFile(filepath.Join(dir, seg.File))
+	if err != nil {
+		if os.IsNotExist(err) {
+			err = corrupt(dir, seg.File, -1, "missing", "sealed segment file", "no file")
+		}
+		return ps, "missing", err
+	}
+	fp = "unverified"
+	if seg.FileBytes != 0 || seg.CRC32C != 0 {
+		if int64(len(data)) != seg.FileBytes {
+			reason := "truncated"
+			if int64(len(data)) > seg.FileBytes {
+				reason = "structure"
+			}
+			return ps, "bad", corrupt(dir, seg.File, min64(len(data), seg.FileBytes), reason,
+				fmt.Sprintf("%d bytes", seg.FileBytes), fmt.Sprintf("%d bytes", len(data)))
+		}
+		if !p.skipCRC {
+			if got := Checksum(data); got != seg.CRC32C {
+				return ps, "bad", corrupt(dir, seg.File, 0, "checksum",
+					fmt.Sprintf("crc32c %08x", seg.CRC32C), fmt.Sprintf("%08x", got))
+			}
+			fp = "ok"
+		}
+	}
+	ps, err = parseSegment(dir, seg.File, data, seg.Lines, p)
+	return ps, fp, err
+}
+
+// parseSegment validates one sealed segment's bytes against p, expecting
+// wantLines payload lines.
+func parseSegment(dir, file string, data []byte, wantLines int, p segmentParse) (ps parsedSegment, err error) {
 	off := int64(0)
 	next := func() ([]byte, int64, bool) {
 		if len(data) == 0 {
@@ -637,14 +711,14 @@ func parseSegment(dir, file string, data []byte, p segmentParse) (lines [][]byte
 	}
 	hdrLine, hdrOff, ok := next()
 	if !ok {
-		return nil, 0, 0, corrupt(dir, file, hdrOff, "truncated", "header line", "end of file")
+		return ps, corrupt(dir, file, hdrOff, "truncated", "header line", "end of file")
 	}
 	var hdr ndjsonHeader
 	if err := json.Unmarshal(hdrLine, &hdr); err != nil {
-		return nil, 0, 0, corrupt(dir, file, hdrOff, "garbage", "header line", err.Error())
+		return ps, corrupt(dir, file, hdrOff, "garbage", "header line", err.Error())
 	}
 	if hdr.Version != 1 || (!p.anyHeader && (hdr.Design != p.design || hdr.SampleEvery != p.sampleEvery)) {
-		return nil, 0, 0, corrupt(dir, file, hdrOff, "structure",
+		return ps, corrupt(dir, file, hdrOff, "structure",
 			fmt.Sprintf("header design %q sampleEvery %d", p.design, p.sampleEvery),
 			fmt.Sprintf("%+v", hdr))
 	}
@@ -653,46 +727,51 @@ func parseSegment(dir, file string, data []byte, p segmentParse) (lines [][]byte
 		line, start, ok := next()
 		if !ok {
 			if len(data) > 0 {
-				return nil, 0, 0, corrupt(dir, file, start, "truncated", "newline-terminated line",
+				return ps, corrupt(dir, file, start, "truncated", "newline-terminated line",
 					fmt.Sprintf("%d trailing bytes", len(data)))
 			}
 			break
 		}
 		if sawFin {
-			return nil, 0, 0, corrupt(dir, file, start, "structure", "end of file after fin line", "more lines")
+			return ps, corrupt(dir, file, start, "structure", "end of file after fin line", "more lines")
 		}
 		var ln ndjsonLine
 		if err := json.Unmarshal(line, &ln); err != nil {
-			return nil, 0, 0, corrupt(dir, file, start, "garbage", "payload line", err.Error())
+			return ps, corrupt(dir, file, start, "garbage", "payload line", err.Error())
 		}
 		switch {
 		case ln.Fin != nil:
 			if !p.allowFin {
-				return nil, 0, 0, corrupt(dir, file, start, "structure", "no fin line here", "fin line")
+				return ps, corrupt(dir, file, start, "structure", "no fin line here", "fin line")
 			}
 			if p.endCycle >= 0 && ln.Fin.EndCycle != p.endCycle {
-				return nil, 0, 0, corrupt(dir, file, start, "structure",
+				return ps, corrupt(dir, file, start, "structure",
 					fmt.Sprintf("fin cycle %d", p.endCycle), fmt.Sprintf("fin cycle %d", ln.Fin.EndCycle))
 			}
 			sawFin = true
+			continue
 		case ln.E != nil:
-			lines = append(lines, append([]byte(nil), line...))
-			events++
+			ps.nEvents++
+			if p.keepEvents {
+				ps.events = append(ps.events, *ln.E)
+			}
 		case ln.S != nil:
-			lines = append(lines, append([]byte(nil), line...))
-			samples++
+			ps.samples++
 		default:
-			return nil, 0, 0, corrupt(dir, file, start, "garbage", "event/sample/fin payload", "no payload")
+			return ps, corrupt(dir, file, start, "garbage", "event/sample/fin payload", "no payload")
+		}
+		if p.keepLines {
+			ps.lines = append(ps.lines, append([]byte(nil), line...))
 		}
 	}
-	if p.wantLines >= 0 && len(lines) != p.wantLines {
-		return nil, 0, 0, corrupt(dir, file, off, "structure",
-			fmt.Sprintf("%d payload lines (manifest)", p.wantLines), fmt.Sprintf("%d payload lines (sealed segment corrupt)", len(lines)))
+	if n := ps.nEvents + ps.samples; n != wantLines {
+		return ps, corrupt(dir, file, off, "structure",
+			fmt.Sprintf("%d payload lines (manifest)", wantLines), fmt.Sprintf("%d payload lines (sealed segment corrupt)", n))
 	}
 	if p.needFin && !sawFin {
-		return nil, 0, 0, corrupt(dir, file, off, "structure", "fin line (manifest complete)", "no fin line")
+		return ps, corrupt(dir, file, off, "structure", "fin line (manifest complete)", "no fin line")
 	}
-	return lines, samples, events, nil
+	return ps, nil
 }
 
 // salvagePart recovers the complete-line prefix of the crashed run's open
@@ -701,25 +780,26 @@ func parseSegment(dir, file string, data []byte, p segmentParse) (lines [][]byte
 // resume sink byte-verifies each salvaged line against the re-executed
 // stream before re-landing it durably, and discards the salvage from the
 // first contradiction. A .part that does not even start with the right
-// header is ignored wholesale (it predates the manifest, or is garbage).
-func (l *SegmentLog) salvagePart() error {
-	name := segmentName(len(l.Manifest.Segments)+1) + ".part"
-	data, err := os.ReadFile(filepath.Join(l.Dir, name))
+// header is ignored wholesale (it predates the manifest, or is garbage):
+// both results are nil then, as when there is no .part.
+func salvagePart(dir string, man *Manifest) ([][]byte, *TailSalvage, error) {
+	name := segmentName(len(man.Segments)+1) + ".part"
+	data, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil
+			return nil, nil, nil
 		}
-		return err
+		return nil, nil, err
 	}
 	sal := &TailSalvage{File: name}
 	i := bytes.IndexByte(data, '\n')
 	if i < 0 {
-		return nil // not even a complete header line: nothing salvageable
+		return nil, nil, nil // not even a complete header line: nothing salvageable
 	}
 	var hdr ndjsonHeader
 	if err := json.Unmarshal(data[:i], &hdr); err != nil ||
-		hdr.Version != 1 || hdr.Design != l.Manifest.Design || hdr.SampleEvery != l.Manifest.SampleEvery {
-		return nil // foreign or garbage .part: ignore, recovery regenerates it
+		hdr.Version != 1 || hdr.Design != man.Design || hdr.SampleEvery != man.SampleEvery {
+		return nil, nil, nil // foreign or garbage .part: ignore, recovery regenerates it
 	}
 	data = data[i+1:]
 	var lines [][]byte
@@ -746,12 +826,18 @@ func (l *SegmentLog) salvagePart() error {
 		data = data[j+1:]
 	}
 	if len(lines) == 0 && !sal.Truncated {
-		return nil
+		return nil, nil, nil
 	}
 	sal.Lines = len(lines)
-	l.Lines = append(l.Lines, lines...)
-	l.Salvaged = sal
-	return nil
+	return lines, sal, nil
+}
+
+// ProbeTail describes the open .part tail of an incomplete spill as
+// recovery would salvage it, reading nothing but that file (nil when there
+// is nothing to salvage).
+func ProbeTail(dir string, man *Manifest) (*TailSalvage, error) {
+	_, sal, err := salvagePart(dir, man)
+	return sal, err
 }
 
 func min64(a int, b int64) int64 {

@@ -113,8 +113,8 @@ func crashSpill(t *testing.T, dir string) {
 	if err := sink.err(); err != nil {
 		t.Fatal(err)
 	}
-	if sink.bw != nil {
-		if err := sink.bw.Flush(); err != nil {
+	if sink.enc != nil {
+		if err := sink.enc.flush(); err != nil {
 			t.Fatal(err)
 		}
 	}

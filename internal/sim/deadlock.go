@@ -262,7 +262,7 @@ func (m *Machine) waitState(u *Unit, autorun bool) WaitState {
 	}
 	if m.stuck(u) {
 		ws.Stuck = true
-		ws.Since = m.stuckSinceCycle(u.xk.Name)
+		ws.Since = m.stuckSinceCycle(u)
 		ws.Waited = m.cycle - ws.Since
 		return ws
 	}

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"oclfpga/internal/fault"
+	"oclfpga/internal/hls"
 	"oclfpga/internal/obs"
 )
 
@@ -17,18 +19,30 @@ type faultRuntime struct {
 	readFrozen  map[int]int // chID -> active freeze-read event count
 	writeFrozen map[int]int
 	dropNB      map[int]int
-	stuckCnt    map[string]int // kernel name -> active stuck event count
+	stuckCnt    map[unitKey]int // active stuck event count per target
 
 	frozenReadSince  map[int]int64
 	frozenWriteSince map[int]int64
-	stuckSince       map[string]int64
+	stuckSince       map[unitKey]int64
 
 	memDelay int64 // currently applied extra latency
 }
 
+// unitKey is a resolved stuck/skew target: one compute unit of a kernel, or
+// every unit of it when cu is -1.
+type unitKey struct {
+	kernel string
+	cu     int
+}
+
+func (k unitKey) covers(xk *hls.XKernel) bool {
+	return k.kernel == xk.Name && (k.cu < 0 || k.cu == xk.CU)
+}
+
 type resolvedEvent struct {
 	ev      fault.Event
-	chID    int // resolved channel id, -1 for kernel-targeted events
+	chID    int     // resolved channel id, -1 for kernel-targeted events
+	unit    unitKey // resolved stuck/skew target
 	applied bool
 	active  bool
 }
@@ -45,10 +59,10 @@ func (m *Machine) installFaults(p *fault.Plan) error {
 		readFrozen:       map[int]int{},
 		writeFrozen:      map[int]int{},
 		dropNB:           map[int]int{},
-		stuckCnt:         map[string]int{},
+		stuckCnt:         map[unitKey]int{},
 		frozenReadSince:  map[int]int64{},
 		frozenWriteSince: map[int]int64{},
-		stuckSince:       map[string]int64{},
+		stuckSince:       map[unitKey]int64{},
 	}
 	for _, ev := range p.Events {
 		re := resolvedEvent{ev: ev, chID: -1}
@@ -60,15 +74,24 @@ func (m *Machine) installFaults(p *fault.Plan) error {
 			}
 			re.chID = c.ID
 		case ev.Kind == fault.StuckUnit || ev.Kind == fault.LaunchSkew:
-			if len(m.d.KernelUnits(ev.Target)) == 0 {
-				return fmt.Errorf("sim: fault plan targets unknown kernel %q", ev.Target)
+			// A kernel name targets every compute unit of the kernel; a unit
+			// name ("k[1]", as reports and breakpoints spell it) targets one.
+			i := slices.IndexFunc(m.d.Kernels, func(xk *hls.XKernel) bool {
+				return xk.Name == ev.Target || xk.UnitName() == ev.Target
+			})
+			if i < 0 {
+				return fmt.Errorf("sim: fault plan targets unknown kernel or unit %q", ev.Target)
+			}
+			re.unit = unitKey{kernel: m.d.Kernels[i].Name, cu: -1}
+			if ev.Target != re.unit.kernel {
+				re.unit.cu = m.d.Kernels[i].CU
 			}
 		}
 		if ev.Kind == fault.LaunchSkew {
 			// launch skew is inherently a launch-time property: delay the
 			// autorun units now, reproducing the §3.1 counter-skew spike
 			for _, u := range m.units {
-				if u.xk.Name == ev.Target {
+				if re.unit.covers(u.xk) {
 					u.startAt += ev.Value
 				}
 			}
@@ -152,9 +175,9 @@ func (m *Machine) applyFaults() {
 				fr.dropNB[re.chID] += delta
 				m.chans[re.chID].SetDropNB(fr.dropNB[re.chID] > 0)
 			case fault.StuckUnit:
-				fr.stuckCnt[ev.Target] += delta
-				if delta > 0 && fr.stuckCnt[ev.Target] == 1 {
-					fr.stuckSince[ev.Target] = now
+				fr.stuckCnt[re.unit] += delta
+				if delta > 0 && fr.stuckCnt[re.unit] == 1 {
+					fr.stuckSince[re.unit] = now
 				}
 			}
 		}
@@ -165,18 +188,37 @@ func (m *Machine) applyFaults() {
 	}
 }
 
-// stuck reports whether the unit's kernel is held by an active StuckUnit
-// fault this cycle.
-func (m *Machine) stuck(u *Unit) bool {
-	return m.faults != nil && m.faults.stuckCnt[u.xk.Name] > 0
+// stuckKeys are the two targets that can hold a unit: its kernel, and the
+// unit itself.
+func stuckKeys(u *Unit) [2]unitKey {
+	return [2]unitKey{{kernel: u.xk.Name, cu: -1}, {kernel: u.xk.Name, cu: u.xk.CU}}
 }
 
-// stuckSinceCycle returns when the kernel's stuck fault engaged.
-func (m *Machine) stuckSinceCycle(kernel string) int64 {
-	if m.faults == nil {
-		return 0
+// stuck reports whether the unit is held by an active StuckUnit fault this
+// cycle. It stays inlinable: every unit asks every tick.
+func (m *Machine) stuck(u *Unit) bool {
+	return m.faults != nil && m.faults.holds(u)
+}
+
+func (fr *faultRuntime) holds(u *Unit) bool {
+	for _, k := range stuckKeys(u) {
+		if fr.stuckCnt[k] > 0 {
+			return true
+		}
 	}
-	return m.faults.stuckSince[kernel]
+	return false
+}
+
+// stuckSinceCycle returns when the unit's stuck fault engaged: the earliest
+// of the active faults on its kernel and on the unit itself.
+func (m *Machine) stuckSinceCycle(u *Unit) int64 {
+	since := int64(-1)
+	for _, k := range stuckKeys(u) {
+		if m.faults.stuckCnt[k] > 0 && (since < 0 || m.faults.stuckSince[k] < since) {
+			since = m.faults.stuckSince[k]
+		}
+	}
+	return max(since, 0)
 }
 
 // frozenBy reports whether the channel endpoint the unit is blocked on is

@@ -197,3 +197,61 @@ func firstLineDiff(a, b string) string {
 	}
 	return "one text is a prefix of the other"
 }
+
+// TestStuckReplicaByUnitName freezes one replica of the matmul's stall
+// monitor by its unit name. The hang report must blame sm_ibuf[0] alone, its
+// trace buffer must stop filling while sm_ibuf[1]'s keeps growing, and every
+// observation must be the same with fast-forward on and off.
+func TestStuckReplicaByUnitName(t *testing.T) {
+	spec := smallSpecs["matmul"]
+	spec.Inject = "stuck:sm_ibuf[0]@500"
+	type seen struct {
+		stuck  []string
+		blame  string
+		writes map[string]int64
+	}
+	observe := func(spec RunSpec) []seen {
+		t.Helper()
+		var out []seen
+		err := spec.Inspect([]int64{1000, 2000}, func(m *sim.Machine, _ int64) error {
+			rep := m.DeadlockReport(sim.ReasonBudget)
+			s := seen{blame: rep.Blame, writes: map[string]int64{}}
+			for _, w := range rep.Waits {
+				if w.Stuck {
+					s.stuck = append(s.stuck, fmt.Sprintf("%s@%d", w.Unit, w.Since))
+				}
+			}
+			for _, u := range m.StateDump().Units {
+				for _, lm := range u.Locals {
+					s.writes[u.Unit] += lm.Writes
+				}
+			}
+			out = append(out, s)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	got := observe(spec)
+	for _, s := range got {
+		if !reflect.DeepEqual(s.stuck, []string{"sm_ibuf[0]@500"}) {
+			t.Fatalf("stuck units = %v, want only sm_ibuf[0] since 500", s.stuck)
+		}
+		if !strings.Contains(s.blame, "sm_ibuf[0]") {
+			t.Fatalf("blame %q does not name sm_ibuf[0]", s.blame)
+		}
+	}
+	if a, b := got[0].writes["sm_ibuf[0]"], got[1].writes["sm_ibuf[0]"]; a != b {
+		t.Errorf("frozen sm_ibuf[0] kept writing its trace: %d -> %d", a, b)
+	}
+	if a, b := got[0].writes["sm_ibuf[1]"], got[1].writes["sm_ibuf[1]"]; b <= a {
+		t.Errorf("sm_ibuf[1] stopped with its sibling: %d -> %d", a, b)
+	}
+	step := spec
+	step.DisableFF = true
+	if want := observe(step); !reflect.DeepEqual(want, got) {
+		t.Fatalf("observations differ with fast-forward:\n%+v\n%+v", want, got)
+	}
+}

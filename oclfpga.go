@@ -299,8 +299,9 @@ type (
 	// EventQueryResult is a query's answer: the matching events plus how many
 	// segments the index allowed the engine to skip.
 	EventQueryResult = query.Result
-	// SegmentIndex is one segment's sidecar index (.idx.json), built at seal
-	// time and rebuilt on demand — a cache, never the source of truth.
+	// SegmentIndex is the decoded index section of one segment's .flat
+	// sidecar, built at seal time and rebuilt on demand — a cache, never the
+	// source of truth.
 	SegmentIndex = obs.SegIndex
 )
 
@@ -312,16 +313,17 @@ func ParseBreakpoints(s string) ([]Breakpoint, error) { return query.ParseBreaks
 func ParseEventQuery(s string) (EventQuery, error) { return query.ParseQuery(s) }
 
 // RunEventQuery answers a query from a spill directory via the per-segment
-// index: segments whose index proves they hold no matches are never opened.
-// Missing or stale sidecars are rebuilt in memory on the fly.
+// index: segments whose index proves they hold no matches materialize no
+// events. Missing or stale sidecars are rebuilt on the fly and written back
+// best-effort.
 func RunEventQuery(dir string, q EventQuery) (*EventQueryResult, error) { return query.Run(dir, q) }
 
 // SpillCheckpoints extracts every checkpoint recorded in a spill directory,
 // in cycle order — the rewind anchors for at-cycle state reconstruction.
 func SpillCheckpoints(dir string) ([]Checkpoint, error) { return query.Checkpoints(dir) }
 
-// EnsureSpillIndex builds or repairs every segment's sidecar index
-// (.idx.json + .flat) under a spill directory, returning how many were
+// EnsureSpillIndex builds or repairs every segment's .flat sidecar (its
+// pinned index and events) under a spill directory, returning how many were
 // rebuilt. Seal-time sidecars and rebuilt ones are byte-identical.
 func EnsureSpillIndex(dir string) (int, error) { return obs.EnsureIndex(dir) }
 

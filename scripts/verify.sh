@@ -24,7 +24,6 @@ go test ./internal/obs -run '^$' -fuzz 'FuzzFlatCodec$' -fuzztime 5s
 go test ./internal/obs -run '^$' -fuzz 'FuzzManifest$' -fuzztime 5s
 go test ./internal/workload -run '^$' -fuzz 'FuzzRunSpec$' -fuzztime 5s
 go test ./internal/workload -run '^$' -fuzz 'FuzzSliceSchedule$' -fuzztime 5s
-go test ./internal/obs -run '^$' -fuzz 'FuzzSegIndex$' -fuzztime 5s
 go test ./internal/obs -run '^$' -fuzz 'FuzzLineCodec$' -fuzztime 5s
 go test ./internal/obs/query -run '^$' -fuzz 'FuzzParseBreaks$' -fuzztime 5s
 go test ./internal/obs/query -run '^$' -fuzz 'FuzzParseQuery$' -fuzztime 5s
@@ -96,7 +95,7 @@ cmp "$TMP/break-readout-state.json" "$TMP/at-readout.json"
 "$TMP/oclprof" -query 'kind=chan-stall cycles=[5000,6000]' \
   -spill-dir "$TMP/tt-segs" > "$TMP/q-sealed.json" 2> /dev/null
 go run ./cmd/obscheck -spill-dir "$TMP/tt-segs" | grep -q 'sealed'
-rm "$TMP/tt-segs"/*.idx.json "$TMP/tt-segs"/*.flat
+rm "$TMP/tt-segs"/*.flat
 go run ./cmd/obscheck -index "$TMP/tt-segs" | grep -q 'index ok'
 "$TMP/oclprof" -query 'kind=chan-stall cycles=[5000,6000]' \
   -spill-dir "$TMP/tt-segs" > "$TMP/q-rebuilt.json" 2> /dev/null
@@ -241,7 +240,7 @@ mkdir -p "$FSCK_OUT"
 MSEG="$(ls "$SPILL"/run1/seg-*.ndjson | sort | head -1)"
 cp "$MSEG" "$TMP/mseg-clean.ndjson"
 dd if=/dev/zero of="$MSEG" bs=1 seek=42 count=1 conv=notrunc 2> /dev/null
-rm "${MSEG%.ndjson}.idx.json" "${MSEG%.ndjson}.flat"
+rm "${MSEG%.ndjson}.flat"
 printf '{torn' > "$SPILL/run1/manifest.json.tmp"
 RC=0
 "$TMP/obscheck" -q -fsck "$SPILL/run1" || RC=$?  # scan-only: damage classified
