@@ -244,25 +244,11 @@ func checkSpillDir(dir string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if err := tl.Validate(); err != nil {
+	compared, err := checkReplay(tl, series, "stitched")
+	if err != nil {
 		return "", err
 	}
-	if err := series.Validate(); err != nil {
-		return "", err
-	}
-	var re bytes.Buffer
-	if err := obs.WriteTimeline(&re, tl); err != nil {
-		return "", err
-	}
-	if *flagTimeline != "" {
-		want, err := os.ReadFile(*flagTimeline)
-		if err != nil {
-			return "", err
-		}
-		if !bytes.Equal(want, re.Bytes()) {
-			return "", fmt.Errorf("stitched timeline differs from %s (%d vs %d bytes)",
-				*flagTimeline, len(re.Bytes()), len(want))
-		}
+	if compared {
 		return fmt.Sprintf("%d segments, %d lines stitched, byte-identical to %s",
 			len(slog.Manifest.Segments), len(slog.Lines), *flagTimeline), nil
 	}
@@ -371,28 +357,43 @@ func checkSpill(raw []byte) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if err := tl.Validate(); err != nil {
+	compared, err := checkReplay(tl, series, "replayed")
+	if err != nil {
 		return "", err
 	}
-	if err := series.Validate(); err != nil {
-		return "", err
-	}
-	var re bytes.Buffer
-	if err := obs.WriteTimeline(&re, tl); err != nil {
-		return "", err
-	}
-	if *flagTimeline != "" {
-		want, err := os.ReadFile(*flagTimeline)
-		if err != nil {
-			return "", err
-		}
-		if !bytes.Equal(want, re.Bytes()) {
-			return "", fmt.Errorf("replayed timeline differs from %s (%d vs %d bytes)",
-				*flagTimeline, len(re.Bytes()), len(want))
-		}
+	if compared {
 		return fmt.Sprintf("%d events replayed, byte-identical to %s", len(tl.Events), *flagTimeline), nil
 	}
 	return fmt.Sprintf("%d events, %d samples replayed", len(tl.Events), len(series.Samples)), nil
+}
+
+// checkReplay validates a replayed timeline and series and, with -timeline
+// given, holds the timeline's serialization to that file byte for byte (what
+// names the replay in the mismatch error). compared reports whether that
+// comparison ran.
+func checkReplay(tl *obs.Timeline, series *obs.Series, what string) (compared bool, err error) {
+	if err := tl.Validate(); err != nil {
+		return false, err
+	}
+	if err := series.Validate(); err != nil {
+		return false, err
+	}
+	var re bytes.Buffer
+	if err := obs.WriteTimeline(&re, tl); err != nil {
+		return false, err
+	}
+	if *flagTimeline == "" {
+		return false, nil
+	}
+	want, err := os.ReadFile(*flagTimeline)
+	if err != nil {
+		return false, err
+	}
+	if !bytes.Equal(want, re.Bytes()) {
+		return false, fmt.Errorf("%s timeline differs from %s (%d vs %d bytes)",
+			what, *flagTimeline, len(re.Bytes()), len(want))
+	}
+	return true, nil
 }
 
 func checkSeries(raw []byte) (string, error) {

@@ -28,10 +28,11 @@ func NewAccumulator(design string, endCycle int64) *Accumulator {
 }
 
 // AddFlatLog folds one decoded OBSFLAT2 log (typically a segment's binary
-// sidecar) into the accumulation. It mirrors AttributeRecorder's read path:
-// kinds match by interned ID against the log's own string table, the
-// chan-stall unit comes straight from the TmplUnit argument (falling back to
-// parsing the rendered detail), and no Event values are built.
+// sidecar, or a recorder's FlatLog for AttributeRecorder) into the
+// accumulation: kinds match by interned ID against the log's own string
+// table, the chan-stall unit comes straight from the TmplUnit argument
+// (falling back to parsing the "unit=" detail of replayed records that
+// interned it as a literal), and no Event values are built.
 func (ac *Accumulator) AddFlatLog(l *obs.FlatLog) {
 	// Resolve the three attributable kinds against this log's table; ID 0 is
 	// the empty string, so 0 doubles as "kind absent from this segment".

@@ -127,54 +127,13 @@ func Attribute(t *obs.Timeline) *Attribution {
 }
 
 // AttributeRecorder analyzes a finalized recorder straight off its flat
-// records — the zero-materialization read path. Event kinds are matched by
-// interned ID instead of string, the chan-stall unit comes directly from the
-// TmplUnit detail argument (falling back to parsing the rendered "unit="
-// detail for replayed records that interned it as a literal), and no Event
-// values are built. The result is identical to Attribute(r.Timeline()).
+// records — the zero-materialization read path: the recorder's flat log is
+// folded into an Accumulator exactly as a spill segment's sidecar is, so no
+// Event values are built. The result is identical to Attribute(r.Timeline()).
 func AttributeRecorder(r *obs.Recorder) *Attribution {
-	kRun := r.Intern(obs.KindUnitRun)
-	kChan := r.Intern(obs.KindChanStall)
-	kFetch := r.Intern(obs.KindLineFetch)
-	var links []ChainLink
-	runCycles := map[string]int64{}
-	// Ops like "line-fetch:<kind>" are concatenations per record; memoize by
-	// name ID so each distinct op string is built once.
-	fetchOps := map[obs.ID]string{}
-	r.VisitFlat(func(f obs.FlatRecord) {
-		switch f.Kind {
-		case kRun:
-			runCycles[strings.TrimPrefix(r.Str(f.Track), "unit:")] += f.End - f.Start + 1
-		case kChan:
-			l := ChainLink{
-				Op:       r.Str(f.Name),
-				Resource: strings.TrimPrefix(r.Str(f.Track), "chan:"),
-				Start:    f.Start, End: f.End,
-			}
-			if f.Tmpl == obs.TmplUnit {
-				l.Unit = r.Str(obs.ID(f.Arg))
-			} else if u, ok := strings.CutPrefix(r.DetailOf(f), "unit="); ok {
-				l.Unit = u
-			}
-			links = append(links, l)
-		case kFetch:
-			rest := strings.TrimPrefix(r.Str(f.Track), "lsu:")
-			unit, site, ok := strings.Cut(rest, "/")
-			if !ok {
-				site = rest
-				unit = ""
-			}
-			op := fetchOps[f.Name]
-			if op == "" {
-				op = "line-fetch:" + r.Str(f.Name)
-				fetchOps[f.Name] = op
-			}
-			links = append(links, ChainLink{
-				Unit: unit, Op: op, Resource: site, Start: f.Start, End: f.End,
-			})
-		}
-	})
-	return attribute(r.Design(), r.EndCycle(), links, runCycles)
+	ac := NewAccumulator(r.Design(), r.EndCycle())
+	ac.AddFlatLog(r.FlatLog())
+	return ac.Attribution()
 }
 
 // attribute is the shared aggregation backend: rows, per-unit chains, and the

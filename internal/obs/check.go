@@ -29,11 +29,7 @@ type SegmentCheck struct {
 // never modifies the directory.
 func CheckSegment(dir string, man *Manifest, idx int) SegmentCheck {
 	seg := man.Segments[idx]
-	last := idx == len(man.Segments)-1 && man.Complete
-	ps, fp, err := readSealed(dir, seg, segmentParse{
-		design: man.Design, sampleEvery: man.SampleEvery,
-		allowFin: last, needFin: last, endCycle: man.EndCycle,
-	})
+	fp, events, samples, err := readSealed(dir, seg, sealedParse(man, idx), nil)
 	c := SegmentCheck{File: seg.File, ChecksumState: fp, Err: err}
 	if err != nil {
 		c.Error = err.Error()
@@ -41,7 +37,7 @@ func CheckSegment(dir string, man *Manifest, idx int) SegmentCheck {
 			return c
 		}
 	} else {
-		c.Lines, c.Events, c.Samples = ps.nEvents+ps.samples, ps.nEvents, ps.samples
+		c.Lines, c.Events, c.Samples = events+samples, events, samples
 	}
 	c.SidecarState = "ok"
 	if _, err := readSegFlat(dir, seg); os.IsNotExist(err) {

@@ -62,7 +62,9 @@ func FuzzFlatCodec(f *testing.F) {
 // FuzzReplayNDJSON throws arbitrary byte streams at the spill reader. Replay
 // must classify every input — a rebuilt record or an error, never a panic —
 // and a successful replay must be deterministic: replaying the same bytes
-// twice yields byte-identical serialized records.
+// twice yields byte-identical serialized records. An accepted stream is also
+// a sealed segment: written as a complete one-segment spill, it must load
+// and replay through LoadSegments and SegmentLog.Replay to the same records.
 func FuzzReplayNDJSON(f *testing.F) {
 	var clean bytes.Buffer
 	s := NewNDJSONSink(&clean, "fuzz", 50)
@@ -81,6 +83,9 @@ func FuzzReplayNDJSON(f *testing.F) {
 	f.Add([]byte(`{"obsNDJSON":9}` + "\n"))
 	f.Add([]byte("not json"))
 	f.Add([]byte(""))
+	// Lines carrying no payload or two: every stream reader refuses them.
+	f.Add([]byte(`{"obsNDJSON":1,"design":"d"}` + "\n" + `{}` + "\n" + `{"fin":{"endCycle":5}}` + "\n"))
+	f.Add([]byte(`{"obsNDJSON":1,"design":"d"}` + "\n" + `{"s":{"cycle":1},"fin":{"endCycle":5}}` + "\n" + `{"fin":{"endCycle":5}}` + "\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tl, ser, err := ReplayNDJSON(bytes.NewReader(data))
@@ -107,6 +112,27 @@ func FuzzReplayNDJSON(f *testing.F) {
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
 			t.Fatal("replay is not deterministic")
+		}
+
+		dir := t.TempDir()
+		oneSegmentSpill(t, dir, data)
+		log, err := LoadSegments(dir)
+		if err != nil {
+			t.Fatalf("accepted stream does not load as a one-segment spill: %v", err)
+		}
+		tl3, ser3, err := log.Replay()
+		if err != nil {
+			t.Fatalf("one-segment spill of an accepted stream does not replay: %v", err)
+		}
+		var c bytes.Buffer
+		if err := WriteTimeline(&c, tl3); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteSeries(&c, ser3); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), c.Bytes()) {
+			t.Fatalf("one-segment spill replays differently:\n%s\nvs\n%s", a.Bytes(), c.Bytes())
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -129,14 +128,15 @@ func (c *SegmentConfig) fill() {
 // line — and keeps what sealing it needs: the payload line and byte counts,
 // the last cycle, the file's length and CRC32C, and the flat sidecar
 // builder. SegmentSink streams the bytes into the segment's .part file;
-// RepairSink keeps them in memory. Both seal through finish, so the two
+// RepairSink keeps them in memory; NDJSONSink streams a whole run as one
+// segment with no sidecar. The segment sinks seal through finish, so they
 // cannot disagree on the layout or on the sidecar's pin.
 type segEncoder struct {
 	// w receives the bytes in segFlushBytes chunks; nil keeps the whole
 	// segment in buf.
 	w   io.Writer
 	buf []byte
-	err error // sticky write error
+	err error // sticky write error: later lines are dropped, not buffered
 	crc uint32
 	n   int64 // bytes written to w
 
@@ -160,6 +160,9 @@ func newSegEncoder(w io.Writer, design string, sampleEvery int64, sidecar bool) 
 
 // put lands one newline-terminated line.
 func (e *segEncoder) put(line []byte) {
+	if e.err != nil {
+		return
+	}
 	e.buf = append(append(e.buf, line...), '\n')
 	if e.w != nil && len(e.buf) >= segFlushBytes {
 		e.flush()
@@ -605,17 +608,23 @@ func LoadSegmentsWith(dir string, opt LoadOptions) (*SegmentLog, error) {
 }
 
 func (l *SegmentLog) loadSegment(idx int, seg SegmentInfo, opt LoadOptions) error {
-	last := idx == len(l.Manifest.Segments)-1 && l.Manifest.Complete
-	ps, _, err := readSealed(l.Dir, seg, segmentParse{
-		design: l.Manifest.Design, sampleEvery: l.Manifest.SampleEvery,
-		skipCRC: opt.SkipChecksums, keepLines: true,
-		allowFin: last, needFin: last, endCycle: l.Manifest.EndCycle,
+	p := sealedParse(&l.Manifest, idx)
+	p.skipCRC = opt.SkipChecksums
+	_, _, _, err := readSealed(l.Dir, seg, p, func(_ *ndjsonLine, raw []byte) {
+		l.Lines = append(l.Lines, append([]byte(nil), raw...))
 	})
-	if err != nil {
-		return err
+	return err
+}
+
+// sealedParse is the rule set of the manifest's segment idx: its header
+// agrees with the manifest, and only a complete spill's last segment ends in
+// the manifest's fin line.
+func sealedParse(man *Manifest, idx int) segmentParse {
+	last := idx == len(man.Segments)-1 && man.Complete
+	return segmentParse{
+		header:   &ndjsonHeader{Version: 1, Design: man.Design, SampleEvery: man.SampleEvery},
+		allowFin: last, needFin: last, endCycle: man.EndCycle,
 	}
-	l.Lines = append(l.Lines, ps.lines...)
-	return nil
 }
 
 // ReadSegmentEvents parses one sealed NDJSON segment into its events (sample
@@ -623,35 +632,14 @@ func (l *SegmentLog) loadSegment(idx int, seg SegmentInfo, opt LoadOptions) erro
 // validating header and line structure the same way LoadSegments does —
 // damage surfaces as a typed *CorruptSegmentError.
 func ReadSegmentEvents(dir string, seg SegmentInfo) ([]Event, int, error) {
-	ps, _, err := readSealed(dir, seg, segmentParse{
-		anyHeader:  true, // the manifest's design is not in scope here
-		keepEvents: true, allowFin: true, endCycle: -1,
+	var events []Event
+	// Any header: the manifest's design is not in scope here.
+	_, _, samples, err := readSealed(dir, seg, segmentParse{allowFin: true, endCycle: -1}, func(ln *ndjsonLine, _ []byte) {
+		if ln.E != nil {
+			events = append(events, *ln.E)
+		}
 	})
-	return ps.events, ps.samples, err
-}
-
-// segmentParse configures readSealed's structural validation.
-type segmentParse struct {
-	// anyHeader accepts any version-1 header; otherwise design/sampleEvery
-	// must agree with the manifest.
-	anyHeader   bool
-	design      string
-	sampleEvery int64
-	// skipCRC skips the CRC32C comparison (the length check still runs).
-	skipCRC bool
-	// keepLines/keepEvents collect the payload lines / decoded events.
-	keepLines, keepEvents bool
-	allowFin              bool
-	needFin               bool
-	// endCycle is the fin line's required cycle (-1 to skip the check).
-	endCycle int64
-}
-
-// parsedSegment is what readSealed returns of a sealed segment.
-type parsedSegment struct {
-	lines            [][]byte // payload lines, when keepLines
-	events           []Event  // decoded events, when keepEvents
-	nEvents, samples int
+	return events, samples, err
 }
 
 // readSealed reads one sealed segment, checks its length and CRC32C against
@@ -661,14 +649,15 @@ type parsedSegment struct {
 // the byte offset, except an unreadable file's own error. fp is the
 // fingerprint verdict CheckSegment reports: "missing", "bad" (length or
 // CRC32C mismatch), "ok", or "unverified" (the manifest predates
-// checksumming, or p.skipCRC).
-func readSealed(dir string, seg SegmentInfo, p segmentParse) (ps parsedSegment, fp string, err error) {
+// checksumming, or p.skipCRC). events and samples count the payload lines,
+// each handed to visit (when set).
+func readSealed(dir string, seg SegmentInfo, p segmentParse, visit func(*ndjsonLine, []byte)) (fp string, events, samples int, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, seg.File))
 	if err != nil {
 		if os.IsNotExist(err) {
 			err = corrupt(dir, seg.File, -1, "missing", "sealed segment file", "no file")
 		}
-		return ps, "missing", err
+		return "missing", 0, 0, err
 	}
 	fp = "unverified"
 	if seg.FileBytes != 0 || seg.CRC32C != 0 {
@@ -677,111 +666,43 @@ func readSealed(dir string, seg SegmentInfo, p segmentParse) (ps parsedSegment, 
 			if int64(len(data)) > seg.FileBytes {
 				reason = "structure"
 			}
-			return ps, "bad", corrupt(dir, seg.File, min64(len(data), seg.FileBytes), reason,
+			return "bad", 0, 0, corrupt(dir, seg.File, min(int64(len(data)), seg.FileBytes), reason,
 				fmt.Sprintf("%d bytes", seg.FileBytes), fmt.Sprintf("%d bytes", len(data)))
 		}
 		if !p.skipCRC {
 			if got := Checksum(data); got != seg.CRC32C {
-				return ps, "bad", corrupt(dir, seg.File, 0, "checksum",
+				return "bad", 0, 0, corrupt(dir, seg.File, 0, "checksum",
 					fmt.Sprintf("crc32c %08x", seg.CRC32C), fmt.Sprintf("%08x", got))
 			}
 			fp = "ok"
 		}
 	}
-	ps, err = parseSegment(dir, seg.File, data, seg.Lines, p)
-	return ps, fp, err
+	events, samples, err = parseSegment(dir, seg.File, data, seg.Lines, p, visit)
+	return fp, events, samples, err
 }
 
 // parseSegment validates one sealed segment's bytes against p, expecting
 // wantLines payload lines.
-func parseSegment(dir, file string, data []byte, wantLines int, p segmentParse) (ps parsedSegment, err error) {
-	off := int64(0)
-	next := func() ([]byte, int64, bool) {
-		if len(data) == 0 {
-			return nil, off, false
-		}
-		i := bytes.IndexByte(data, '\n')
-		if i < 0 {
-			return nil, off, false // torn final line: handled by caller state
-		}
-		line, start := data[:i], off
-		data = data[i+1:]
-		off += int64(i) + 1
-		return line, start, true
+func parseSegment(dir, file string, data []byte, wantLines int, p segmentParse, visit func(*ndjsonLine, []byte)) (events, samples int, err error) {
+	r := ndjsonReader{dir: dir, file: file, data: data}
+	if err := r.header(p.header); err != nil {
+		return 0, 0, err
 	}
-	hdrLine, hdrOff, ok := next()
-	if !ok {
-		return ps, corrupt(dir, file, hdrOff, "truncated", "header line", "end of file")
-	}
-	var hdr ndjsonHeader
-	if err := json.Unmarshal(hdrLine, &hdr); err != nil {
-		return ps, corrupt(dir, file, hdrOff, "garbage", "header line", err.Error())
-	}
-	if hdr.Version != 1 || (!p.anyHeader && (hdr.Design != p.design || hdr.SampleEvery != p.sampleEvery)) {
-		return ps, corrupt(dir, file, hdrOff, "structure",
-			fmt.Sprintf("header design %q sampleEvery %d", p.design, p.sampleEvery),
-			fmt.Sprintf("%+v", hdr))
-	}
-	sawFin := false
-	for {
-		line, start, ok := next()
-		if !ok {
-			if len(data) > 0 {
-				return ps, corrupt(dir, file, start, "truncated", "newline-terminated line",
-					fmt.Sprintf("%d trailing bytes", len(data)))
-			}
-			break
-		}
-		if sawFin {
-			return ps, corrupt(dir, file, start, "structure", "end of file after fin line", "more lines")
-		}
-		var ln ndjsonLine
-		if err := json.Unmarshal(line, &ln); err != nil {
-			return ps, corrupt(dir, file, start, "garbage", "payload line", err.Error())
-		}
-		switch {
-		case ln.Fin != nil:
-			if !p.allowFin {
-				return ps, corrupt(dir, file, start, "structure", "no fin line here", "fin line")
-			}
-			if p.endCycle >= 0 && ln.Fin.EndCycle != p.endCycle {
-				return ps, corrupt(dir, file, start, "structure",
-					fmt.Sprintf("fin cycle %d", p.endCycle), fmt.Sprintf("fin cycle %d", ln.Fin.EndCycle))
-			}
-			sawFin = true
-			continue
-		case ln.E != nil:
-			ps.nEvents++
-			if p.keepEvents {
-				ps.events = append(ps.events, *ln.E)
-			}
-		case ln.S != nil:
-			ps.samples++
-		default:
-			return ps, corrupt(dir, file, start, "garbage", "event/sample/fin payload", "no payload")
-		}
-		if p.keepLines {
-			ps.lines = append(ps.lines, append([]byte(nil), line...))
-		}
-	}
-	if n := ps.nEvents + ps.samples; n != wantLines {
-		return ps, corrupt(dir, file, off, "structure",
-			fmt.Sprintf("%d payload lines (manifest)", wantLines), fmt.Sprintf("%d payload lines (sealed segment corrupt)", n))
-	}
-	if p.needFin && !sawFin {
-		return ps, corrupt(dir, file, off, "structure", "fin line (manifest complete)", "no fin line")
-	}
-	return ps, nil
+	err = r.payloads(p, wantLines, visit)
+	return r.events, r.samples, err
 }
 
 // salvagePart recovers the complete-line prefix of the crashed run's open
-// .part segment: a valid header plus every complete, parseable payload line
-// before the torn tail. The salvage is untrusted (no checksum seals it) — a
+// .part segment: a header agreeing with the manifest plus every complete,
+// well-formed payload line before the first torn or bad one, read by the
+// segment reader's rules. The salvage is untrusted (no checksum seals it) — a
 // resume sink byte-verifies each salvaged line against the re-executed
 // stream before re-landing it durably, and discards the salvage from the
 // first contradiction. A .part that does not even start with the right
 // header is ignored wholesale (it predates the manifest, or is garbage):
-// both results are nil then, as when there is no .part.
+// both results are nil then, as when there is no .part. A fin line (the run
+// finished but its commit never landed) is not salvaged: Finalize
+// regenerates it.
 func salvagePart(dir string, man *Manifest) ([][]byte, *TailSalvage, error) {
 	name := segmentName(len(man.Segments)+1) + ".part"
 	data, err := os.ReadFile(filepath.Join(dir, name))
@@ -791,44 +712,22 @@ func salvagePart(dir string, man *Manifest) ([][]byte, *TailSalvage, error) {
 		}
 		return nil, nil, err
 	}
-	sal := &TailSalvage{File: name}
-	i := bytes.IndexByte(data, '\n')
-	if i < 0 {
-		return nil, nil, nil // not even a complete header line: nothing salvageable
-	}
-	var hdr ndjsonHeader
-	if err := json.Unmarshal(data[:i], &hdr); err != nil ||
-		hdr.Version != 1 || hdr.Design != man.Design || hdr.SampleEvery != man.SampleEvery {
+	r := ndjsonReader{dir: dir, file: name, data: data}
+	if r.header(&ndjsonHeader{Version: 1, Design: man.Design, SampleEvery: man.SampleEvery}) != nil {
 		return nil, nil, nil // foreign or garbage .part: ignore, recovery regenerates it
 	}
-	data = data[i+1:]
 	var lines [][]byte
-	for len(data) > 0 {
-		j := bytes.IndexByte(data, '\n')
-		if j < 0 {
-			sal.DroppedBytes += len(data)
-			sal.Truncated = true
-			break
-		}
-		line := data[:j]
-		var ln ndjsonLine
-		if err := json.Unmarshal(line, &ln); err != nil || (ln.E == nil && ln.S == nil && ln.Fin == nil) {
-			sal.DroppedBytes += len(data)
-			sal.Truncated = true
-			break
-		}
-		if ln.Fin != nil {
-			// The run finished but its commit never landed: the fin line is
-			// regenerated at Finalize, not salvaged.
-			break
-		}
-		lines = append(lines, append([]byte(nil), line...))
-		data = data[j+1:]
+	err = r.payloads(segmentParse{allowFin: true, endCycle: -1}, -1, func(_ *ndjsonLine, raw []byte) {
+		lines = append(lines, append([]byte(nil), raw...))
+	})
+	sal := &TailSalvage{File: name, Lines: len(lines)}
+	if ce, ok := err.(*CorruptSegmentError); ok {
+		// The first torn or bad line ends the trustworthy prefix.
+		sal.DroppedBytes, sal.Truncated = len(data)-int(ce.Offset), true
 	}
 	if len(lines) == 0 && !sal.Truncated {
 		return nil, nil, nil
 	}
-	sal.Lines = len(lines)
 	return lines, sal, nil
 }
 
@@ -840,29 +739,13 @@ func ProbeTail(dir string, man *Manifest) (*TailSalvage, error) {
 	return sal, err
 }
 
-func min64(a int, b int64) int64 {
-	if int64(a) < b {
-		return int64(a)
-	}
-	return b
-}
-
 // Feed streams the durable lines into sink in order, without finalizing —
-// the caller decides whether the log's end is the run's end.
+// the caller decides whether the log's end is the run's end. The lines are
+// read by the segment reader, so a line that is not exactly one event or
+// sample is a *CorruptSegmentError.
 func (l *SegmentLog) Feed(sink Sink) error {
-	for i, raw := range l.Lines {
-		var ln ndjsonLine
-		if err := json.Unmarshal(raw, &ln); err != nil {
-			return fmt.Errorf("obs: segment: durable line %d: %w", i, err)
-		}
-		switch {
-		case ln.E != nil:
-			sink.Event(*ln.E)
-		case ln.S != nil:
-			sink.Sample(*ln.S)
-		}
-	}
-	return nil
+	r := ndjsonReader{dir: l.Dir, file: "durable lines", lines: l.Lines}
+	return r.feed(sink, segmentParse{endCycle: -1})
 }
 
 // Replay rebuilds the buffering record of a complete segmented spill —

@@ -122,7 +122,19 @@ func (w *errWriter) Write(p []byte) (int, error) {
 
 func TestNDJSONSinkStickyError(t *testing.T) {
 	sink := NewNDJSONSink(&errWriter{n: 0}, "d", 0)
-	sink.Event(Event{Kind: KindLaunch, Track: "unit:k", Name: "go", Instant: true})
+	ev := Event{Kind: KindLaunch, Track: "unit:k", Name: "go", Instant: true}
+	for i := 0; i < 1000; i++ { // enough lines to overflow a write chunk
+		sink.Event(ev)
+	}
+	if sink.enc.err == nil {
+		t.Fatal("write error not recorded")
+	}
+	// Quiet after the first error: later lines are dropped, not buffered.
+	held := len(sink.enc.buf)
+	sink.Event(ev)
+	if len(sink.enc.buf) != held {
+		t.Fatalf("sink buffered %d more bytes after its write error", len(sink.enc.buf)-held)
+	}
 	if err := sink.Finalize(5); err == nil {
 		t.Fatal("write error not surfaced at Finalize")
 	}

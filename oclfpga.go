@@ -203,7 +203,9 @@ func NewNDJSONSink(w io.Writer, design string, sampleEvery int64) *NDJSONSink {
 
 // ReplayNDJSON replays a spill stream through a fresh buffering recorder and
 // returns the timeline and series it reconstructs — byte-identical, once
-// serialized, to what the originating machine would have returned.
+// serialized, to what the originating machine would have returned. The
+// stream is read as one sealed spill segment: a malformed or truncated one
+// is a *CorruptSegmentError.
 func ReplayNDJSON(r io.Reader) (*Timeline, *MetricsSeries, error) { return obs.ReplayNDJSON(r) }
 
 // Crash-safe spill (DESIGN.md §11): the segmented form of the NDJSON stream.

@@ -60,6 +60,12 @@ go run ./cmd/obscheck -timeline "$TMP/t.json" -metrics "$TMP/m.json" \
   -report "$TMP/report.json" \
   -attr "$TMP/attr.json" -pprof "$TMP/attr.pb.gz" -spill "$TMP/spill.ndjson" \
   -spill-dir "$TMP/segs"
+# One stream format: with rotation out of reach, the single-file spill and
+# the segmented spill's only sealed segment are the same bytes.
+go run ./cmd/oclprof -workload chanstall -log=false -sample-every 500 \
+  -spill "$TMP/one.ndjson" -spill-dir "$TMP/one-seg" \
+  -seg-lines 100000000 -seg-bytes 100000000000 > /dev/null
+cmp "$TMP/one.ndjson" "$TMP/one-seg/seg-000001.ndjson"
 go run ./cmd/benchjson < /dev/null > /dev/null  # benchjson stays runnable
 
 # Time-travel smoke (DESIGN.md §14): a checkpointed spill, then (1) the
@@ -151,7 +157,8 @@ dd if=/dev/zero of="$PSEG" bs=1 seek=33 count=1 conv=notrunc 2> /dev/null
 cmp "$PSEG" "$TMP/pseg-clean.ndjson"
 
 # The indexed spill diff must beat a full replay of both spills by at least
-# 5x (the segment indexes prune attribution-free segments on both sides).
+# 5x. On these spills every segment holds attribution input, so the index
+# prunes nothing and the gate prices flat-sidecar decode against NDJSON replay.
 go test -run '^$' -bench 'DiffSpill' -benchtime 5x -count 1 . \
   | go run ./cmd/benchjson -gate 'diff-spill-speedup-x>=5' > /dev/null
 
