@@ -197,7 +197,7 @@ func segmentStats(dir string, man *obs.Manifest) {
 		c := obs.CheckSegment(dir, man, i)
 		cycles := ""
 		if c.SidecarState == "ok" { // a fresh sidecar loads without a rebuild
-			if fl, err := obs.LoadSegFlat(dir, seg); err == nil && len(fl.Records) > 0 {
+			if fl, err := obs.LoadSegFlat(dir, seg, nil); err == nil && len(fl.Records) > 0 {
 				idx := fl.Index()
 				cycles = fmt.Sprintf(", cycles [%d,%d]", idx.FirstCycle, idx.LastCycle)
 			}

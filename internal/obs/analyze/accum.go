@@ -1,6 +1,7 @@
 package analyze
 
 import (
+	"slices"
 	"strings"
 
 	"oclfpga/internal/obs"
@@ -48,6 +49,7 @@ func (ac *Accumulator) AddFlatLog(l *obs.FlatLog) {
 		}
 	}
 	fetchOps := map[obs.ID]string{}
+	ac.links = slices.Grow(ac.links, len(l.Records)) // at most one link a record
 	for _, f := range l.Records {
 		switch {
 		case kRun != 0 && f.Kind == kRun:

@@ -9,9 +9,11 @@
 package analyze
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -157,6 +159,7 @@ func attribute(design string, endCycle int64, links []ChainLink, runCycles map[s
 	}
 	links = kept
 	rows := map[[3]string]*Row{}
+	perUnit := map[string]int{}
 	for _, l := range links {
 		key := [3]string{l.Unit, l.Op, l.Resource}
 		r := rows[key]
@@ -171,16 +174,23 @@ func attribute(design string, endCycle int64, links []ChainLink, runCycles map[s
 			r.MaxSpan = w
 		}
 		a.TotalStallCycles += w
+		perUnit[l.Unit]++
 	}
 	for _, r := range rows {
 		a.Rows = append(a.Rows, *r)
 	}
 	sortRows(a.Rows)
 
-	// per-unit chains over each unit's own spans
-	byUnit := map[string][]ChainLink{}
+	// Every chain runs over links in chainOrder, sorted once here: each
+	// unit's chain over its own subsequence, which stays sorted.
+	slices.SortFunc(links, chainOrder)
+	byUnit := make(map[string][]ChainLink, len(perUnit))
 	for _, l := range links {
-		byUnit[l.Unit] = append(byUnit[l.Unit], l)
+		us := byUnit[l.Unit]
+		if us == nil {
+			us = make([]ChainLink, 0, perUnit[l.Unit])
+		}
+		byUnit[l.Unit] = append(us, l)
 	}
 	var unitNames []string
 	for u := range byUnit {
@@ -193,13 +203,13 @@ func attribute(design string, endCycle int64, links []ChainLink, runCycles map[s
 	}
 	sort.Strings(unitNames)
 	for _, u := range unitNames {
-		chain, w := longestChain(byUnit[u])
+		chain, w := sortedChain(byUnit[u])
 		a.Units = append(a.Units, UnitPath{
 			Unit: u, RunCycles: runCycles[u], StallCycles: w, Chain: chain,
 		})
 	}
 
-	a.CriticalPath, a.CriticalCycles = longestChain(links)
+	a.CriticalPath, a.CriticalCycles = sortedChain(links)
 	return a
 }
 
@@ -222,32 +232,31 @@ func rowLess(a, b Row) bool {
 	return a.Resource < b.Resource
 }
 
-// longestChain solves weighted interval scheduling over the spans — the
-// longest (by summed cycle weight) chain of strictly non-overlapping spans,
-// i.e. the heaviest path through the DAG whose edges connect span i to any
-// span starting after i ends. O(n log n); fully deterministic (ties resolve
-// toward the earlier-sorted span being skipped).
-func longestChain(links []ChainLink) ([]ChainLink, int64) {
-	if len(links) == 0 {
+// chainOrder orders spans by end, then start, unit, op and resource — the
+// order sortedChain needs, total so identical inputs chain identically.
+func chainOrder(a, b ChainLink) int {
+	switch {
+	case a.End != b.End:
+		return cmp.Compare(a.End, b.End)
+	case a.Start != b.Start:
+		return cmp.Compare(a.Start, b.Start)
+	case a.Unit != b.Unit:
+		return strings.Compare(a.Unit, b.Unit)
+	case a.Op != b.Op:
+		return strings.Compare(a.Op, b.Op)
+	}
+	return strings.Compare(a.Resource, b.Resource)
+}
+
+// sortedChain solves weighted interval scheduling over spans in chainOrder —
+// the longest (by summed cycle weight) chain of strictly non-overlapping
+// spans, i.e. the heaviest path through the DAG whose edges connect span i to
+// any span starting after i ends. O(n log n); fully deterministic (ties
+// resolve toward the earlier-sorted span being skipped).
+func sortedChain(ls []ChainLink) ([]ChainLink, int64) {
+	if len(ls) == 0 {
 		return nil, 0
 	}
-	ls := append([]ChainLink(nil), links...)
-	sort.Slice(ls, func(i, j int) bool {
-		a, b := ls[i], ls[j]
-		if a.End != b.End {
-			return a.End < b.End
-		}
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.Unit != b.Unit {
-			return a.Unit < b.Unit
-		}
-		if a.Op != b.Op {
-			return a.Op < b.Op
-		}
-		return a.Resource < b.Resource
-	})
 	n := len(ls)
 	// p[i]: number of spans (prefix length) ending strictly before ls[i]
 	// starts — the chain i can extend.
@@ -266,18 +275,29 @@ func longestChain(links []ChainLink) ([]ChainLink, int64) {
 			best[i] = best[i-1]
 		}
 	}
-	var chain []ChainLink
+	// Walk the taken spans back from the end twice: once to size the chain,
+	// once to fill it in chronological order.
+	m := 0
 	for i := n; i > 0; {
-		if !took[i] {
+		if took[i] {
+			m++
+			i = p[i-1]
+		} else {
 			i--
-			continue
 		}
-		chain = append(chain, ls[i-1])
-		i = p[i-1]
 	}
-	// reverse into chronological order
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
+	if m == 0 {
+		return nil, best[n]
+	}
+	chain := make([]ChainLink, m)
+	for i := n; i > 0; {
+		if took[i] {
+			m--
+			chain[m] = ls[i-1]
+			i = p[i-1]
+		} else {
+			i--
+		}
 	}
 	return chain, best[n]
 }

@@ -2,6 +2,11 @@ package analyze
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -159,6 +164,162 @@ func TestLongestChainPicksWeight(t *testing.T) {
 	}
 	if len(chain) != 2 || chain[0].Op != "a" || chain[1].Op != "d" {
 		t.Fatalf("chain = %+v", chain)
+	}
+}
+
+// longestChain is the chain solver as it was before attribute sorted the
+// links once: it sorts its own copy on every call. It is the reference
+// sortedChain and attribute are held to.
+func longestChain(links []ChainLink) ([]ChainLink, int64) {
+	if len(links) == 0 {
+		return nil, 0
+	}
+	ls := append([]ChainLink(nil), links...)
+	sort.Slice(ls, func(i, j int) bool {
+		a, b := ls[i], ls[j]
+		if a.End != b.End {
+			return a.End < b.End
+		}
+		if a.Start != b.Start {
+			return a.Start < b.Start
+		}
+		if a.Unit != b.Unit {
+			return a.Unit < b.Unit
+		}
+		if a.Op != b.Op {
+			return a.Op < b.Op
+		}
+		return a.Resource < b.Resource
+	})
+	n := len(ls)
+	// p[i]: number of spans (prefix length) ending strictly before ls[i]
+	// starts — the chain i can extend.
+	p := make([]int, n)
+	for i := range ls {
+		p[i] = sort.Search(n, func(j int) bool { return ls[j].End >= ls[i].Start })
+	}
+	best := make([]int64, n+1)
+	took := make([]bool, n+1)
+	for i := 1; i <= n; i++ {
+		take := ls[i-1].cycles() + best[p[i-1]]
+		if take > best[i-1] {
+			best[i] = take
+			took[i] = true
+		} else {
+			best[i] = best[i-1]
+		}
+	}
+	var chain []ChainLink
+	for i := n; i > 0; {
+		if !took[i] {
+			i--
+			continue
+		}
+		chain = append(chain, ls[i-1])
+		i = p[i-1]
+	}
+	// reverse into chronological order
+	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
+		chain[i], chain[j] = chain[j], chain[i]
+	}
+	return chain, best[n]
+}
+
+// attributeRef is attribute as it was before the links were sorted once:
+// every unit's chain and the critical path come from longestChain.
+func attributeRef(design string, endCycle int64, links []ChainLink, runCycles map[string]int64) *Attribution {
+	a := &Attribution{Design: design, EndCycle: endCycle}
+	// A modeled latency window can outlive the run: a line fetch still in
+	// flight at the final cycle records its scheduled completion, which lands
+	// past EndCycle. Attribution counts in-run stall cycles only, so spans
+	// are clamped to the run and anything wholly past it is dropped
+	// (Validate holds every chain link to [0, EndCycle]).
+	kept := make([]ChainLink, 0, len(links))
+	for _, l := range links {
+		if l.Start > endCycle {
+			continue
+		}
+		if l.End > endCycle {
+			l.End = endCycle
+		}
+		kept = append(kept, l)
+	}
+	links = kept
+	rows := map[[3]string]*Row{}
+	for _, l := range links {
+		key := [3]string{l.Unit, l.Op, l.Resource}
+		r := rows[key]
+		if r == nil {
+			r = &Row{Unit: l.Unit, Op: l.Op, Resource: l.Resource}
+			rows[key] = r
+		}
+		w := l.cycles()
+		r.Cycles += w
+		r.Spans++
+		if w > r.MaxSpan {
+			r.MaxSpan = w
+		}
+		a.TotalStallCycles += w
+	}
+	for _, r := range rows {
+		a.Rows = append(a.Rows, *r)
+	}
+	sortRows(a.Rows)
+
+	// per-unit chains over each unit's own spans
+	byUnit := map[string][]ChainLink{}
+	for _, l := range links {
+		byUnit[l.Unit] = append(byUnit[l.Unit], l)
+	}
+	var unitNames []string
+	for u := range byUnit {
+		unitNames = append(unitNames, u)
+	}
+	for u := range runCycles {
+		if _, seen := byUnit[u]; !seen {
+			unitNames = append(unitNames, u)
+		}
+	}
+	sort.Strings(unitNames)
+	for _, u := range unitNames {
+		chain, w := longestChain(byUnit[u])
+		a.Units = append(a.Units, UnitPath{
+			Unit: u, RunCycles: runCycles[u], StallCycles: w, Chain: chain,
+		})
+	}
+
+	a.CriticalPath, a.CriticalCycles = longestChain(links)
+	return a
+}
+
+// TestAttributeMatchesReference holds attribute, which sorts the links once
+// and chains each unit over its sorted subsequence, to attributeRef on
+// random link sets dense in ties, duplicates and spans clamped at the end.
+func TestAttributeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pick := func(prefix string, n int) string { return fmt.Sprintf("%s%d", prefix, rng.Intn(n)) }
+	for trial := 0; trial < 500; trial++ {
+		endCycle := int64(20 + rng.Intn(200))
+		links := make([]ChainLink, rng.Intn(60))
+		for i := range links {
+			start := rng.Int63n(endCycle + 20)
+			links[i] = ChainLink{
+				Unit: pick("u", 4), Op: pick("op", 3), Resource: pick("r", 3),
+				Start: start, End: start + rng.Int63n(30),
+			}
+		}
+		runCycles := map[string]int64{}
+		for i := rng.Intn(6); i > 0; i-- {
+			runCycles[pick("u", 6)] += rng.Int63n(100)
+		}
+		in := append([]ChainLink(nil), links...)
+		got, want := attribute("d", endCycle, links, runCycles), attributeRef("d", endCycle, links, runCycles)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: attribute differs from the reference\n got  %+v\n want %+v", trial, got, want)
+		}
+		if !slices.Equal(links, in) {
+			t.Fatalf("trial %d: attribute reordered its input", trial)
+		}
 	}
 }
 

@@ -40,7 +40,7 @@ func CheckSegment(dir string, man *Manifest, idx int) SegmentCheck {
 		c.Lines, c.Events, c.Samples = events+samples, events, samples
 	}
 	c.SidecarState = "ok"
-	if _, err := readSegFlat(dir, seg); os.IsNotExist(err) {
+	if _, err := readSegFlat(dir, seg, nil); os.IsNotExist(err) {
 		c.SidecarState = "missing"
 	} else if err != nil {
 		c.SidecarState = "stale"

@@ -34,12 +34,11 @@ func AttributeSpill(dir string) (*SpillSide, error) {
 	ac := analyze.NewAccumulator(man.Design, man.EndCycle)
 	side := &SpillSide{Dir: dir, SegmentsTotal: len(man.Segments)}
 	for _, seg := range man.Segments {
-		fl, err := obs.LoadSegFlat(dir, seg)
+		fl, err := obs.LoadSegFlat(dir, seg, attributable)
 		if err != nil {
 			return nil, err
 		}
-		idx := fl.Index()
-		if idx.Kinds[obs.KindUnitRun]+idx.Kinds[obs.KindChanStall]+idx.Kinds[obs.KindLineFetch] == 0 {
+		if fl == nil {
 			continue
 		}
 		side.SegmentsRead++
@@ -47,6 +46,12 @@ func AttributeSpill(dir string) (*SpillSide, error) {
 	}
 	side.Attr = ac.Attribution()
 	return side, nil
+}
+
+// attributable reports whether a segment's index admits unit-run,
+// chan-stall or line-fetch records — the only ones attribution reads.
+func attributable(idx *obs.SegIndex) bool {
+	return idx.Kinds[obs.KindUnitRun]+idx.Kinds[obs.KindChanStall]+idx.Kinds[obs.KindLineFetch] > 0
 }
 
 // CompareSpills diffs spill directory B against baseline spill directory A

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -385,104 +386,147 @@ func (l *FlatLog) AppendFlat(buf []byte) []byte {
 // records imply, and no trailing bytes may follow. Malformed input yields an
 // error, never a panic.
 func DecodeFlat(data []byte) (*FlatLog, error) {
+	h, err := decodeFlatHead(data)
+	if err != nil {
+		return nil, err
+	}
+	return h.decodeRecords()
+}
+
+// flatReader walks an AppendFlat stream. A read past the end returns zeros
+// and sets short, which the caller checks once per section.
+type flatReader struct {
+	orig, data []byte // the whole stream, and its unread rest
+	short      bool
+}
+
+var errFlatTruncated = errors.New("obs: flat: truncated")
+
+func (r *flatReader) take(n int) []byte {
+	if r.short || len(r.data) < n {
+		r.short = true
+		return make([]byte, n)
+	}
+	b := r.data[:n]
+	r.data = r.data[n:]
+	return b
+}
+
+func (r *flatReader) u32() uint32 { return binary.LittleEndian.Uint32(r.take(4)) }
+func (r *flatReader) u64() uint64 { return binary.LittleEndian.Uint64(r.take(8)) }
+func (r *flatReader) off() int64  { return int64(len(r.orig) - len(r.data)) }
+
+// section checks a section's trailing CRC32C over orig[start:off()].
+func (r *flatReader) section(name string, start int64) error {
+	body := r.orig[start:r.off()]
+	crc := r.u32()
+	if r.short {
+		return errFlatTruncated
+	}
+	if got := Checksum(body); got != crc {
+		return fmt.Errorf("obs: flat: %s checksum mismatch at byte %d (expected %08x, got %08x)",
+			name, start, crc, got)
+	}
+	return nil
+}
+
+// flatHead is an AppendFlat stream decoded up to its records: the pin, the
+// string table and the index section, each checksum-verified, with every
+// index entry's string ID inside the table. That is enough to answer the
+// index without decoding a record.
+type flatHead struct {
+	log    *FlatLog // Pin, Samples and Strings; no Records yet
+	idx    []byte   // the raw index section, its CRC32C included
+	idxOff int64    // the index section's stream offset
+	r      flatReader
+}
+
+func decodeFlatHead(data []byte) (*flatHead, error) {
 	if len(data) < len(flatMagic) || string(data[:len(flatMagic)]) != flatMagic {
 		return nil, fmt.Errorf("obs: flat: bad magic")
 	}
-	orig := data
-	data = data[len(flatMagic):]
-	var short bool
-	take := func(n int) []byte {
-		if short || len(data) < n {
-			short = true
-			return make([]byte, n)
-		}
-		b := data[:n]
-		data = data[n:]
-		return b
-	}
-	u32 := func() uint32 { return binary.LittleEndian.Uint32(take(4)) }
-	u64 := func() uint64 { return binary.LittleEndian.Uint64(take(8)) }
-	off := func() int64 { return int64(len(orig) - len(data)) }
-	truncated := fmt.Errorf("obs: flat: truncated")
-	// section checks a section's trailing CRC32C over orig[start:off()].
-	section := func(name string, start int64) error {
-		body := orig[start:off()]
-		crc := u32()
-		if short {
-			return truncated
-		}
-		if got := Checksum(body); got != crc {
-			return fmt.Errorf("obs: flat: %s checksum mismatch at byte %d (expected %08x, got %08x)",
-				name, start, crc, got)
-		}
-		return nil
-	}
+	r := flatReader{orig: data, data: data[len(flatMagic):]}
 
 	l := &FlatLog{}
-	pinStart := off()
-	l.Pin = FlatPin{Lines: int(u64()), Bytes: int64(u64()), CRC32C: u32()}
-	if err := section("pin", pinStart); err != nil {
+	pinStart := r.off()
+	l.Pin = FlatPin{Lines: int(r.u64()), Bytes: int64(r.u64()), CRC32C: r.u32()}
+	if err := r.section("pin", pinStart); err != nil {
 		return nil, err
 	}
 
-	strStart := off()
-	nStr := u32()
-	if short {
-		return nil, truncated
+	strStart := r.off()
+	nStr := r.u32()
+	if r.short {
+		return nil, errFlatTruncated
 	}
 	if nStr == 0 || nStr > maxFlatStrings {
 		return nil, fmt.Errorf("obs: flat: string count %d out of range", nStr)
 	}
 	l.Strings = make([]string, 1, nStr)
 	for i := uint32(1); i < nStr; i++ {
-		n := u32()
-		if short {
-			return nil, truncated
+		n := r.u32()
+		if r.short {
+			return nil, errFlatTruncated
 		}
-		if uint64(n) > uint64(len(data)) {
+		if uint64(n) > uint64(len(r.data)) {
 			return nil, fmt.Errorf("obs: flat: string %d length %d past end", i, n)
 		}
-		l.Strings = append(l.Strings, string(take(int(n))))
+		l.Strings = append(l.Strings, string(r.take(int(n))))
 	}
-	if err := section("string table", strStart); err != nil {
+	if err := r.section("string table", strStart); err != nil {
 		return nil, err
 	}
 
 	// The index section is read for its extent and sample count here, and
-	// held to the decoded records below.
-	idxStart := off()
-	take(4)
-	l.Samples = int(u32())
-	take(16)
-	nEnt := u32()
-	if short {
-		return nil, truncated
+	// held to the decoded records by decodeRecords.
+	idxStart := r.off()
+	r.take(4)
+	l.Samples = int(r.u32())
+	r.take(16)
+	nEnt := r.u32()
+	if r.short {
+		return nil, errFlatTruncated
 	}
-	if uint64(nEnt)*idxEntryBytes > uint64(len(data)) {
+	if uint64(nEnt)*idxEntryBytes > uint64(len(r.data)) {
 		return nil, fmt.Errorf("obs: flat: index entry count %d past end", nEnt)
 	}
-	take(int(nEnt) * idxEntryBytes)
-	if err := section("index", idxStart); err != nil {
+	ents := r.take(int(nEnt) * idxEntryBytes)
+	if err := r.section("index", idxStart); err != nil {
 		return nil, err
 	}
-	idxEnd := off()
-
-	nRec := u32()
-	if short {
-		return nil, truncated
+	for i := 0; i < len(ents); i += idxEntryBytes {
+		if binary.LittleEndian.Uint32(ents[i:]) >= nStr {
+			return nil, fmt.Errorf("obs: flat: index entry %d: string ID out of range", i/idxEntryBytes)
+		}
 	}
-	if nRec > maxFlatRecords || uint64(nRec)*recBytes != uint64(len(data)) {
-		return nil, fmt.Errorf("obs: flat: record count %d does not match %d remaining bytes", nRec, len(data))
+	return &flatHead{log: l, idx: data[idxStart:r.off()], idxOff: idxStart, r: r}, nil
+}
+
+// index answers the index section without decoding a record.
+func (h *flatHead) index() *SegIndex { return parseIndex(h.log.Strings, h.idx) }
+
+// decodeRecords decodes and checks the records section and holds the index
+// section to it, completing the log.
+func (h *flatHead) decodeRecords() (*FlatLog, error) {
+	r, l := &h.r, h.log
+	nStr := uint32(len(l.Strings))
+	nRec := r.u32()
+	if r.short {
+		return nil, errFlatTruncated
+	}
+	if nRec > maxFlatRecords || uint64(nRec)*recBytes != uint64(len(r.data)) {
+		return nil, fmt.Errorf("obs: flat: record count %d does not match %d remaining bytes", nRec, len(r.data))
 	}
 	l.Records = make([]FlatRecord, 0, nRec)
 	var w [recWords]uint64
 	for i := uint32(0); i < nRec; i++ {
-		recOff := off()
-		recRaw := data[:recWords*8]
+		// The count check above guarantees every record's bytes.
+		recOff := r.off()
+		rec := r.take(recBytes)
 		for j := range w {
-			w[j] = u64()
+			w[j] = binary.LittleEndian.Uint64(rec[j*8:])
 		}
-		if got, crc := Checksum(recRaw), u32(); got != crc {
+		if got, crc := Checksum(rec[:recWords*8]), binary.LittleEndian.Uint32(rec[recWords*8:]); got != crc {
 			return nil, fmt.Errorf("obs: flat: record %d checksum mismatch at byte %d (expected %08x, got %08x)",
 				i, recOff, crc, got)
 		}
@@ -504,8 +548,8 @@ func DecodeFlat(data []byte) (*FlatLog, error) {
 		}
 		l.Records = append(l.Records, f)
 	}
-	if !bytes.Equal(l.appendIndex(nil), orig[idxStart:idxEnd]) {
-		return nil, fmt.Errorf("obs: flat: index section at byte %d disagrees with the records", idxStart)
+	if !bytes.Equal(l.appendIndex(nil), h.idx) {
+		return nil, fmt.Errorf("obs: flat: index section at byte %d disagrees with the records", h.idxOff)
 	}
 	return l, nil
 }

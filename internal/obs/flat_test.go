@@ -84,6 +84,11 @@ func TestFlatCodecRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
+	// A head-only read — all a pruning reader does — range-checks the index
+	// entries itself, since no record decode follows to catch them.
+	if _, err := decodeFlatHead(cases["index ID past table"]); err == nil {
+		t.Error("head read accepted an index entry past the string table")
+	}
 	// Corrupting any single byte must never panic; if it decodes, re-encoding
 	// must reproduce the mutated input exactly (canonical form).
 	for i := range good {

@@ -49,15 +49,18 @@ type SegIndex struct {
 }
 
 // Index decodes the log's index section into its Go view.
-func (l *FlatLog) Index() *SegIndex {
+func (l *FlatLog) Index() *SegIndex { return parseIndex(l.Strings, l.appendIndex(nil)) }
+
+// parseIndex decodes an index section as appendIndex writes it, its entries'
+// string IDs resolved against strs.
+func parseIndex(strs []string, sec []byte) *SegIndex {
 	le := binary.LittleEndian
-	sec := l.appendIndex(nil)
 	idx := &SegIndex{
-		Events: len(l.Records), Samples: l.Samples,
+		Events: int(le.Uint32(sec)), Samples: int(le.Uint32(sec[4:])),
 		FirstCycle: int64(le.Uint64(sec[8:])), LastCycle: int64(le.Uint64(sec[16:])),
 	}
 	for e := sec[idxHeadBytes : len(sec)-4]; len(e) > 0; e = e[idxEntryBytes:] {
-		s := l.Strings[le.Uint32(e)]
+		s := strs[le.Uint32(e)]
 		if k := le.Uint32(e[4:]); k > 0 {
 			if idx.Kinds == nil {
 				idx.Kinds = map[string]int{}
@@ -149,15 +152,24 @@ func LoadManifest(dir string) (*Manifest, error) {
 
 // readSegFlat reads and decodes the segment's sidecar and checks its pin. It
 // never writes: a missing sidecar is an os.IsNotExist error, an undecodable
-// or stale one any other error.
-func readSegFlat(dir string, seg SegmentInfo) (*FlatLog, error) {
+// or stale one any other error. keep, when set, is asked about the index
+// once the pin, string table and index section are verified; a segment it
+// rejects is nil, its records neither decoded nor checked.
+func readSegFlat(dir string, seg SegmentInfo, keep func(*SegIndex) bool) (*FlatLog, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, FlatSegmentName(seg.File)))
 	if err != nil {
 		return nil, err
 	}
-	fl, err := DecodeFlat(raw)
-	if err == nil && fl.Pin != pinOf(seg) {
+	h, err := decodeFlatHead(raw)
+	if err == nil && h.log.Pin != pinOf(seg) {
 		err = errors.New("stale sidecar: pinned to other segment bytes")
+	}
+	var fl *FlatLog
+	if err == nil {
+		if keep != nil && !keep(h.index()) {
+			return nil, nil
+		}
+		fl, err = h.decodeRecords()
 	}
 	if err != nil {
 		return nil, fmt.Errorf("obs: segflat: %s: %w", seg.File, err)
@@ -184,13 +196,14 @@ func (l *FlatLog) FlatEvents() []Event {
 	return out
 }
 
-// ensureSegFlat returns the segment's pinned sidecar. A missing,
-// undecodable or stale one is rebuilt from the NDJSON truth and written
-// back: rebuilt reports that, werr is the write-back's error, and err a
-// failure to read the truth itself (a typed *CorruptSegmentError for
-// damage).
-func ensureSegFlat(dir string, seg SegmentInfo) (fl *FlatLog, rebuilt bool, werr, err error) {
-	if fl, err := readSegFlat(dir, seg); err == nil {
+// ensureSegFlat returns the segment's pinned sidecar, or nil when keep
+// rejects its index (see readSegFlat). A missing, undecodable or stale
+// sidecar — of a segment keep does not rule out by a verified index — is
+// rebuilt from the NDJSON truth and written back: rebuilt reports that, werr
+// is the write-back's error, and err a failure to read the truth itself (a
+// typed *CorruptSegmentError for damage).
+func ensureSegFlat(dir string, seg SegmentInfo, keep func(*SegIndex) bool) (fl *FlatLog, rebuilt bool, werr, err error) {
+	if fl, err := readSegFlat(dir, seg, keep); err == nil {
 		return fl, false, nil, nil
 	}
 	events, samples, err := ReadSegmentEvents(dir, seg)
@@ -203,16 +216,23 @@ func ensureSegFlat(dir string, seg SegmentInfo) (fl *FlatLog, rebuilt bool, werr
 	}
 	b.samples = samples
 	fl = b.finish(seg)
-	return fl, true, writeSegFlat(OSFS(), dir, seg.File, fl), nil
+	werr = writeSegFlat(OSFS(), dir, seg.File, fl)
+	if keep != nil && !keep(fl.Index()) {
+		fl = nil
+	}
+	return fl, true, werr, nil
 }
 
 // LoadSegFlat returns the segment's pinned OBSFLAT2 sidecar — the one read
-// path of the query engine and the spill diff. A sidecar that is missing,
-// undecodable or pinned to other bytes is rebuilt from the NDJSON truth and
-// written back best-effort: a read-only spill directory still answers, it
-// just rebuilds again next time.
-func LoadSegFlat(dir string, seg SegmentInfo) (*FlatLog, error) {
-	fl, _, _, err := ensureSegFlat(dir, seg)
+// path of the query engine and the spill diff. keep, when set, prunes: it is
+// asked about the segment's index, read from the sidecar's verified head
+// before any record, and a segment it rejects returns nil with its records
+// neither decoded nor checked. A segment that is read is checked whole. A
+// sidecar that is missing, undecodable or pinned to other bytes is rebuilt
+// from the NDJSON truth and written back best-effort: a read-only spill
+// directory still answers, it just rebuilds again next time.
+func LoadSegFlat(dir string, seg SegmentInfo, keep func(*SegIndex) bool) (*FlatLog, error) {
+	fl, _, _, err := ensureSegFlat(dir, seg, keep)
 	return fl, err
 }
 
@@ -220,7 +240,7 @@ func LoadSegFlat(dir string, seg SegmentInfo) (*FlatLog, error) {
 // (`obscheck -index`, scrub's rebuild-sidecar rung): a failed write-back is
 // an error. It reports whether the sidecar was rebuilt.
 func EnsureSegFlat(dir string, seg SegmentInfo) (rebuilt bool, err error) {
-	_, rebuilt, werr, err := ensureSegFlat(dir, seg)
+	_, rebuilt, werr, err := ensureSegFlat(dir, seg, nil)
 	if err == nil {
 		err = werr
 	}

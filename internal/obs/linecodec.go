@@ -2,17 +2,28 @@ package obs
 
 import (
 	"encoding/json"
+	"slices"
 	"strconv"
 )
 
-// Line codec: the write side of every NDJSON spill line and oclmon SSE frame,
-// hand-encoded without reflection. Its output is defined as encoding/json's —
-// each Append function writes exactly the bytes json.Marshal writes for the
-// same value (field order and omitempty from the struct tags, embedded stats
+// Line codec: every NDJSON spill line and oclmon SSE frame, encoded and
+// decoded without reflection.
+//
+// The write side's output is defined as encoding/json's — each Append
+// function writes exactly the bytes json.Marshal writes for the same value
+// (field order and omitempty from the struct tags, embedded stats
 // flattened) — so the durable format, its checksums, and every byte-identity
 // oracle are unaffected by which encoder produced a line. FuzzLineCodec holds
-// the identity; TestLineCodecFieldsPinned fails when a struct gains a field
-// the encoder does not know about. Decoding stays with encoding/json.
+// that identity.
+//
+// The read side (lineDecoder) is a fast path for payload lines in exactly
+// the layout the write side produces: fixed key order, no whitespace,
+// canonical integers, plain printable-ASCII strings. Any other line — escapes,
+// non-ASCII, reordered or unknown keys, null, trailing bytes — is declined
+// and decoded by json.Unmarshal instead, so what a reader accepts, the values
+// it decodes, and every error it reports are encoding/json's. FuzzLineDecode
+// holds the fast path to that rule. TestLineCodecFieldsPinned fails when a
+// struct gains a field either side does not know about.
 
 // AppendEventJSON appends json.Marshal(e) to b.
 func AppendEventJSON(b []byte, e *Event) []byte {
@@ -171,4 +182,257 @@ func appendFinLine(b []byte, endCycle int64) []byte {
 	b = append(b, `{"fin":{"endCycle":`...)
 	b = strconv.AppendInt(b, endCycle, 10)
 	return append(b, "}}"...)
+}
+
+// lineDecoder decodes payload lines written by appendEventLine,
+// appendSampleLine and appendFinLine without reflection. decode reports false
+// for any line outside that layout, and the caller falls back to
+// json.Unmarshal. Parsing is sticky: after the first mismatch every later
+// step fails too, and decode declines.
+type lineDecoder struct {
+	b    []byte            // unread bytes of the current line
+	ok   bool              // no mismatch yet on the current line
+	strs map[string]string // interned strings, up to maxInternedStrings
+	ev   Event             // the decoded event, reused line to line
+	sm   Sample            // the decoded sample; its lists are fresh per line
+	// Scratch lists: a sample's entries are parsed here and copied out once.
+	chans  []ChannelSample
+	lsus   []LSUSample
+	locals []LocalSample
+}
+
+// maxInternedStrings bounds a decoder's intern table: names, tracks and
+// kinds repeat, but a stream whose details are all distinct must not double
+// its memory in the table.
+const maxInternedStrings = 4096
+
+// decode parses line into ln, reporting whether it took the fast path. A
+// decoded event or sample is valid until the next call.
+func (d *lineDecoder) decode(line []byte, ln *ndjsonLine) bool {
+	*ln = ndjsonLine{}
+	d.b, d.ok = line, true
+	switch {
+	case d.opt(`{"e":`):
+		d.event(&d.ev)
+		ln.E = &d.ev
+	case d.opt(`{"s":`):
+		d.sample(&d.sm)
+		ln.S = &d.sm
+	case d.opt(`{"fin":{"endCycle":`):
+		ln.Fin = &ndjsonFinal{EndCycle: d.int()}
+		d.lit("}")
+	default:
+		return false
+	}
+	d.lit("}")
+	return d.ok && len(d.b) == 0
+}
+
+func (d *lineDecoder) event(e *Event) {
+	d.lit(`{"kind":`)
+	e.Kind = d.str()
+	d.lit(`,"track":`)
+	e.Track = d.str()
+	d.lit(`,"name":`)
+	e.Name = d.str()
+	d.lit(`,"start":`)
+	e.Start = d.int()
+	d.lit(`,"end":`)
+	e.End = d.int()
+	e.Instant = d.opt(`,"instant":true`)
+	e.Detail = ""
+	if d.opt(`,"detail":`) {
+		e.Detail = d.str()
+	}
+	d.lit("}")
+}
+
+func (d *lineDecoder) sample(s *Sample) {
+	d.lit(`{"cycle":`)
+	s.Cycle = d.int()
+	s.Channels = decodeList(d, `,"channels":[`, &d.chans, (*lineDecoder).channelSample)
+	s.LSUs = decodeList(d, `,"lsus":[`, &d.lsus, (*lineDecoder).lsuSample)
+	s.Locals = decodeList(d, `,"locals":[`, &d.locals, (*lineDecoder).localSample)
+	d.lit("}")
+}
+
+// decodeList parses the non-empty JSON array field that key opens into a
+// fresh slice, or returns nil when the field is absent (omitempty).
+func decodeList[T any](d *lineDecoder, key string, scratch *[]T, dec func(*lineDecoder, *T)) []T {
+	if !d.opt(key) {
+		return nil
+	}
+	xs := (*scratch)[:0]
+	for {
+		var zero T
+		xs = append(xs, zero)
+		dec(d, &xs[len(xs)-1])
+		if !d.opt(",") {
+			break
+		}
+	}
+	d.lit("]")
+	*scratch = xs
+	if !d.ok {
+		return nil
+	}
+	return slices.Clone(xs)
+}
+
+func (d *lineDecoder) channelSample(c *ChannelSample) {
+	d.lit(`{"name":`)
+	c.Name = d.str()
+	d.lit(`,"len":`)
+	c.Len = d.intN()
+	d.lit(`,"writes":`)
+	c.Writes = d.int()
+	d.lit(`,"reads":`)
+	c.Reads = d.int()
+	d.lit(`,"writeStalls":`)
+	c.WriteStalls = d.int()
+	d.lit(`,"readStalls":`)
+	c.ReadStalls = d.int()
+	if d.opt(`,"dropped":`) {
+		c.Dropped = d.int()
+	}
+	if d.opt(`,"maxOccupancy":`) {
+		c.MaxOccupancy = d.intN()
+	}
+	d.lit("}")
+}
+
+func (d *lineDecoder) lsuSample(l *LSUSample) {
+	d.lit(`{"unit":`)
+	l.Unit = d.str()
+	d.lit(`,"array":`)
+	l.Array = d.str()
+	d.lit(`,"kind":`)
+	l.Kind = d.str()
+	d.lit(`,"isStore":`)
+	l.IsStore = d.opt("true")
+	if !l.IsStore {
+		d.lit("false")
+	}
+	d.lit(`,"loads":`)
+	l.Loads = d.int()
+	d.lit(`,"stores":`)
+	l.Stores = d.int()
+	d.lit(`,"lineFetches":`)
+	l.LineFetches = d.int()
+	d.lit(`,"coalesceHits":`)
+	l.CoalesceHits = d.int()
+	d.lit(`,"totalLoadLat":`)
+	l.TotalLoadLat = d.int()
+	d.lit(`,"maxLoadLat":`)
+	l.MaxLoadLat = d.int()
+	if d.opt(`,"storeStalls":`) {
+		l.StoreStalls = d.int()
+	}
+	d.lit("}")
+}
+
+func (d *lineDecoder) localSample(l *LocalSample) {
+	d.lit(`{"name":`)
+	l.Name = d.str()
+	d.lit(`,"reads":`)
+	l.Reads = d.int()
+	d.lit(`,"writes":`)
+	l.Writes = d.int()
+	d.lit("}")
+}
+
+// fail ends the fast path for this line.
+func (d *lineDecoder) fail() { d.b, d.ok = nil, false }
+
+// opt consumes s if the input continues with it.
+func (d *lineDecoder) opt(s string) bool {
+	if len(d.b) < len(s) || string(d.b[:len(s)]) != s {
+		return false
+	}
+	d.b = d.b[len(s):]
+	return true
+}
+
+// lit consumes s, which the input must continue with.
+func (d *lineDecoder) lit(s string) {
+	if !d.opt(s) {
+		d.fail()
+	}
+}
+
+// int parses a canonical base-10 int64: no leading zeros, no "-0", no
+// fraction or exponent, and no overflow.
+func (d *lineDecoder) int() int64 {
+	b := d.b
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		b = b[1:]
+	}
+	n := 0
+	for n < len(b) && b[n] >= '0' && b[n] <= '9' {
+		n++
+	}
+	// 19 digits hold every int64; a leading zero is canonical only alone.
+	if n == 0 || n > 19 || (b[0] == '0' && (n > 1 || neg)) {
+		d.fail()
+		return 0
+	}
+	var u uint64
+	for _, c := range b[:n] {
+		u = u*10 + uint64(c-'0')
+	}
+	d.b = b[n:]
+	switch {
+	case !neg && u <= 1<<63-1:
+		return int64(u)
+	case neg && u <= 1<<63:
+		return int64(-u)
+	}
+	d.fail()
+	return 0
+}
+
+// intN parses an int field, declining values the platform's int cannot hold.
+func (d *lineDecoder) intN() int {
+	v := d.int()
+	if int64(int(v)) != v {
+		d.fail()
+	}
+	return int(v)
+}
+
+// str parses a string of printable ASCII without quote or backslash — the
+// strings appendJSONString copies verbatim — interning it.
+func (d *lineDecoder) str() string {
+	if len(d.b) == 0 || d.b[0] != '"' {
+		d.fail()
+		return ""
+	}
+	for i := 1; i < len(d.b); i++ {
+		switch c := d.b[i]; {
+		case c == '"':
+			s := d.intern(d.b[1:i])
+			d.b = d.b[i+1:]
+			return s
+		case c < 0x20 || c > 0x7e || c == '\\':
+			d.fail()
+			return ""
+		}
+	}
+	d.fail()
+	return ""
+}
+
+func (d *lineDecoder) intern(b []byte) string {
+	if s, ok := d.strs[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if d.strs == nil {
+		d.strs = map[string]string{}
+	}
+	if len(d.strs) < maxInternedStrings {
+		d.strs[s] = s
+	}
+	return s
 }

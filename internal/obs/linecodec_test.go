@@ -3,9 +3,11 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"oclfpga/internal/channel"
@@ -102,11 +104,145 @@ func FuzzLineCodec(f *testing.F) {
 	})
 }
 
+// plainJSONString reports whether appendJSONString copies s verbatim — the
+// strings the decoder's fast path reads.
+func plainJSONString(s string) bool {
+	return !strings.ContainsFunc(s, func(r rune) bool {
+		return r < 0x20 || r > 0x7e || strings.ContainsRune(`"\<>&`, r)
+	})
+}
+
+// checkFastDecode holds the decoder's fast path to its rule on one line: it
+// declines, or it decodes exactly what json.Unmarshal decodes. It reports
+// whether the fast path took the line.
+func checkFastDecode(t *testing.T, d *lineDecoder, line []byte) bool {
+	t.Helper()
+	var fast ndjsonLine
+	if !d.decode(line, &fast) {
+		return false
+	}
+	var want ndjsonLine
+	if err := json.Unmarshal(line, &want); err != nil {
+		t.Fatalf("fast path accepted %q, which json.Unmarshal rejects: %v", line, err)
+	}
+	if !reflect.DeepEqual(fast, want) {
+		t.Fatalf("fast path decoded %q differently:\n got  %s\n want %s", line, dumpLine(fast), dumpLine(want))
+	}
+	return true
+}
+
+func dumpLine(ln ndjsonLine) string {
+	return fmt.Sprintf("e=%+v s=%+v fin=%+v", ln.E, ln.S, ln.Fin)
+}
+
+// FuzzLineDecode holds the line decoder to its definition. On arbitrary
+// bytes the fast path either declines or decodes exactly json.Unmarshal's
+// ndjsonLine. On the line encoder's output for any event, sample and fin
+// whose strings are plain printable ASCII, the fast path always takes the
+// line — never the json.Unmarshal fallback — and round-trips the value.
+func FuzzLineDecode(f *testing.F) {
+	ev := `{"e":{"kind":"chan-stall","track":"chan:pipe","name":"read-stall","start":5,"end":40,"detail":"unit=consumer"}}`
+	for _, line := range []string{
+		ev,
+		`{"s":{"cycle":1000,"channels":[{"name":"pipe","len":2,"writes":9,"reads":7,"writeStalls":1,"readStalls":0,"maxOccupancy":4}],"lsus":[{"unit":"k","array":"a","kind":"burst","isStore":false,"loads":3,"stores":0,"lineFetches":1,"coalesceHits":2,"totalLoadLat":90,"maxLoadLat":40}],"locals":[{"name":"buf","reads":1,"writes":2}]}}`,
+		`{"fin":{"endCycle":41}}`,
+		`{"e":{"kind":"a\u003cb","track":"t","name":"n","start":0,"end":0}}`,            // escaped
+		`{"e":{"kind":"café","track":"t","name":"n","start":0,"end":0}}`,                // non-ASCII
+		`{"e":{"kind":"k","track":"t","name":"n","start":-0,"end":0}}`,                  // -0
+		`{"e":{"kind":"k","track":"t","name":"n","start":007,"end":0}}`,                 // leading zero
+		`{"e":{"kind":"k","track":"t","name":"n","start":9223372036854775808,"end":0}}`, // overflow
+		`{"e":{"kind":"k","track":"t","name":"n","start":-9223372036854775808,"end":9223372036854775807}}`,
+		`{"e":{"kind":"k","kind":"k2","track":"t","name":"n","start":0,"end":0}}`, // duplicate key
+		`{"e":{"track":"t","kind":"k","name":"n","start":0,"end":0}}`,             // reordered
+		`{"e":null}`,
+		`{"e":{"kind":null,"track":"t","name":"n","start":0,"end":0}}`,
+		`{"s":{"cycle":1,"channels":[]}}`,
+		`{"s":{"cycle":1,"channels":null}}`,
+		`{"e":{"kind":"k","track":"t","name":"n","start":0,"end":0,"instant":false,"detail":""}}`,
+		`{"fin":{"endCycle":1.5}}`,
+		ev + ` `, // trailing bytes
+		ev[:len(ev)-1],
+	} {
+		f.Add([]byte(line), KindChanStall, "chan:pipe", "read-stall", "unit=consumer", int64(5), int64(40), false, uint16(0x7ff))
+	}
+	f.Add([]byte(nil), "<script>", "a&b", `q"uote\back`, "x>y", int64(-1), int64(1), true, uint16(0x155))
+	f.Add([]byte(nil), "\x00\t", "\x7f", "café", "\xff\xfe", int64(math.MinInt64), int64(math.MaxInt64), false, uint16(0x2aa))
+	f.Add([]byte(nil), "", "", "", "", int64(0), int64(1000), true, uint16(0xffff))
+
+	f.Fuzz(func(t *testing.T, line []byte, kind, track, name, detail string, x, y int64, instant bool, shape uint16) {
+		var d lineDecoder
+		checkFastDecode(t, &d, line)
+
+		e := Event{Kind: kind, Track: track, Name: name, Start: x, End: y, Instant: instant, Detail: detail}
+		sm := fuzzSample(track, name, x, y, shape)
+		evLine, smLine, finLine := appendEventLine(nil, &e), appendSampleLine(nil, &sm), appendFinLine(nil, x)
+		evFast := checkFastDecode(t, &d, evLine)
+		smFast := checkFastDecode(t, &d, smLine)
+		if !checkFastDecode(t, &d, finLine) {
+			t.Fatalf("fin line %s fell back to json.Unmarshal", finLine)
+		}
+		if !plainJSONString(kind) || !plainJSONString(track) || !plainJSONString(name) || !plainJSONString(detail) {
+			return // escaped strings may take either path; checkFastDecode held both
+		}
+		if !evFast || !smFast {
+			t.Fatalf("encoder output fell back to json.Unmarshal (event %v, sample %v):\n%s\n%s", evFast, smFast, evLine, smLine)
+		}
+		var ln ndjsonLine
+		if d.decode(evLine, &ln); *ln.E != e {
+			t.Fatalf("event round trip: got %+v, want %+v", *ln.E, e)
+		}
+		if len(sm.Channels) == 0 {
+			sm.Channels = nil // an empty list is omitted, so it decodes as nil
+		}
+		if d.decode(smLine, &ln); !reflect.DeepEqual(*ln.S, sm) {
+			t.Fatalf("sample round trip: got %+v, want %+v", *ln.S, sm)
+		}
+	})
+}
+
+// fillFields sets every field of v, embedded structs and one element of each
+// slice included, to a distinct non-zero value.
+func fillFields(v reflect.Value, n *int) {
+	*n++
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillFields(v.Field(i), n)
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		fillFields(v.Index(0), n)
+	case reflect.String:
+		v.SetString(fmt.Sprintf("s%d", *n))
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(*n))
+	case reflect.Bool:
+		v.SetBool(true)
+	default:
+		panic(fmt.Sprintf("fillFields: unhandled %v", v.Type()))
+	}
+}
+
 // TestLineCodecFieldsPinned pins the field names and JSON tags of every type
-// the line codec hand-encodes. A new or renamed field fails here — update the
-// encoder in linecodec.go (and this list) in the same change, or the field
-// silently drops out of spills and SSE frames.
+// the line codec hand-encodes and hand-decodes. A new or renamed field fails
+// here — update the encoder and the decoder in linecodec.go (and this list)
+// in the same change, or the field silently drops out of spills, SSE frames
+// and the lines a reader decodes. Independently of the list, an event and a
+// sample with every field set must take the decoder's fast path and decode
+// whole: a field json.Marshal writes but the decoder does not know declines.
 func TestLineCodecFieldsPinned(t *testing.T) {
+	var e Event
+	var sm Sample
+	n := 0
+	fillFields(reflect.ValueOf(&e).Elem(), &n)
+	fillFields(reflect.ValueOf(&sm).Elem(), &n)
+	var d lineDecoder
+	for _, line := range [][]byte{mustMarshal(t, ndjsonLine{E: &e}), mustMarshal(t, ndjsonLine{S: &sm})} {
+		if !checkFastDecode(t, &d, line) {
+			t.Errorf("a line with every field set falls back to json.Unmarshal — teach lineDecoder the new field:\n%s", line)
+		}
+	}
+
 	pinned := map[reflect.Type][]string{
 		reflect.TypeOf(Event{}): {
 			`Kind json:"kind"`, `Track json:"track"`, `Name json:"name"`,
@@ -141,7 +277,7 @@ func TestLineCodecFieldsPinned(t *testing.T) {
 			got = append(got, fld.Name+" "+string(fld.Tag))
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%v fields changed — update linecodec.go to encode them:\n got  %q\n want %q", typ, got, want)
+			t.Errorf("%v fields changed — update linecodec.go to encode and decode them:\n got  %q\n want %q", typ, got, want)
 		}
 	}
 }

@@ -114,10 +114,12 @@ func ReplayNDJSON(r io.Reader) (*Timeline, *Series, error) {
 
 // ndjsonReader is the one reader of the header / payload / fin line stream.
 // It splits newline-terminated lines and tracks their byte offsets, decodes
-// and validates the header once, and decodes each later line once, holding
-// it to exactly one of e/s/fin. Every rejection is a *CorruptSegmentError at
-// the offending line's offset: strict callers return it, and torn-tail
-// salvage reads its offset as the point where the trustworthy prefix ends.
+// and validates the header once, and decodes each later line once — through
+// the line codec's fast path, or json.Unmarshal for a line outside its
+// layout — holding it to exactly one of e/s/fin. Every rejection is a
+// *CorruptSegmentError at the offending line's offset: strict callers return
+// it, and torn-tail salvage reads its offset as the point where the
+// trustworthy prefix ends.
 type ndjsonReader struct {
 	dir, file string // name the stream in errors
 	data      []byte // unread stream bytes
@@ -130,6 +132,7 @@ type ndjsonReader struct {
 	hdr             ndjsonHeader // the decoded header
 	events, samples int          // payload lines read so far
 	fin             *ndjsonFinal // the fin line, once read
+	dec             lineDecoder  // the payload lines' fast-path decoder
 }
 
 // segmentParse says what a stream may hold and how its bytes are verified.
@@ -190,8 +193,9 @@ func (r *ndjsonReader) header(want *ndjsonHeader) error {
 
 // payloads reads every line after the header under p's fin rules, handing
 // each event or sample line to visit (when set) decoded and raw; raw aliases
-// the stream. The stream must end on a newline, and with wantLines >= 0 hold
-// exactly that many payload lines.
+// the stream, and the decoded line is valid only during the call. The stream
+// must end on a newline, and with wantLines >= 0 hold exactly that many
+// payload lines.
 func (r *ndjsonReader) payloads(p segmentParse, wantLines int, visit func(ln *ndjsonLine, raw []byte)) error {
 	var ln ndjsonLine
 	for {
@@ -202,9 +206,11 @@ func (r *ndjsonReader) payloads(p segmentParse, wantLines int, visit func(ln *nd
 		if r.fin != nil {
 			return r.corrupt(start, "structure", "end of file after fin line", "more lines")
 		}
-		ln = ndjsonLine{}
-		if err := json.Unmarshal(line, &ln); err != nil {
-			return r.corrupt(start, "garbage", "payload line", err.Error())
+		if !r.dec.decode(line, &ln) {
+			ln = ndjsonLine{}
+			if err := json.Unmarshal(line, &ln); err != nil {
+				return r.corrupt(start, "garbage", "payload line", err.Error())
+			}
 		}
 		switch {
 		case ln.E != nil && ln.S == nil && ln.Fin == nil:

@@ -166,8 +166,8 @@ type Result struct {
 
 // Run answers the query from the spill directory through each segment's
 // pinned OBSFLAT2 sidecar (rebuilt from the NDJSON truth when missing or
-// stale), materializing events only from segments the sidecar's index cannot
-// rule out. Works on incomplete (crashed or in-flight) spills — the sealed
+// stale), decoding and materializing records only from segments the
+// sidecar's index cannot rule out. Works on incomplete (crashed or in-flight) spills — the sealed
 // prefix is queried. Results are byte-identical (as JSON) to ScanAll's
 // full-replay scan.
 func Run(dir string, q Query) (*Result, error) {
@@ -180,11 +180,11 @@ func Run(dir string, q Query) (*Result, error) {
 		SegmentsTotal: len(man.Segments), Events: []obs.Event{},
 	}
 	for _, seg := range man.Segments {
-		fl, err := obs.LoadSegFlat(dir, seg)
+		fl, err := obs.LoadSegFlat(dir, seg, q.mightMatch)
 		if err != nil {
 			return nil, err
 		}
-		if !q.mightMatch(fl.Index()) {
+		if fl == nil {
 			continue
 		}
 		res.SegmentsRead++

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -111,6 +112,47 @@ func TestIndexPrunes(t *testing.T) {
 	}
 	if len(res.Events) == 0 {
 		t.Error("narrow range found no events")
+	}
+}
+
+// A pruned segment's sidecar is read only up to its index: damage in its
+// records neither fails the query nor triggers a rebuild. A query that reads
+// the segment still checks it whole, and rebuilds it from the NDJSON truth.
+func TestPrunedSegmentRecordsUnread(t *testing.T) {
+	dir := t.TempDir()
+	buildSpill(t, dir)
+	path := filepath.Join(dir, obs.FlatSegmentName("seg-000001.ndjson"))
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := append([]byte(nil), clean...)
+	damaged[len(damaged)-10] ^= 0xff // inside the last record
+	if err := os.WriteFile(path, damaged, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	late := Query{From: 1900, To: 1999, HasRange: true} // seg-000001 ends long before
+	indexed, err := Run(dir, late)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := ScanAll(dir, late)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := mustJSON(t, indexed.Events), mustJSON(t, full.Events); got != want {
+		t.Errorf("indexed events != full-scan events\nindexed: %s\nfull:    %s", got, want)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, damaged) {
+		t.Fatalf("pruned segment's sidecar was rewritten (err %v)", err)
+	}
+
+	early := Query{From: 0, To: 10, HasRange: true}
+	if _, err := Run(dir, early); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, clean) {
+		t.Fatalf("read segment's damaged sidecar was not rebuilt (err %v)", err)
 	}
 }
 

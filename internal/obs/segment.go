@@ -610,8 +610,10 @@ func LoadSegmentsWith(dir string, opt LoadOptions) (*SegmentLog, error) {
 func (l *SegmentLog) loadSegment(idx int, seg SegmentInfo, opt LoadOptions) error {
 	p := sealedParse(&l.Manifest, idx)
 	p.skipCRC = opt.SkipChecksums
+	// Each line aliases the segment's freshly read bytes, capped so an
+	// append to one line can never write into the next.
 	_, _, _, err := readSealed(l.Dir, seg, p, func(_ *ndjsonLine, raw []byte) {
-		l.Lines = append(l.Lines, append([]byte(nil), raw...))
+		l.Lines = append(l.Lines, raw[:len(raw):len(raw)])
 	})
 	return err
 }

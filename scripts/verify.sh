@@ -13,7 +13,8 @@ go test -race ./...
 
 # Fuzz smoke: a few seconds each on the parser fuzz targets (spec parser,
 # NDJSON replay, the flat binary codec, the manifest and its run-spec Meta),
-# on the spill line encoder's identity with encoding/json, and on slice
+# on the spill line encoder's identity with encoding/json, on the line
+# decoder's fast path agreeing with encoding/json, and on slice
 # invariance (random RunFor schedules must spill what one run spills). Any
 # crasher fails the gate; the seed corpora alone already ran under
 # `go test` above.
@@ -25,6 +26,7 @@ go test ./internal/obs -run '^$' -fuzz 'FuzzManifest$' -fuzztime 5s
 go test ./internal/workload -run '^$' -fuzz 'FuzzRunSpec$' -fuzztime 5s
 go test ./internal/workload -run '^$' -fuzz 'FuzzSliceSchedule$' -fuzztime 5s
 go test ./internal/obs -run '^$' -fuzz 'FuzzLineCodec$' -fuzztime 5s
+go test ./internal/obs -run '^$' -fuzz 'FuzzLineDecode$' -fuzztime 5s
 go test ./internal/obs/query -run '^$' -fuzz 'FuzzParseBreaks$' -fuzztime 5s
 go test ./internal/obs/query -run '^$' -fuzz 'FuzzParseQuery$' -fuzztime 5s
 
