@@ -15,23 +15,17 @@ type Ctx struct {
 
 	owner *loopExec // loop this context is an iteration of (nil at top)
 	iter  int64     // iteration index within owner
-	resID int       // resident id within owner (work-item threading)
+	res   *resident // owner's resident that issued it (work-item threading)
 	wiID  int64     // get_global_id(0) for NDRange work-items
-
-	// fwd is indexed by slot: the carried-variable indexes of owner whose
-	// Next value that slot holds (nil for most slots); writes trigger
-	// forwarding to the successor iteration. A dense table keeps the map
-	// lookup off every slot write of every iteration.
-	fwd [][]int
 }
 
 // allocCtx returns a cleared context sized for the unit's kernel, recycling
 // a retired one when available — contexts churn once per work-item and once
 // per loop iteration, so pooling removes the dominant allocation source in
-// the simulation hot path.
+// the simulation hot path. Every context holds the kernel's slots plus the
+// zero slot (Unit.zero), which absent operands read and nothing writes.
 func (u *Unit) allocCtx() *Ctx {
-	n := u.xk.NumSlots
-	c := u.takeCtx(n)
+	c := u.takeCtx(u.zero + 1)
 	for i := range c.slots {
 		c.slots[i] = 0
 		c.ready[i] = Future
@@ -72,8 +66,7 @@ func (u *Unit) takeCtx(n int) *Ctx {
 // still references it (loop engines purge waiting lists before retiring).
 func (u *Unit) freeCtx(c *Ctx) {
 	c.owner = nil
-	c.iter, c.resID, c.wiID = 0, 0, 0
-	c.fwd = nil
+	c.iter, c.res, c.wiID = 0, nil, 0
 	u.ctxPool = append(u.ctxPool, c)
 }
 
@@ -95,15 +88,6 @@ func (u *Unit) freeFlow(f *flow) {
 	u.flowPool = append(u.flowPool, f)
 }
 
-// grow extends the slot arrays (contexts are sized per kernel; grow guards
-// against slot tables that expanded during lowering).
-func (c *Ctx) grow(n int) {
-	for len(c.slots) < n {
-		c.slots = append(c.slots, 0)
-		c.ready = append(c.ready, Future)
-	}
-}
-
 // readyAt reports when slot s may be consumed (Future if unwritten).
 func (c *Ctx) readyAt(s int) int64 {
 	if s < 0 {
@@ -123,18 +107,22 @@ func (c *Ctx) val(s int) int64 {
 	return c.slots[s]
 }
 
-// write stores a value with its availability cycle and fires carried-value
-// forwarding hooks.
-func (c *Ctx) write(s int, v, at int64) {
-	if s < 0 {
-		return
+// set stores a value with its availability cycle (no-op for s < 0). Slot
+// indexes are checked once, when ops are decoded, and contexts are sized to
+// the kernel, so nothing grows here.
+func (c *Ctx) set(s int, v, at int64) {
+	if s >= 0 {
+		c.slots[s] = v
+		c.ready[s] = at
 	}
-	c.grow(s + 1)
-	c.slots[s] = v
-	c.ready[s] = at
-	if c.owner != nil && s < len(c.fwd) {
-		for _, k := range c.fwd[s] {
-			c.owner.forward(c, k, v, at)
-		}
+}
+
+// write stores a value like set and forwards it when it is a carried Next
+// value of the context's loop. Decoded ops know that at build time
+// (dop.fwd); write serves the loop engine's phi deliveries and loop outputs.
+func (c *Ctx) write(s int, v, at int64) {
+	c.set(s, v, at)
+	if c.owner != nil {
+		c.owner.forwardSlot(c, s, v, at)
 	}
 }

@@ -37,7 +37,7 @@ func dumpRegion(sb *strings.Builder, re *regionExec, depth int) {
 				if f.stage >= len(it.byStage) || f.opPtr >= len(it.byStage[f.stage]) {
 					continue
 				}
-				op := it.byStage[f.stage][f.opPtr]
+				op := it.byStage[f.stage][f.opPtr].x
 				fmt.Fprintf(sb, "%s  flow %d blocked on %s dst=%d guard=%d args=", ind, fi, op.Kind, op.Dst, op.Guard)
 				for _, a := range op.Args {
 					fmt.Fprintf(sb, "%d(ready=%d) ", a, f.c.readyAt(a))

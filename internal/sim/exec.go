@@ -26,16 +26,15 @@ type regionExec struct {
 	onDone func(*Ctx)
 }
 
-func buildRegionExec(u *Unit, r *hls.XRegion, onDone func(*Ctx)) *regionExec {
+func buildRegionExec(u *Unit, r *hls.XRegion, loop *loopExec, defs []slotDef, onDone func(*Ctx)) *regionExec {
 	re := &regionExec{u: u, r: r, onDone: onDone}
 	for i, it := range r.Items {
 		switch it := it.(type) {
 		case *hls.Segment:
-			re.items = append(re.items, newSegExec(u, re, it, i))
+			re.items = append(re.items, &segExec{u: u, owner: re, seg: it, itemIdx: i, byStage: decodeSeg(u, loop, it, defs)})
 		case *hls.XRegion:
 			le := &loopExec{u: u, r: it, owner: re, itemIdx: i}
 			le.multithread = u.xk.Mode == kir.NDRange
-			le.body = buildRegionExec(u, it, le.iterDone)
 			// the Next-slot forwarding table is identical for every
 			// iteration; build it once and share it across contexts
 			for k, cc := range it.Carried {
@@ -46,6 +45,7 @@ func buildRegionExec(u *Unit, r *hls.XRegion, onDone func(*Ctx)) *regionExec {
 					le.fwdShared[cc.NextSlot] = append(le.fwdShared[cc.NextSlot], k)
 				}
 			}
+			le.body = buildRegionExec(u, it, le, defs, le.iterDone)
 			re.items = append(re.items, le)
 		}
 	}
@@ -115,22 +115,13 @@ type segExec struct {
 	seg     *hls.Segment
 	itemIdx int
 
-	byStage    [][]*hls.XOp
+	byStage    [][]dop // the segment's decoded ops by stage
 	flows      []*flow // oldest (highest stage) first
 	stallUntil int64
 	// shifts counts pipeline advances. Loop issue spacing is measured in
 	// shifts, not cycles: a stall must not compress the stage distance
 	// between in-flight iterations or the II guarantee breaks.
 	shifts int64
-}
-
-func newSegExec(u *Unit, owner *regionExec, seg *hls.Segment, itemIdx int) *segExec {
-	se := &segExec{u: u, owner: owner, seg: seg, itemIdx: itemIdx}
-	se.byStage = make([][]*hls.XOp, seg.Depth)
-	for _, op := range seg.Ops {
-		se.byStage[op.Start] = append(se.byStage[op.Start], op)
-	}
-	return se
 }
 
 func (se *segExec) enqueue(f *flow) {
@@ -142,23 +133,19 @@ func (se *segExec) tick(now int64) {
 	if se.stallUntil > now {
 		return
 	}
-	stalled := false
 	for _, f := range se.flows {
 		ops := se.byStage[f.stage]
-		for f.opPtr < len(ops) {
-			if !se.u.execOp(f.c, ops[f.opPtr], now, se) {
-				se.u.noteBlockedOp(ops[f.opPtr], now)
-				stalled = true
-				break
-			}
-			f.opPtr++
+		i := se.execOps(ops, f.opPtr, f.c, now)
+		if i > f.opPtr {
+			f.opPtr = i
 			se.u.noteProgress()
 		}
-		if stalled {
-			break
+		if i < len(ops) {
+			se.u.noteBlockedOp(ops[i].x, now)
+			return
 		}
 	}
-	if stalled || se.stallUntil > now {
+	if se.stallUntil > now {
 		return
 	}
 	// advance the pipeline one stage; retire flows that cleared the segment
@@ -200,6 +187,9 @@ type carrState struct {
 type resident struct {
 	id         int
 	parentFlow *flow
+	// gone marks a resident finish removed; its iteration contexts still
+	// point at it and must see it as absent.
+	gone bool
 
 	evaluated bool
 	start     int64
@@ -262,18 +252,18 @@ func (le *loopExec) addResident(f *flow) {
 	le.nextResID++
 }
 
-func (le *loopExec) findResident(id int) *resident {
-	for _, r := range le.residents {
-		if r.id == id {
-			return r
-		}
+// fwdAt lists the carried indexes whose Next value slot s holds.
+func (le *loopExec) fwdAt(s int) []int {
+	if s >= 0 && s < len(le.fwdShared) {
+		return le.fwdShared[s]
 	}
 	return nil
 }
 
-func (le *loopExec) removeResident(id int) {
-	for i, r := range le.residents {
-		if r.id == id {
+func (le *loopExec) removeResident(r *resident) {
+	r.gone = true
+	for i, x := range le.residents {
+		if x == r {
 			le.residents = append(le.residents[:i], le.residents[i+1:]...)
 			return
 		}
@@ -326,7 +316,7 @@ func (le *loopExec) finish(r *resident) {
 		}
 	}
 	f := r.parentFlow
-	le.removeResident(r.id)
+	le.removeResident(r)
 	le.owner.resume(le.itemIdx, f)
 	le.u.noteProgress()
 }
@@ -373,9 +363,8 @@ func (le *loopExec) issue(r *resident, now int64) {
 	c := le.u.childCtx(pc)
 	c.owner = le
 	c.iter = r.nextIter
-	c.resID = r.id
+	c.res = r
 
-	c.grow(le.u.xk.NumSlots)
 	// induction variable
 	if le.r.IndSlot >= 0 {
 		c.slots[le.r.IndSlot] = r.start + r.nextIter*r.step
@@ -392,8 +381,6 @@ func (le *loopExec) issue(r *resident, now int64) {
 			st.waiting = append(st.waiting, c)
 		}
 	}
-	// forwarding hooks for Next slots (shared table, read-only)
-	c.fwd = le.fwdShared
 	// values already present at issue (Next == phi/init/iv/parent value)
 	for k, cc := range le.r.Carried {
 		if cc.NextSlot >= 0 && c.readyAt(cc.NextSlot) != Future {
@@ -409,12 +396,20 @@ func (le *loopExec) issue(r *resident, now int64) {
 	le.u.noteProgress()
 }
 
+// forwardSlot forwards v, just written to slot s of c, for each carried
+// variable whose Next value s holds.
+func (le *loopExec) forwardSlot(c *Ctx, s int, v, at int64) {
+	for _, k := range le.fwdAt(s) {
+		le.forward(c, k, v, at)
+	}
+}
+
 // forward delivers a produced Next value to the resident's chain, to any
 // waiting successor iteration, and captures the loop output on the final
 // iteration.
 func (le *loopExec) forward(c *Ctx, k int, v, at int64) {
-	r := le.findResident(c.resID)
-	if r == nil {
+	r := c.res
+	if r.gone {
 		return
 	}
 	st := &r.carr[k]
@@ -438,8 +433,8 @@ func (le *loopExec) forward(c *Ctx, k int, v, at int64) {
 
 // iterDone retires a completed iteration context.
 func (le *loopExec) iterDone(c *Ctx) {
-	r := le.findResident(c.resID)
-	if r == nil {
+	r := c.res
+	if r.gone {
 		le.u.freeCtx(c)
 		return
 	}

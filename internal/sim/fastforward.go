@@ -249,7 +249,7 @@ func (m *Machine) segWake(se *segExec, now int64) int64 {
 	}
 	for _, f := range se.flows {
 		if ops := se.byStage[f.stage]; f.opPtr < len(ops) {
-			return m.opWake(f.c, ops[f.opPtr], now)
+			return m.opWake(f.c, &ops[f.opPtr], now)
 		}
 	}
 	// every op complete: the segment would advance, contradicting
@@ -262,9 +262,9 @@ func (m *Machine) segWake(se *segExec, now int64) int64 {
 // producer is itself op-driven (its own wake is counted where it is
 // blocked). Ready-but-refused channel ops have no timed wake. Anything else
 // (intrinsic logic, unmodelled states) conservatively disables skipping.
-func (m *Machine) opWake(c *Ctx, op *hls.XOp, now int64) int64 {
-	if op.Guard >= 0 {
-		if g := c.readyAt(op.Guard); g > now {
+func (m *Machine) opWake(c *Ctx, d *dop, now int64) int64 {
+	if d.guardWait {
+		if g := c.ready[d.guard]; g > now {
 			if g == Future {
 				return wakeInf
 			}
@@ -272,11 +272,8 @@ func (m *Machine) opWake(c *Ctx, op *hls.XOp, now int64) int64 {
 		}
 	}
 	var wake int64
-	for _, a := range op.Args {
-		if a < 0 {
-			continue
-		}
-		r := c.readyAt(a)
+	for _, a := range d.waits {
+		r := c.ready[a]
 		if r <= now {
 			continue
 		}
@@ -290,7 +287,7 @@ func (m *Machine) opWake(c *Ctx, op *hls.XOp, now int64) int64 {
 	if wake > now {
 		return wake
 	}
-	switch op.Kind {
+	switch d.x.Kind {
 	case kir.OpChanRead, kir.OpChanWrite:
 		return wakeInf // only a counterpart transfer or a fault thaw helps
 	}
@@ -484,18 +481,18 @@ func (m *Machine) batchRegion(u *Unit, re *regionExec, from, to int64, stalledSe
 				if f.opPtr >= len(ops) {
 					continue
 				}
-				op := ops[f.opPtr]
+				d := &ops[f.opPtr]
 				*stalledSegs++
-				if ch := m.chanStallTarget(f.c, op, from); ch != nil {
-					if op.Kind == kir.OpChanRead {
+				if ch := m.chanStallTarget(f.c, d, from); ch != nil {
+					if d.x.Kind == kir.OpChanRead {
 						ch.AddReadStalls(to - from)
 						if m.obs != nil {
-							m.obsExtendStall(u, op.ChID, 0, from, to)
+							m.obsExtendStall(u, d.x.ChID, 0, from, to)
 						}
 					} else {
 						ch.AddWriteStalls(to - from)
 						if m.obs != nil {
-							m.obsExtendStall(u, op.ChID, 1, from, to)
+							m.obsExtendStall(u, d.x.ChID, 1, from, to)
 						}
 					}
 				}
@@ -660,13 +657,15 @@ func (le *loopExec) idleIteration(r *resident) *idleProbe {
 // with every non-blocking read failing, in stage order, ignoring time. The
 // iteration is idle if it touches no memory, writes no channel, reads no
 // blocking channel, and produces every carried Next equal to its input.
-// Library calls are tainted, hence dead, so their value is left at zero.
+// ALU ops run their decoded evaluators; library calls are tainted, hence
+// dead, so their value is left at zero. The decoded readiness checks apply
+// as "not yet produced": an operand the schedule proves was written by an
+// earlier op of the iteration.
 func (le *loopExec) evalIdle(r *resident, p *idleProbe) bool {
 	p.polls, p.intrinsics = p.polls[:0], p.intrinsics[:0]
 	pc, c := r.parentFlow.c, p.scratch
 	c.slots = append(c.slots[:0], pc.slots...)
 	c.ready = append(c.ready[:0], pc.ready...)
-	c.grow(le.u.xk.NumSlots)
 	c.wiID = pc.wiID
 	if ind := le.r.IndSlot; ind >= 0 {
 		c.slots[ind], c.ready[ind] = r.start+r.nextIter*r.step, 0
@@ -678,34 +677,37 @@ func (le *loopExec) evalIdle(r *resident, p *idleProbe) bool {
 		c.slots[cc.PhiSlot], c.ready[cc.PhiSlot] = r.carr[k].val, 0
 	}
 	for _, ops := range le.body.items[0].(*segExec).byStage {
-		for _, op := range ops {
-			if op.Guard >= 0 {
-				if c.readyAt(op.Guard) == Future {
+		for i := range ops {
+			d := &ops[i]
+			if d.guard >= 0 {
+				if d.guardWait && c.ready[d.guard] == Future {
 					return false
 				}
-				if c.val(op.Guard) == 0 {
+				if c.slots[d.guard] == 0 {
 					continue
 				}
 			}
-			for _, a := range op.Args {
-				if a >= 0 && c.readyAt(a) == Future {
+			for _, a := range d.waits {
+				if c.ready[a] == Future {
 					return false
 				}
 			}
 			switch {
-			case op.Kind.IsALU():
-				c.write(op.Dst, alu(op, c), 0)
-			case op.Kind == kir.OpCall:
-				c.write(op.Dst, 0, 0)
-			case op.Kind == kir.OpGlobalID:
-				c.write(op.Dst, c.wiID, 0)
-			case op.Kind == kir.OpChanReadNB:
-				c.write(op.Dst, 0, 0)
-				c.write(op.OkDst, 0, 0)
-				p.polls = append(p.polls, op.ChID)
-			case op.Kind == kir.OpIBufLogic:
-				p.intrinsics = append(p.intrinsics, op)
-			case op.Kind == kir.OpFence:
+			case d.eval != nil:
+				c.set(int(d.dst), d.eval(d, c), 0)
+			case d.x.Kind == kir.OpCall:
+				c.set(int(d.dst), 0, 0)
+			case d.x.Kind == kir.OpGlobalID:
+				c.set(int(d.dst), c.wiID, 0)
+			case d.x.Kind == kir.OpChanReadNB:
+				c.set(int(d.dst), 0, 0)
+				c.set(int(d.ok), 0, 0)
+				p.polls = append(p.polls, d.x.ChID)
+			case d.x.Kind == kir.OpIBufLogic:
+				p.intrinsics = append(p.intrinsics, d.x)
+			case d.x.Kind == kir.OpFence || d.x.Kind.IsALU():
+				// a fence orders nothing here; an ALU op without a
+				// destination has no effect
 			default:
 				return false
 			}
@@ -746,23 +748,23 @@ func (m *Machine) replayIdle(le *loopExec, n int64) {
 }
 
 // chanStallTarget returns the channel whose stall counter the blocked op
-// charges each retried cycle, mirroring execOp's early-outs: a pending guard
-// or argument fails before the channel is consulted (no stat), a false guard
-// would have skipped the op (not blocked), and only blocking channel ops
-// reach TryRead/TryWrite.
-func (m *Machine) chanStallTarget(c *Ctx, op *hls.XOp, now int64) *channel.Channel {
-	if op.Kind != kir.OpChanRead && op.Kind != kir.OpChanWrite {
+// charges each retried cycle, mirroring execOps' early-outs: a pending
+// guard or argument fails before the channel is consulted (no stat), a false
+// guard would have skipped the op (not blocked), and only blocking channel
+// ops reach TryRead/TryWrite.
+func (m *Machine) chanStallTarget(c *Ctx, d *dop, now int64) *channel.Channel {
+	if d.x.Kind != kir.OpChanRead && d.x.Kind != kir.OpChanWrite {
 		return nil
 	}
-	if op.Guard >= 0 {
-		if c.readyAt(op.Guard) > now || c.val(op.Guard) == 0 {
+	if d.guard >= 0 {
+		if (d.guardWait && c.ready[d.guard] > now) || c.slots[d.guard] == 0 {
 			return nil
 		}
 	}
-	for _, a := range op.Args {
-		if a >= 0 && c.readyAt(a) > now {
+	for _, a := range d.waits {
+		if c.ready[a] > now {
 			return nil
 		}
 	}
-	return m.chans[op.ChID]
+	return d.ch
 }

@@ -453,6 +453,9 @@ func (m *Machine) tick() {
 type Unit struct {
 	m  *Machine
 	xk *hls.XKernel
+	// zero is the contexts' zero slot, one past the kernel's slots: decoded
+	// ops read it for an absent operand, and nothing writes it.
+	zero int
 
 	top    *regionExec
 	locals []*mem.LocalMem
@@ -518,6 +521,7 @@ func (m *Machine) newUnit(xk *hls.XKernel) *Unit {
 	u := &Unit{
 		m:    m,
 		xk:   xk,
+		zero: xk.NumSlots,
 		lsus: make([]*mem.LSU, len(xk.LSUs)),
 		auto: xk.Mode == kir.Autorun,
 	}
@@ -527,7 +531,7 @@ func (m *Machine) newUnit(xk *hls.XKernel) *Unit {
 	for _, la := range xk.Src.Locals {
 		u.locals = append(u.locals, mem.NewLocalMem(fmt.Sprintf("%s.%s", xk.UnitName(), la.Name), la.Size))
 	}
-	u.top = buildRegionExec(u, xk.Root, func(c *Ctx) {
+	u.top = buildRegionExec(u, xk.Root, nil, kernelDefs(xk, u.zero), func(c *Ctx) {
 		if u.xk.Mode == kir.NDRange {
 			u.doneWI++
 		} else {

@@ -1,7 +1,8 @@
 #!/bin/sh
 # abbench.sh — quick A/B recorder-overhead comparison: a baseline git ref
 # (default HEAD) against the working tree. Both sides run the plain and
-# observed throughput benchmarks briefly, benchjson derives each side's
+# observed throughput benchmarks briefly (plus the stepped-cycle ones, for
+# the delta table only), benchjson derives each side's
 # observe-overhead-pct, and the script prints the delta. Exits non-zero when
 # the working tree's overhead regresses by more than ABBENCH_TOL percentage
 # points (default 5 — generous because short runs are noisy; the hard
@@ -30,9 +31,15 @@ trap cleanup EXIT
 
 git worktree add --quiet --detach "$TMP/base" "$REF"
 
+# Besides the overhead pair, each side runs the stepped-cycle benchmarks
+# (SimulateSlowPath, and E4StallMonitor, whose ibuffers poll every cycle) so
+# the benchjson -diff table shows per-cycle interpreter cost. E4StallMonitor
+# has no sub-benchmarks, so it needs its own -bench pattern.
 bench() (
     cd "$1"
-    go test -run '^$' -bench 'SimThroughput/(Simulate$|SimulateObserved$)' \
+    go test -run '^$' -bench 'SimThroughput/(Simulate$|SimulateObserved$|SimulateSlowPath$)' \
+        -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .
+    go test -run '^$' -bench 'E4StallMonitor$' \
         -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .
 )
 

@@ -6,7 +6,7 @@
 # plus the derived fast-forward speedup, observability-recorder overhead,
 # supervision overhead, checkpoint-grid overhead, and indexed-query speedup,
 # stamped with the host fingerprint). Pass the output filename as $1 to
-# target a specific trajectory point; default BENCH_9.json. The newest
+# target a specific trajectory point; default BENCH_10.json. The newest
 # earlier BENCH_*.json is fingerprint-checked as the baseline, so numbers
 # recorded on a different host warn instead of silently joining a trajectory,
 # and the run ends with the benchjson -diff delta table against it.
@@ -14,12 +14,12 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_9.json}"
+OUT="${1:-BENCH_10.json}"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
 BASELINE=""
-for f in $(ls BENCH_*.json 2>/dev/null | sort -r); do
+for f in $(ls BENCH_*.json 2>/dev/null | sort -V -r); do
     if [ "$f" != "$OUT" ]; then
         BASELINE="$f"
         break
