@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"time"
 
 	"oclfpga/internal/obs"
@@ -135,9 +134,6 @@ func fsck(dir string, repair bool, reportOut string) bool {
 		for _, d := range rep.Damage {
 			fmt.Printf("  !! %s: %s (%s) — repair: %s\n", d.File, d.Kind, d.Detail, d.Repair)
 		}
-		for _, w := range rep.Warnings {
-			fmt.Printf("  -- %s: %s (%s) — handled by recovery\n", w.File, w.Kind, w.Detail)
-		}
 		if rep.Quarantined != nil {
 			fmt.Printf("  !! quarantined: %s\n", rep.Quarantined.Reason)
 		}
@@ -182,16 +178,16 @@ func fsck(dir string, repair bool, reportOut string) bool {
 		if !healthy {
 			verdict = fmt.Sprintf("UNHEALTHY (%d findings)", len(remaining))
 		}
-		fmt.Printf("%s: fsck %s (%d segments, %d warnings)\n", dir, verdict, len(rep.Segments), len(rep.Warnings))
+		fmt.Printf("%s: fsck %s (%d segments)\n", dir, verdict, len(rep.Segments))
 	}
 	return healthy
 }
 
 // segmentStats prints one integrity row per manifest segment — fingerprint
 // verdict (ok / bad / unverified for pre-checksum manifests), sidecar
-// freshness, record counts, cycle range — plus any unsealed .part files
-// recovery would ignore. Verification reads the segment end to end; nothing
-// is written.
+// freshness, record counts, cycle range — plus any unsealed .part files,
+// which nothing reads. Verification reads the segment end to end; nothing is
+// written.
 func segmentStats(dir string, man *obs.Manifest) {
 	for i, seg := range man.Segments {
 		c := obs.CheckSegment(dir, man, i)
@@ -208,13 +204,15 @@ func segmentStats(dir string, man *obs.Manifest) {
 			fmt.Printf("    !! %v\n", c.Err)
 		}
 	}
-	parts, _ := filepath.Glob(filepath.Join(dir, "seg-*.ndjson.part"))
-	for _, p := range parts {
-		st, err := os.Stat(p)
-		if err != nil {
+	ents, _ := os.ReadDir(dir)
+	for _, e := range ents {
+		part, ok := obs.IsSegmentFile(e.Name())
+		if !ok || !part {
 			continue
 		}
-		fmt.Printf("  %s: %d bytes, unsealed (.part — salvaged by recovery, never trusted)\n", filepath.Base(p), st.Size())
+		if st, err := e.Info(); err == nil {
+			fmt.Printf("  %s: %d bytes, unsealed (.part — regenerated by recovery, never read)\n", e.Name(), st.Size())
+		}
 	}
 }
 

@@ -10,8 +10,8 @@
 // and a per-workload circuit breaker. With -spill-dir the event stream is
 // also committed to crash-safe NDJSON segments; on restart the server
 // replays completed runs from their spill and deterministically re-executes
-// interrupted ones, verifying the regenerated stream byte-for-byte against
-// the durable prefix before resuming it.
+// interrupted ones, proving the regenerated stream against every sealed
+// segment's manifest fingerprint before resuming it.
 //
 // Endpoints:
 //

@@ -258,7 +258,7 @@ func (s *server) newID() string {
 // the machine in watchdog slices, which record exactly what one Run would.
 // It runs inside the supervisor worker so compile/launch panics are isolated
 // like run panics. seg receives the spill sink for the FinalizeRetry hook.
-func (s *server) buildStart(r *run, resume *obs.SegmentLog, seg **obs.SegmentSink) func() (*sim.Machine, error) {
+func (s *server) buildStart(r *run, resume *obs.Manifest, seg **obs.SegmentSink) func() (*sim.Machine, error) {
 	if s.cfg.startHook != nil {
 		hook := s.cfg.startHook(r.spec.N)
 		return func() (*sim.Machine, error) {
@@ -309,16 +309,16 @@ func (s *server) admit(n int, tenant string, lim supervise.Limits) (*run, error)
 		Workload: "oclmon", N: n, Tenant: tenant,
 		SampleEvery: s.cfg.sampleEvery, CheckpointEvery: s.cfg.ckptEvery, DisableFF: s.cfg.noFF,
 		CycleBudget: s.sup.EffectiveLimits(lim).CycleBudget,
-	}, lim, nil)
+	}, lim, nil, "")
 }
 
-// submit admits one run through the supervisor. resume carries the durable
-// prefix when re-executing a crashed run at startup or takeover (id is then
-// the spill directory's name, and the spill stays in resume's directory —
-// which for an adopted run lives under the dead peer's root). Shed
+// submit admits one run through the supervisor. resume is the manifest of
+// the spill in resumeDir when re-executing a crashed run at startup or
+// takeover (id is then the spill directory's name, and the spill stays
+// there — which for an adopted run is under the dead peer's root). Shed
 // submissions (ErrSaturated, ErrTenantSaturated) leave no trace in the
 // registry; quarantined ones are recorded in their terminal state.
-func (s *server) submit(id string, spec workload.RunSpec, lim supervise.Limits, resume *obs.SegmentLog) (*run, error) {
+func (s *server) submit(id string, spec workload.RunSpec, lim supervise.Limits, resume *obs.Manifest, resumeDir string) (*run, error) {
 	if id == "" {
 		id = s.newID()
 	}
@@ -331,7 +331,7 @@ func (s *server) submit(id string, spec workload.RunSpec, lim supervise.Limits, 
 		state: supervise.StateQueued,
 	}
 	if resume != nil {
-		r.spill = resume.Dir
+		r.spill = resumeDir
 	} else if s.cfg.spillDir != "" {
 		r.spill = filepath.Join(s.cfg.spillDir, id)
 	}
@@ -463,8 +463,9 @@ func (s *server) gcSpill() {
 
 // recoverDir replays the durable record of every run found under dir:
 // complete logs become static, already-finalized runs; a log a crash left
-// incomplete is re-executed deterministically against its durable prefix
-// (the resume sink verifies byte-identity and appends the rest). It returns
+// incomplete is re-executed deterministically from its manifest alone (the
+// resume sink proves each sealed segment's fingerprint and appends the
+// rest; boot scrub has already checked the sealed bytes). It returns
 // the ids of every run it registered — the takeover path reports these to
 // the front end so routes move to this worker.
 func (s *server) recoverDir(root string) ([]string, error) {
@@ -509,12 +510,18 @@ func (s *server) recoverDir(root string) ([]string, error) {
 			log.Printf("oclmon: spill %s: boot scrub repaired %d findings (%d orphans removed, %d sidecars rebuilt, %d segments re-executed)",
 				dir, len(rep.Damage), len(res.RemovedOrphans), res.RebuiltSidecars, len(res.Repaired))
 		}
-		slog, err := obs.LoadSegments(dir)
+		// A crashed run resumes from its manifest alone; only a complete one
+		// is read back, to be served.
+		man, err := obs.LoadManifest(dir)
+		var slog *obs.SegmentLog
+		if err == nil && man.Complete {
+			slog, err = obs.LoadSegments(dir)
+		}
 		if err != nil {
 			log.Printf("oclmon: spill %s: unrecoverable: %v", dir, err)
 			continue
 		}
-		if slog.Manifest.Complete {
+		if slog != nil {
 			r := &run{
 				id: id, workload: slog.Manifest.Meta["workload"], spill: dir, recovered: true,
 				sink:  newLiveSink(slog.Manifest.Design, slog.Manifest.SampleEvery),
@@ -535,7 +542,7 @@ func (s *server) recoverDir(root string) ([]string, error) {
 				id, len(slog.Lines), slog.Manifest.EndCycle)
 			continue
 		}
-		spec, err := workload.SpecFromManifest(&slog.Manifest)
+		spec, err := workload.SpecFromManifest(man)
 		if err != nil {
 			// A spec no re-execution can reproduce (a refused version-1
 			// supervised spec, say) leaves the crashed run unresumable.
@@ -543,12 +550,12 @@ func (s *server) recoverDir(root string) ([]string, error) {
 			ids = append(ids, id)
 			continue
 		}
-		log.Printf("oclmon: re-executing crashed run %s: verifying %d durable lines to cycle %d, then resuming",
-			id, len(slog.Lines), slog.LastCycle())
+		log.Printf("oclmon: re-executing crashed run %s: verifying %d sealed segments to cycle %d, then resuming",
+			id, len(man.Segments), man.LastCycle())
 		// Resume the recorded spec under its recorded cycle budget: the resume
-		// sink byte-verifies the durable prefix against the re-executed
+		// sink fingerprint-verifies the sealed prefix against the re-executed
 		// stream, which this server's watchdog slicing does not shape.
-		if _, err := s.submit(id, spec, supervise.Limits{CycleBudget: spec.CycleBudget}, slog); err != nil {
+		if _, err := s.submit(id, spec, supervise.Limits{CycleBudget: spec.CycleBudget}, man, dir); err != nil {
 			log.Printf("oclmon: recover %s: %v", id, err)
 			continue
 		}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -130,7 +131,7 @@ func TestSegmentSinkFaultMatrix(t *testing.T) {
 					if finErr == nil {
 						t.Fatalf("at=%d: run claims success but manifest is incomplete", at)
 					}
-					rsink, err := NewResumeSink(segCfg(dir), log)
+					rsink, err := NewResumeSink(segCfg(dir), &log.Manifest)
 					if err != nil {
 						t.Fatalf("at=%d: resume refused: %v", at, err)
 					}
@@ -153,18 +154,63 @@ func TestSegmentSinkFaultMatrix(t *testing.T) {
 	}
 }
 
-// TestSegmentSalvageAtEveryByteOffset is the satellite crash sweep: a crashed
-// run's unsealed .part is truncated at every possible byte offset, and every
-// single truncation must (a) load without error — the torn tail is tolerated
-// and truncated at the last complete record, with the drop counted — and
-// (b) resume to a record byte-identical to the uninterrupted run's.
-func TestSegmentSalvageAtEveryByteOffset(t *testing.T) {
-	clean := t.TempDir()
-	spillSegments(t, clean)
-	cleanLog, err := LoadSegments(clean)
+// assertSameDir requires dir to hold exactly clean's files, byte for byte:
+// segments, sidecars and manifest.
+func assertSameDir(t *testing.T, clean, dir string) {
+	t.Helper()
+	want, err := os.ReadDir(clean)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d files, want %d: %v vs %v", len(got), len(want), got, want)
+	}
+	for _, e := range want {
+		a, err := os.ReadFile(filepath.Join(clean, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%s differs from the uninterrupted run's", e.Name())
+		}
+	}
+}
+
+// resumeCrashed re-executes the canonical feed into a resume sink over the
+// crashed spill in dir, reading nothing but its manifest.
+func resumeCrashed(t *testing.T, dir string, cfg SegmentConfig) *SegmentSink {
+	t.Helper()
+	man, err := LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, err := NewResumeSink(cfg, man)
+	if err != nil {
+		t.Fatalf("resume refused: %v", err)
+	}
+	feedRecorder(NewRecorder("d", Config{SampleEvery: 50, Sink: sink}))
+	if err := sink.err(); err != nil {
+		t.Fatalf("resumed run failed: %v", err)
+	}
+	return sink
+}
+
+// TestSegmentSalvageAtEveryByteOffset is the crash sweep: a crashed run's
+// unsealed .part is truncated at every possible byte offset, and every single
+// truncation must resume to a directory — segments, sidecars and manifest —
+// byte-identical to the uninterrupted run's. The .part is never read, so no
+// torn byte can reach the record.
+func TestSegmentSalvageAtEveryByteOffset(t *testing.T) {
+	clean := t.TempDir()
+	spillSegments(t, clean)
 
 	tpl := t.TempDir()
 	crashSpill(t, tpl)
@@ -177,54 +223,27 @@ func TestSegmentSalvageAtEveryByteOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	size := st.Size()
+	if size == 0 {
+		t.Fatal("crashed run left an empty .part; sweep proves nothing")
+	}
 	partName := filepath.Base(parts[0])
 
-	sawTruncated := false
 	for off := int64(0); off <= size; off++ {
 		dir := copyDir(t, tpl)
 		if err := os.Truncate(filepath.Join(dir, partName), off); err != nil {
 			t.Fatal(err)
 		}
-		log, err := LoadSegments(dir)
-		if err != nil {
-			t.Fatalf("off=%d: load failed: %v", off, err)
-		}
-		if log.Salvaged != nil && log.Salvaged.Truncated {
-			sawTruncated = true
-			if log.Salvaged.DroppedBytes <= 0 {
-				t.Fatalf("off=%d: truncated salvage with no counted drop", off)
-			}
-		}
-		sink, err := NewResumeSink(segCfg(dir), log)
-		if err != nil {
-			t.Fatalf("off=%d: resume refused: %v", off, err)
-		}
-		rec := NewRecorder("d", Config{SampleEvery: 50, Sink: sink})
-		feedRecorder(rec)
-		if err := sink.err(); err != nil {
-			t.Fatalf("off=%d: resumed run failed: %v", off, err)
-		}
-		stitched, err := LoadSegments(dir)
-		if err != nil {
-			t.Fatalf("off=%d: stitched record does not load: %v", off, err)
-		}
-		assertSameLines(t, cleanLog, stitched)
-	}
-	if !sawTruncated {
-		t.Fatal("no truncation offset produced a torn tail; sweep proves nothing")
+		resumeCrashed(t, dir, segCfg(dir))
+		assertSameDir(t, clean, dir)
 	}
 }
 
 // TestSegmentSalvageLiesAreDropped plants a fabricated (well-formed but wrong)
-// line in the .part tail: the resume sink must not trust it — the salvage is
-// discarded from the first contradiction and the regenerated truth lands.
+// line in the .part tail: the resumed directory must still be byte-identical
+// to the uninterrupted run's, because the regenerated truth is what lands.
 func TestSegmentSalvageLiesAreDropped(t *testing.T) {
 	clean := t.TempDir()
 	spillSegments(t, clean)
-	cleanLog, err := LoadSegments(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	dir := t.TempDir()
 	crashSpill(t, dir)
@@ -240,30 +259,104 @@ func TestSegmentSalvageLiesAreDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	log, err := LoadSegments(dir)
+	resumeCrashed(t, dir, segCfg(dir))
+	assertSameDir(t, clean, dir)
+}
+
+// TestResumeIgnoresRotationFlags crashes a spill written at one rotation
+// threshold and resumes it under another. Resume cuts the regenerated stream
+// where the manifest says, not where the resuming process's MaxLines would,
+// so the sealed prefix must verify and its files stay byte-identical; only
+// the segments appended after it follow the new threshold.
+func TestResumeIgnoresRotationFlags(t *testing.T) {
+	const n, crashAt = 10000, 5000
+	stall := func(i int) Event {
+		return Event{Kind: KindChanStall, Track: "chan:pipe", Name: "read-stall",
+			Start: int64(4 * i), End: int64(4*i + 3), Detail: "unit=k"}
+	}
+	rotCfg := func(dir string, maxLines int) SegmentConfig {
+		c := segCfg(dir)
+		c.MaxLines = maxLines
+		return c
+	}
+	clean := t.TempDir()
+	sink, err := NewSegmentSink(rotCfg(clean, 4096))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if log.Salvaged == nil || log.Salvaged.Lines == 0 {
-		t.Fatalf("salvage missing: %+v", log.Salvaged)
+	for i := range n {
+		sink.Event(stall(i))
 	}
-	sink, err := NewResumeSink(segCfg(dir), log)
+	if err := sink.Finalize(4 * n); err != nil {
+		t.Fatal(err)
+	}
+	cleanLog, err := LoadSegments(clean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := NewRecorder("d", Config{SampleEvery: 50, Sink: sink})
-	feedRecorder(rec)
-	if err := sink.err(); err != nil {
-		t.Fatalf("resume failed over a lying salvage tail: %v", err)
+
+	for _, tc := range []struct{ crash, resume int }{{64, 4096}, {4096, 64}} {
+		t.Run(fmt.Sprintf("%d-then-%d", tc.crash, tc.resume), func(t *testing.T) {
+			dir := t.TempDir()
+			crashed, err := NewSegmentSink(rotCfg(dir, tc.crash))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range crashAt {
+				crashed.Event(stall(i)) // the process dies before Finalize
+			}
+			man, err := LoadManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(man.Segments) == 0 {
+				t.Fatal("crash sealed no segment; nothing to verify")
+			}
+			sealed := map[string][]byte{}
+			sealedLines := 0
+			for _, seg := range man.Segments {
+				for _, f := range []string{seg.File, FlatSegmentName(seg.File)} {
+					if sealed[f], err = os.ReadFile(filepath.Join(dir, f)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sealedLines += seg.Lines
+			}
+
+			resumed, err := NewResumeSink(rotCfg(dir, tc.resume), man)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range n {
+				resumed.Event(stall(i))
+			}
+			if err := resumed.Finalize(4 * n); err != nil {
+				t.Fatal(err)
+			}
+			if resumed.Verified() != sealedLines {
+				t.Fatalf("verified %d of %d sealed lines", resumed.Verified(), sealedLines)
+			}
+			for f, want := range sealed {
+				got, err := os.ReadFile(filepath.Join(dir, f))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("sealed %s changed across the resume", f)
+				}
+			}
+			stitched, err := LoadSegments(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, seg := range stitched.Manifest.Segments[len(man.Segments):] {
+				if seg.Lines > tc.resume {
+					t.Fatalf("appended %s holds %d lines, past the resuming MaxLines %d", seg.File, seg.Lines, tc.resume)
+				}
+			}
+			assertSameLines(t, cleanLog, stitched)
+		})
 	}
-	if sink.SalvageDropped() == 0 {
-		t.Fatal("the fabricated line was not counted as dropped")
-	}
-	stitched, err := LoadSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameLines(t, cleanLog, stitched)
 }
 
 // TestSegmentBitFlipCaughtByChecksum flips a byte that keeps the segment
@@ -460,6 +553,46 @@ func TestRepairSinkDivergenceAborts(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, victim+".repair")); err == nil {
 		t.Fatal("refused repair left staging debris")
+	}
+}
+
+// TestRepairSwapSyncFault fails the fsync of a repair's staged replacement:
+// the swap is committed like a sealed segment, so Commit must return the
+// error and leave the damaged segment in place.
+func TestRepairSwapSyncFault(t *testing.T) {
+	dir := t.TempDir()
+	spillSegments(t, dir)
+	man, err := LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := man.Segments[0].File
+	if err := FlipByte(filepath.Join(dir, victim), 20); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(filepath.Join(dir, victim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ffs := NewFaultFS(nil)
+	ffs.Arm(1, FaultSync, FaultEIO)
+	rs, err := NewRepairSink(dir, man, []string{victim}, ffs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedRecorder(NewRecorder("d", Config{SampleEvery: 50, Sink: rs}))
+	if _, err := rs.Commit(); err == nil {
+		t.Fatal("repair committed through a failed fsync")
+	}
+	if ffs.Injected() == 0 {
+		t.Fatal("the repair swap never synced")
+	}
+	after, err := os.ReadFile(filepath.Join(dir, victim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("a failed swap replaced the damaged segment")
 	}
 }
 

@@ -27,8 +27,8 @@ import (
 //
 // A single-file spill is exactly one sealed segment's byte layout (see
 // segment.go): segEncoder writes both, and ndjsonReader reads every form of
-// the stream — a single-file spill, a sealed segment, a crashed run's torn
-// .part tail and a loaded log's durable lines — by the same rules.
+// the stream — a single-file spill, a sealed segment and a loaded log's
+// sealed lines — by the same rules.
 
 // ndjsonHeader is the first line of a spill stream.
 type ndjsonHeader struct {
@@ -117,9 +117,7 @@ func ReplayNDJSON(r io.Reader) (*Timeline, *Series, error) {
 // and validates the header once, and decodes each later line once — through
 // the line codec's fast path, or json.Unmarshal for a line outside its
 // layout — holding it to exactly one of e/s/fin. Every rejection is a
-// *CorruptSegmentError at the offending line's offset: strict callers return
-// it, and torn-tail salvage reads its offset as the point where the
-// trustworthy prefix ends.
+// *CorruptSegmentError at the offending line's offset.
 type ndjsonReader struct {
 	dir, file string // name the stream in errors
 	data      []byte // unread stream bytes

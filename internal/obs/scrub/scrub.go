@@ -1,12 +1,12 @@
 // Package scrub is the spill durability engine (DESIGN.md §16): it walks a
 // segmented spill directory, classifies every kind of disk damage the chaos
 // suite can inject — bit rot, truncation, torn renames, missing or stale
-// sidecars, torn .part tails — and repairs what the durable record proves
-// repairable. Derived damage (sidecars, orphans) is repaired in place;
-// segment-body damage is repaired by deterministic re-execution through
-// obs.RepairSink, which refuses to write anything it cannot prove
-// byte-identical to the manifest's fingerprints. What cannot be repaired is
-// quarantined with a typed verdict, never served as a wrong answer.
+// sidecars — and repairs what the durable record proves repairable. Derived
+// damage (sidecars, orphans) is repaired in place; segment-body damage is
+// repaired by deterministic re-execution through obs.RepairSink, which
+// refuses to write anything it cannot prove byte-identical to the manifest's
+// fingerprints. What cannot be repaired is quarantined with a typed verdict,
+// never served as a wrong answer.
 package scrub
 
 import (
@@ -32,13 +32,10 @@ const (
 	// KindStructure is a sealed segment that checksums fine (or has no
 	// fingerprint) but fails structural validation — or one that grew.
 	KindStructure Kind = "structure"
-	// KindTornTail is an incomplete spill's .part segment ending in a torn
-	// line. Recovery's salvage handles it; fsck reports it.
-	KindTornTail Kind = "torn-tail"
 	// KindTornRename is debris from a crash inside a commit: an orphan
-	// sealed segment the manifest never adopted, a stray .tmp, a .part left
-	// behind after completion, or a sidecar without a segment. A leftover
-	// .idx.json from the retired two-file sidecar layout counts too.
+	// sealed segment the manifest never adopted, a stray .tmp, a .part other
+	// than an incomplete spill's open one, or a sidecar without a segment. A
+	// leftover .idx.json from the retired two-file sidecar layout counts too.
 	KindTornRename Kind = "torn-rename"
 	// KindSidecarStale is a .flat sidecar that does not decode or is pinned
 	// to other bytes than the manifest entry's; KindSidecarMissing one that
@@ -54,8 +51,6 @@ const (
 const (
 	// RepairNone marks damage with no mechanical fix (quarantine).
 	RepairNone = "none"
-	// RepairSalvage marks torn tails recovery's salvage already handles.
-	RepairSalvage = "salvage"
 	// RepairRemoveOrphan removes commit debris.
 	RepairRemoveOrphan = "remove-orphan"
 	// RepairSidecar rebuilds derived artifacts from the segment truth.
@@ -78,22 +73,13 @@ type Report struct {
 	Manifest *obs.Manifest      `json:"-"`
 	Segments []obs.SegmentCheck `json:"segments,omitempty"`
 	Damage   []Damage           `json:"damage,omitempty"`
-	// Warnings are findings that do not make the spill unhealthy: a torn
-	// .part tail is the expected debris of a crash, already handled by
-	// recovery's salvage — reported, counted, never quarantined over.
-	Warnings []Damage `json:"warnings,omitempty"`
 	// Quarantined is the existing quarantine marker, if the dir carries one.
 	Quarantined *QuarantineRecord `json:"quarantined,omitempty"`
 	// Healthy is true when nothing is damaged and no quarantine marker is
-	// set (warnings allowed).
+	// set.
 	Healthy bool `json:"healthy"`
 	// NeedsReexec lists segment files only re-execution can repair.
 	NeedsReexec []string `json:"needsReexec,omitempty"`
-}
-
-// segPattern matches sealed segment files.
-func isSegFile(name string) bool {
-	return strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".ndjson")
 }
 
 // Scan classifies every artifact in a spill directory without modifying it.
@@ -159,33 +145,28 @@ func Scan(dir string) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	openPart := fmt.Sprintf("seg-%06d.ndjson.part", len(man.Segments)+1)
 	for _, e := range entries {
 		if e.IsDir() {
 			continue
 		}
 		name := e.Name()
+		part, seg := obs.IsSegmentFile(name)
 		switch {
 		case listed[name]:
 		case strings.HasSuffix(name, ".tmp") || strings.HasSuffix(name, ".repair"):
 			rep.Damage = append(rep.Damage, Damage{Kind: KindTornRename, File: name,
 				Detail: "stray temp file from an interrupted commit", Repair: RepairRemoveOrphan})
-		case isSegFile(name):
+		case seg && !part:
 			// A sealed segment beyond the manifest: rename landed, manifest
 			// rewrite did not. The manifest is truth; this is debris.
 			rep.Damage = append(rep.Damage, Damage{Kind: KindTornRename, File: name,
 				Detail: "sealed segment the manifest never adopted", Repair: RepairRemoveOrphan})
-		case strings.HasSuffix(name, ".ndjson.part"):
-			if man.Complete || name != openPart {
-				rep.Damage = append(rep.Damage, Damage{Kind: KindTornRename, File: name,
-					Detail: "unsealed segment left behind", Repair: RepairRemoveOrphan})
-				break
-			}
-			if sal, _ := obs.ProbeTail(dir, man); sal != nil && sal.Truncated {
-				rep.Warnings = append(rep.Warnings, Damage{Kind: KindTornTail, File: name,
-					Detail: fmt.Sprintf("%d salvageable lines, %d torn trailing bytes", sal.Lines, sal.DroppedBytes),
-					Repair: RepairSalvage})
-			}
+		case seg && (man.Complete || name != obs.PartName(man)):
+			rep.Damage = append(rep.Damage, Damage{Kind: KindTornRename, File: name,
+				Detail: "unsealed segment left behind", Repair: RepairRemoveOrphan})
+		case seg:
+			// An incomplete spill's open segment: the expected debris of a
+			// crash, never read (resume regenerates it), never damage.
 		case strings.HasSuffix(name, ".idx.json"):
 			rep.Damage = append(rep.Damage, Damage{Kind: KindTornRename, File: name,
 				Detail: "index sidecar of the retired two-file layout", Repair: RepairRemoveOrphan})

@@ -2,7 +2,6 @@ package scrub_test
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -86,6 +85,15 @@ func assertDirsIdentical(t *testing.T, clean, dir string) {
 func hasKind(ds []scrub.Damage, k scrub.Kind) bool {
 	for _, d := range ds {
 		if d.Kind == k {
+			return true
+		}
+	}
+	return false
+}
+
+func hasFile(ds []scrub.Damage, file string) bool {
+	for _, d := range ds {
+		if d.File == file {
 			return true
 		}
 	}
@@ -296,7 +304,7 @@ func TestScrubMidRunDamage(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !log.Manifest.Complete {
-				rsink, err := obs.NewResumeSink(cfg(dir), log)
+				rsink, err := obs.NewResumeSink(cfg(dir), &log.Manifest)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -321,9 +329,6 @@ func TestScrubMidRunDamage(t *testing.T) {
 	}
 }
 
-// TestScrubTornTailIsWarningNotDamage: a crashed run's torn .part tail is
-// recovery's job, not the scrubber's — it must scan as a warning, stay
-// healthy, and never trigger quarantine.
 // tornTailSpill leaves an incomplete spill behind: one sealed segment and a
 // .part tail ending in a torn line.
 func tornTailSpill(t *testing.T, dir string) *obs.Manifest {
@@ -354,16 +359,19 @@ func tornTailSpill(t *testing.T, dir string) *obs.Manifest {
 	hdrEnd := bytes.IndexByte(sealed, '\n') + 1
 	lineEnd := hdrEnd + bytes.IndexByte(sealed[hdrEnd:], '\n') + 1
 	torn := append(append([]byte(nil), sealed[:lineEnd]...), []byte(`{"e":{"kind":"chan-st`)...)
-	part := filepath.Join(dir, fmt.Sprintf("seg-%06d.ndjson.part", len(man.Segments)+1))
+	part := filepath.Join(dir, obs.PartName(man))
 	if err := os.WriteFile(part, torn, 0o666); err != nil {
 		t.Fatal(err)
 	}
 	return man
 }
 
+// TestScrubTornTailIsWarningNotDamage: a crashed run's torn .part tail is
+// recovery's job, not the scrubber's: the resume regenerates it unread. It
+// must scan healthy, with no finding, and never trigger quarantine.
 func TestScrubTornTailIsWarningNotDamage(t *testing.T) {
 	dir := t.TempDir()
-	tornTailSpill(t, dir)
+	man := tornTailSpill(t, dir)
 	rep, err := scrub.Scan(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -371,13 +379,13 @@ func TestScrubTornTailIsWarningNotDamage(t *testing.T) {
 	if !rep.Healthy {
 		t.Fatalf("crash debris alone marked unhealthy: %+v", rep.Damage)
 	}
-	if !hasKind(rep.Warnings, scrub.KindTornTail) {
-		t.Fatalf("torn tail not reported as a warning: %+v", rep.Warnings)
+	if hasFile(rep.Damage, obs.PartName(man)) {
+		t.Fatalf("open .part reported as damage: %+v", rep.Damage)
 	}
 }
 
-// The torn-tail probe reads the .part alone: damage in a sealed segment must
-// not hide the warning.
+// Damage in a sealed segment beside the torn tail is reported alone: the
+// open .part stays no finding.
 func TestScrubTornTailBesideTruncatedSegment(t *testing.T) {
 	dir := t.TempDir()
 	man := tornTailSpill(t, dir)
@@ -392,8 +400,8 @@ func TestScrubTornTailBesideTruncatedSegment(t *testing.T) {
 	if !hasKind(rep.Damage, scrub.KindTruncated) {
 		t.Fatalf("truncated segment not reported: %+v", rep.Damage)
 	}
-	if !hasKind(rep.Warnings, scrub.KindTornTail) {
-		t.Fatalf("torn tail lost beside a truncated segment: %+v", rep.Warnings)
+	if hasFile(rep.Damage, obs.PartName(man)) {
+		t.Fatalf("open .part reported as damage beside a truncated segment: %+v", rep.Damage)
 	}
 }
 

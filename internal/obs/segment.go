@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 )
 
 // Durable segmented spill: the crash-safe form of the NDJSON stream. Instead
@@ -20,15 +22,15 @@ import (
 //	seg-000001.ndjson      sealed segment: header line + payload lines
 //	seg-000002.ndjson.part segment being written (ignored by recovery)
 //
-// A process crash loses at most the torn tail of the .part segment: recovery
-// salvages its complete-line prefix (verified against the re-executed stream
-// before anything trusts it) and truncates the rest with a counted warning.
-// Because the simulator is deterministic, recovery is replay-based rather
-// than journal-based: restart the workload from cycle 0 with a resume sink
-// (NewResumeSink) that verifies the regenerated stream byte-for-byte against
-// the durable prefix and starts appending new segments where the prefix ends.
-// The stitched record is then byte-identical to an uninterrupted run's — the
-// recovery invariant the chaos suite asserts with fast-forward on and off.
+// A process crash loses at most the unsealed .part segment, which nothing
+// ever reads back. Because the simulator is deterministic, recovery is
+// replay-based rather than journal-based: restart the workload from cycle 0
+// with a resume sink (NewResumeSink) that cuts the regenerated stream at the
+// manifest's per-segment line counts, proves each cut against its sealed
+// segment's fingerprint (the check repair makes, repair.go), and appends new
+// segments where the sealed prefix ends. The stitched record is then
+// byte-identical to an uninterrupted run's — the recovery invariant the
+// chaos suite asserts with fast-forward on and off.
 //
 // Every sealed segment's manifest entry records the file's full length and
 // CRC32C, so bit rot, truncation, and torn writes surface as a typed
@@ -67,6 +69,19 @@ type Manifest struct {
 const manifestName = "manifest.json"
 
 func segmentName(seq int) string { return fmt.Sprintf("seg-%06d.ndjson", seq) }
+
+// PartName is the unsealed file an incomplete spill's writer streams its
+// next segment into.
+func PartName(man *Manifest) string { return segmentName(len(man.Segments)+1) + ".part" }
+
+// IsSegmentFile reports whether name is a segment file: sealed, or with part
+// set, unsealed.
+func IsSegmentFile(name string) (part, ok bool) {
+	name, part = strings.CutSuffix(name, ".part")
+	var seq int
+	_, err := fmt.Sscanf(name, "seg-%d.ndjson", &seq)
+	return part, err == nil && seq > 0 && name == segmentName(seq)
+}
 
 // ParseManifest parses and validates manifest bytes: version, segment naming
 // (sequential seg-NNNNNN.ndjson — which also forecloses path traversal from
@@ -127,10 +142,11 @@ func (c *SegmentConfig) fill() {
 // segEncoder lays out one segment's bytes — header line, payload lines, fin
 // line — and keeps what sealing it needs: the payload line and byte counts,
 // the last cycle, the file's length and CRC32C, and the flat sidecar
-// builder. SegmentSink streams the bytes into the segment's .part file;
-// RepairSink keeps them in memory; NDJSONSink streams a whole run as one
-// segment with no sidecar. The segment sinks seal through finish, so they
-// cannot disagree on the layout or on the sidecar's pin.
+// builder. SegmentSink streams the bytes into the segment's .part file; the
+// sealed-prefix verifier behind resume and repair keeps them in memory;
+// NDJSONSink streams a whole run as one segment with no sidecar. All of them
+// seal through finish, so they cannot disagree on the layout or on the
+// sidecar's pin.
 type segEncoder struct {
 	// w receives the bytes in segFlushBytes chunks; nil keeps the whole
 	// segment in buf.
@@ -228,15 +244,9 @@ type SegmentSink struct {
 	cfg SegmentConfig
 	man Manifest
 
-	// verify is the durable prefix a resume sink checks instead of rewriting;
-	// vpos is the next line to verify. The tail of verify from salvageStart on
-	// was salvaged from an unsealed .part segment: those lines are untrusted
-	// hints — they are re-appended durably after verification, and a
-	// divergence there discards the rest of the salvage instead of failing.
-	verify       [][]byte
-	vpos         int
-	salvageStart int
-	salvageDrop  int
+	// prefix proves a resumed run's regenerated stream against the sealed
+	// segments before anything lands (nil for a fresh run).
+	prefix *sealedPrefix
 
 	f    File
 	enc  *segEncoder // the open segment
@@ -272,35 +282,35 @@ func NewSegmentSink(cfg SegmentConfig) (*SegmentSink, error) {
 	return s, nil
 }
 
-// NewResumeSink continues an interrupted segmented spill: the first
-// len(log.Lines) records the run regenerates are byte-compared against the
-// durable prefix (a mismatch in the sealed prefix is a replay-divergence
-// error — the workload was not rebuilt identically), and every record after
-// the prefix is appended as new segments continuing the manifest. Durable
-// segments are never rewritten; lines salvaged from the torn .part tail are
-// verified and re-landed in the new open segment.
-func NewResumeSink(cfg SegmentConfig, log *SegmentLog) (*SegmentSink, error) {
-	if log.Manifest.Complete {
+// NewResumeSink continues an interrupted segmented spill from its manifest
+// alone: the regenerated stream is cut at the manifest's per-segment line
+// counts and each cut must match its sealed segment's fingerprint (a
+// mismatch, or a run that ends inside the sealed prefix, is a
+// *CorruptSegmentError naming the segment), and every record after the
+// sealed prefix is appended as new segments continuing the manifest, rotated
+// by cfg. Sealed segments are never rewritten; the crashed run's .part is
+// regenerated, not read.
+func NewResumeSink(cfg SegmentConfig, man *Manifest) (*SegmentSink, error) {
+	if man.Complete {
 		return nil, fmt.Errorf("obs: segment: log in %s is complete; nothing to resume", cfg.Dir)
 	}
 	cfg.fill()
-	cfg.Design = log.Manifest.Design
-	cfg.SampleEvery = log.Manifest.SampleEvery
-	cfg.Meta = log.Manifest.Meta
-	s := &SegmentSink{cfg: cfg, man: log.Manifest, verify: log.Lines, salvageStart: len(log.Lines)}
-	if log.Salvaged != nil {
-		s.salvageStart = len(log.Lines) - log.Salvaged.Lines
-	}
+	cfg.Design = man.Design
+	cfg.SampleEvery = man.SampleEvery
+	cfg.Meta = man.Meta
+	s := &SegmentSink{cfg: cfg, man: *man, prefix: newSealedPrefix(cfg.Dir, man, nil)}
+	s.man.Segments = slices.Clip(s.man.Segments) // appends never write into man's array
 	return s, nil
 }
 
-// Verified reports how many durable-prefix lines the resumed run has
+// Verified reports how many sealed-prefix payload lines the resumed run has
 // reproduced byte-identically so far.
-func (s *SegmentSink) Verified() int { return s.vpos }
-
-// SalvageDropped reports how many lines salvaged from the torn .part tail
-// the re-executed stream contradicted and recovery therefore discarded.
-func (s *SegmentSink) SalvageDropped() int { return s.salvageDrop }
+func (s *SegmentSink) Verified() int {
+	if s.prefix == nil {
+		return 0
+	}
+	return s.prefix.lines
+}
 
 // Dir returns the spill directory.
 func (s *SegmentSink) Dir() string { return s.cfg.Dir }
@@ -365,39 +375,20 @@ func (s *SegmentSink) seal() error {
 	return s.writeManifest()
 }
 
-// lands reports whether an encoded line goes to the open segment (opening it
-// if needed) — false while verifying the sealed durable prefix (a resumed
-// run's replayed lines are already durable) or after a sticky error; true
-// for salvaged-tail lines, which are re-landed durably. Rotation is the
-// caller's business (maybeRotate), after the encoder has taken the line.
-// Lines arriving after Finalize are dropped: the manifest is already
-// published complete, and lazily opening a fresh segment for them would
-// leave a stray never-sealed .part.
-func (s *SegmentSink) lands(line []byte) bool {
+// lands reports whether an encoded payload line goes to the open segment
+// (opening it if needed) — false after a sticky error, and while a resumed
+// run regenerates its sealed prefix (those lines are already durable).
+// Rotation is the caller's business (maybeRotate), after the encoder has
+// taken the line. Lines arriving after Finalize are dropped: the manifest is
+// already published complete, and lazily opening a fresh segment for them
+// would leave a stray never-sealed .part.
+func (s *SegmentSink) lands(line []byte, cycle int64, ev *Event) bool {
 	if s.werr != nil || s.finalized {
 		return false
 	}
-	if s.vpos < len(s.verify) {
-		match := string(line) == string(s.verify[s.vpos])
-		switch {
-		case match && s.vpos < s.salvageStart:
-			// Sealed-prefix line: verified, already durable.
-			s.vpos++
-			return false
-		case match:
-			// Salvaged .part line: verified; fall through and re-land it.
-			s.vpos++
-		case s.vpos < s.salvageStart:
-			s.werr = fmt.Errorf("replay diverged from durable prefix at line %d: re-executed run produced %q, spill holds %q",
-				s.vpos, line, s.verify[s.vpos])
-			return false
-		default:
-			// Divergence inside the salvaged (unsealed, unchecksummed) tail:
-			// the torn .part lied — discard the rest of the salvage and land
-			// the regenerated truth instead.
-			s.salvageDrop += len(s.verify) - s.vpos
-			s.verify = s.verify[:s.vpos]
-		}
+	if s.prefix != nil && s.prefix.take(line, cycle, ev) {
+		s.werr = s.prefix.err
+		return false
 	}
 	if s.f == nil {
 		if err := s.open(); err != nil {
@@ -426,7 +417,7 @@ func (s *SegmentSink) Event(e Event) {
 		return
 	}
 	s.line = appendEventLine(s.line[:0], &e)
-	if s.lands(s.line) {
+	if s.lands(s.line, e.End, &e) {
 		s.werr = s.enc.payload(s.line, e.End, &e)
 	}
 	s.maybeRotate()
@@ -438,7 +429,7 @@ func (s *SegmentSink) Sample(sm Sample) {
 		return
 	}
 	s.line = appendSampleLine(s.line[:0], &sm)
-	if s.lands(s.line) {
+	if s.lands(s.line, sm.Cycle, nil) {
 		s.werr = s.enc.payload(s.line, sm.Cycle, nil)
 	}
 	s.maybeRotate()
@@ -453,16 +444,8 @@ func (s *SegmentSink) Finalize(endCycle int64) error {
 	}
 	s.finalized = true
 	s.endCycle = endCycle
-	if s.werr == nil && s.vpos < len(s.verify) {
-		if s.vpos >= s.salvageStart {
-			// Only salvaged-tail lines remain unverified: the torn .part held
-			// more than the run regenerates — distrust and drop them.
-			s.salvageDrop += len(s.verify) - s.vpos
-			s.verify = s.verify[:s.vpos]
-		} else {
-			s.werr = fmt.Errorf("replay ended after %d of %d durable lines; re-executed run is shorter than the spill",
-				s.vpos, len(s.verify))
-		}
+	if s.werr == nil && s.prefix != nil {
+		s.werr = s.prefix.end(endCycle)
 	}
 	if s.werr == nil {
 		if s.f == nil {
@@ -516,42 +499,21 @@ func (s *SegmentSink) err() error {
 	return nil
 }
 
-// TailSalvage describes what recovery pulled out of the crashed run's
-// unsealed .part segment: how many complete payload lines were salvaged and
-// how many trailing bytes were truncated as torn. It is the counted warning
-// the satellite of DESIGN.md §16 specifies — salvage is reported, never
-// silent.
-type TailSalvage struct {
-	// File is the .part file the tail came from.
-	File string `json:"file"`
-	// Lines is how many complete payload lines were salvaged.
-	Lines int `json:"lines"`
-	// DroppedBytes counts trailing bytes truncated at the last complete
-	// record (a torn line, or bytes after an unexpected line).
-	DroppedBytes int `json:"droppedBytes"`
-	// Truncated reports whether anything was dropped.
-	Truncated bool `json:"truncated"`
-}
-
-// SegmentLog is a loaded segmented spill: the manifest plus every durable
-// payload line in stream order (raw bytes — the currency of the resume
-// sink's byte-prefix verification). For an incomplete (crashed) spill, the
-// complete-line prefix of the unsealed .part segment is salvaged onto the
-// end of Lines and described by Salvaged.
+// SegmentLog is a loaded segmented spill: the manifest plus every sealed
+// payload line in stream order (raw bytes).
 type SegmentLog struct {
 	Dir      string
 	Manifest Manifest
 	Lines    [][]byte
-	Salvaged *TailSalvage
 }
 
-// LastCycle returns the highest cycle any durable record reached.
-func (l *SegmentLog) LastCycle() int64 {
-	if l.Manifest.Complete {
-		return l.Manifest.EndCycle
+// LastCycle returns the highest cycle any sealed record reached.
+func (m *Manifest) LastCycle() int64 {
+	if m.Complete {
+		return m.EndCycle
 	}
 	var last int64
-	for _, seg := range l.Manifest.Segments {
+	for _, seg := range m.Segments {
 		if seg.LastCycle > last {
 			last = seg.LastCycle
 		}
@@ -562,8 +524,8 @@ func (l *SegmentLog) LastCycle() int64 {
 // LoadOptions tunes LoadSegmentsWith.
 type LoadOptions struct {
 	// SkipChecksums disables per-segment CRC verification (structural
-	// validation still runs). An escape hatch for salvaging what parses from
-	// a spill already known to be damaged — and the control arm of the
+	// validation still runs). An escape hatch for reading what parses from a
+	// spill already known to be damaged — and the control arm of the
 	// verification-overhead benchmark. Everything that answers questions
 	// from a spill verifies.
 	SkipChecksums bool
@@ -574,9 +536,8 @@ type LoadOptions struct {
 // counts, and — for manifests that record them — file lengths and CRC32C
 // checksums, so damage surfaces as a typed *CorruptSegmentError instead of a
 // wrong answer. Unlisted files (an orphaned sealed segment from a crash
-// between rename and manifest rewrite) are ignored — the manifest is the
-// sole source of durable truth — except the incomplete spill's own .part
-// tail, whose complete-line prefix is salvaged (see TailSalvage).
+// between rename and manifest rewrite, an incomplete spill's open .part) are
+// ignored — the manifest is the sole source of durable truth.
 func LoadSegments(dir string) (*SegmentLog, error) {
 	return LoadSegmentsWith(dir, LoadOptions{})
 }
@@ -596,13 +557,6 @@ func LoadSegmentsWith(dir string, opt LoadOptions) (*SegmentLog, error) {
 		if err := l.loadSegment(i, seg, opt); err != nil {
 			return nil, err
 		}
-	}
-	if !l.Manifest.Complete {
-		lines, sal, err := salvagePart(dir, &l.Manifest)
-		if err != nil {
-			return nil, err
-		}
-		l.Lines, l.Salvaged = append(l.Lines, lines...), sal
 	}
 	return l, nil
 }
@@ -692,53 +646,6 @@ func parseSegment(dir, file string, data []byte, wantLines int, p segmentParse, 
 	}
 	err = r.payloads(p, wantLines, visit)
 	return r.events, r.samples, err
-}
-
-// salvagePart recovers the complete-line prefix of the crashed run's open
-// .part segment: a header agreeing with the manifest plus every complete,
-// well-formed payload line before the first torn or bad one, read by the
-// segment reader's rules. The salvage is untrusted (no checksum seals it) — a
-// resume sink byte-verifies each salvaged line against the re-executed
-// stream before re-landing it durably, and discards the salvage from the
-// first contradiction. A .part that does not even start with the right
-// header is ignored wholesale (it predates the manifest, or is garbage):
-// both results are nil then, as when there is no .part. A fin line (the run
-// finished but its commit never landed) is not salvaged: Finalize
-// regenerates it.
-func salvagePart(dir string, man *Manifest) ([][]byte, *TailSalvage, error) {
-	name := segmentName(len(man.Segments)+1) + ".part"
-	data, err := os.ReadFile(filepath.Join(dir, name))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil, nil
-		}
-		return nil, nil, err
-	}
-	r := ndjsonReader{dir: dir, file: name, data: data}
-	if r.header(&ndjsonHeader{Version: 1, Design: man.Design, SampleEvery: man.SampleEvery}) != nil {
-		return nil, nil, nil // foreign or garbage .part: ignore, recovery regenerates it
-	}
-	var lines [][]byte
-	err = r.payloads(segmentParse{allowFin: true, endCycle: -1}, -1, func(_ *ndjsonLine, raw []byte) {
-		lines = append(lines, append([]byte(nil), raw...))
-	})
-	sal := &TailSalvage{File: name, Lines: len(lines)}
-	if ce, ok := err.(*CorruptSegmentError); ok {
-		// The first torn or bad line ends the trustworthy prefix.
-		sal.DroppedBytes, sal.Truncated = len(data)-int(ce.Offset), true
-	}
-	if len(lines) == 0 && !sal.Truncated {
-		return nil, nil, nil
-	}
-	return lines, sal, nil
-}
-
-// ProbeTail describes the open .part tail of an incomplete spill as
-// recovery would salvage it, reading nothing but that file (nil when there
-// is nothing to salvage).
-func ProbeTail(dir string, man *Manifest) (*TailSalvage, error) {
-	_, sal, err := salvagePart(dir, man)
-	return sal, err
 }
 
 // Feed streams the durable lines into sink in order, without finalizing —

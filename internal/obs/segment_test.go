@@ -145,12 +145,12 @@ func TestSegmentResumeByteIdentical(t *testing.T) {
 	if log.Manifest.Complete {
 		t.Fatal("crashed log claims complete")
 	}
-	if len(log.Lines) == 0 || log.LastCycle() == 0 {
-		t.Fatalf("no durable prefix recovered: %d lines, last cycle %d", len(log.Lines), log.LastCycle())
+	if len(log.Lines) == 0 || log.Manifest.LastCycle() == 0 {
+		t.Fatalf("no durable prefix recovered: %d lines, last cycle %d", len(log.Lines), log.Manifest.LastCycle())
 	}
 
 	// Re-execute the (deterministic) run against the durable prefix.
-	sink, err := NewResumeSink(segCfg(crashed), log)
+	sink, err := NewResumeSink(segCfg(crashed), &log.Manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,6 +189,16 @@ func TestSegmentResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// assertDiverged requires err to be the typed verdict of a re-execution that
+// did not reproduce the sealed segment file.
+func assertDiverged(t *testing.T, err error, file string) {
+	t.Helper()
+	ce, ok := AsCorrupt(err)
+	if !ok || ce.Reason != "repair-divergence" || ce.File != file {
+		t.Fatalf("err = %v, want a repair-divergence verdict on %s", err, file)
+	}
+}
+
 func TestSegmentResumeDivergenceDetected(t *testing.T) {
 	dir := t.TempDir()
 	crashSpill(t, dir)
@@ -196,16 +206,18 @@ func TestSegmentResumeDivergenceDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink, err := NewResumeSink(segCfg(dir), log)
+	sink, err := NewResumeSink(segCfg(dir), &log.Manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := NewRecorder("d", Config{SampleEvery: 50, Sink: sink})
 	// A different first event: the "re-executed" run is not the same workload.
 	rec.Instant(KindLaunch, "unit:k", "launch", 3, "")
+	rec.Add(Event{Kind: KindChanStall, Track: "chan:pipe", Name: "read-stall", Start: 5, End: 24, Detail: "unit=k"})
 	err = rec.Finalize(125)
-	if err == nil || !strings.Contains(err.Error(), "diverged") {
-		t.Fatalf("divergence not detected: %v", err)
+	assertDiverged(t, err, segmentName(1))
+	if !strings.Contains(err.Error(), "(regenerated)") {
+		t.Fatalf("divergence not reported as a fingerprint mismatch: %v", err)
 	}
 }
 
@@ -216,14 +228,16 @@ func TestSegmentResumeShortReplayDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink, err := NewResumeSink(segCfg(dir), log)
+	sink, err := NewResumeSink(segCfg(dir), &log.Manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := NewRecorder("d", Config{SampleEvery: 50, Sink: sink})
 	rec.Instant(KindLaunch, "unit:k", "launch", 0, "") // then the run "ends"
-	if err := rec.Finalize(1); err == nil || !strings.Contains(err.Error(), "shorter") {
-		t.Fatalf("short replay not detected: %v", err)
+	err = rec.Finalize(1)
+	assertDiverged(t, err, segmentName(1))
+	if !strings.Contains(err.Error(), "run ended during segment 1") {
+		t.Fatalf("short replay not reported as one: %v", err)
 	}
 }
 
@@ -234,7 +248,7 @@ func TestSegmentResumeRefusesCompleteLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewResumeSink(segCfg(dir), log); err == nil {
+	if _, err := NewResumeSink(segCfg(dir), &log.Manifest); err == nil {
 		t.Fatal("resumed a complete log")
 	}
 	if _, _, err := log.Replay(); err != nil {
@@ -362,7 +376,7 @@ func TestSegmentRetryFinalizeStreamErrorPermanent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink, err := NewResumeSink(segCfg(dir), log)
+	sink, err := NewResumeSink(segCfg(dir), &log.Manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +384,27 @@ func TestSegmentRetryFinalizeStreamErrorPermanent(t *testing.T) {
 	if err := sink.Finalize(125); err == nil {
 		t.Fatal("divergence not surfaced")
 	}
-	if err := sink.RetryFinalize(); err == nil || !strings.Contains(err.Error(), "diverged") {
-		t.Fatalf("stream error should be permanent: %v", err)
+	assertDiverged(t, sink.RetryFinalize(), segmentName(1))
+}
+
+func TestIsSegmentFile(t *testing.T) {
+	for name, want := range map[string][2]bool{
+		"seg-000001.ndjson":      {false, true},
+		"seg-000012.ndjson.part": {true, true},
+		"seg-1234567.ndjson":     {false, true},
+		"seg-1.ndjson":           {false, false},
+		"seg-000000.ndjson":      {false, false},
+		"seg-00000a.ndjson":      {false, false},
+		"seg-000001.ndjson.tmp":  {false, false},
+		"seg-000001.flat":        {false, false},
+		"manifest.json":          {false, false},
+	} {
+		part, ok := IsSegmentFile(name)
+		if ok != want[1] || (ok && part != want[0]) {
+			t.Errorf("IsSegmentFile(%q) = %v, %v; want %v, %v", name, part, ok, want[0], want[1])
+		}
+	}
+	if got := PartName(&Manifest{Segments: make([]SegmentInfo, 2)}); got != "seg-000003.ndjson.part" {
+		t.Fatalf("PartName = %q", got)
 	}
 }

@@ -282,7 +282,7 @@ func TestChaosCrashRecoveryByteIdentical(t *testing.T) {
 				ID: "recover", Workload: "simbench",
 				Start: func() (*sim.Machine, error) {
 					var err error
-					resumed, err = obs.NewResumeSink(cfg, slog)
+					resumed, err = obs.NewResumeSink(cfg, &slog.Manifest)
 					if err != nil {
 						return nil, err
 					}

@@ -212,14 +212,15 @@ func ReplayNDJSON(r io.Reader) (*Timeline, *MetricsSeries, error) { return obs.R
 // Records rotate through size-bounded segment files committed atomically
 // (temp file + rename) under a manifest, so a crash at any instant leaves a
 // loadable durable prefix; a resume sink re-executes the deterministic run,
-// verifies the prefix byte for byte, and appends the remainder.
+// proves each sealed segment against its manifest fingerprint, and appends
+// the remainder.
 type (
 	// SegmentConfig configures a segmented spill directory.
 	SegmentConfig = obs.SegmentConfig
 	// SegmentSink streams records into rotated, atomically-committed
 	// segments (NewSegmentSink for fresh runs, NewResumeSink for recovery).
 	SegmentSink = obs.SegmentSink
-	// SegmentLog is a loaded spill directory: its manifest and every durable
+	// SegmentLog is a loaded spill directory: its manifest and every sealed
 	// payload line, in order.
 	SegmentLog = obs.SegmentLog
 	// SegmentManifest is the spill directory's source of truth.
@@ -229,16 +230,19 @@ type (
 // NewSegmentSink starts a fresh segmented spill under cfg.Dir.
 func NewSegmentSink(cfg SegmentConfig) (*SegmentSink, error) { return obs.NewSegmentSink(cfg) }
 
-// NewResumeSink resumes an interrupted spill: the re-executed run's records
-// are verified byte-for-byte against log's durable prefix before any new
-// segment is written; divergence is a permanent error.
-func NewResumeSink(cfg SegmentConfig, log *SegmentLog) (*SegmentSink, error) {
-	return obs.NewResumeSink(cfg, log)
+// NewResumeSink resumes an interrupted spill from its manifest alone: the
+// re-executed run's records are cut at the manifest's per-segment line counts
+// and each cut must match its sealed segment's length and CRC32C before any
+// new segment is written. A mismatch, or a run that ends inside the sealed
+// prefix, is a permanent *CorruptSegmentError naming the segment.
+func NewResumeSink(cfg SegmentConfig, man *SegmentManifest) (*SegmentSink, error) {
+	return obs.NewResumeSink(cfg, man)
 }
 
-// LoadSegments loads a spill directory's durable record (complete or not),
+// LoadSegments loads a spill directory's sealed record (complete or not),
 // verifying every sealed segment's length and CRC32C against the manifest; a
-// mismatch is a typed *CorruptSegmentError, never a wrong answer.
+// mismatch is a typed *CorruptSegmentError, never a wrong answer. An
+// incomplete spill's unsealed .part is not read.
 func LoadSegments(dir string) (*SegmentLog, error) { return obs.LoadSegments(dir) }
 
 // Durable spill storage (DESIGN.md §16): end-to-end checksums on the read
