@@ -7,9 +7,10 @@ import (
 	"oclfpga/internal/obs"
 )
 
-// liveSink is the obs.Sink behind every hosted run: the simulation goroutine
-// streams records in through the recorder, HTTP handlers read consistent
-// copies out. It keeps the event stream in append (spill) order — each event's
+// liveSink is the obs.Sink behind every hosted run: the run's recorder
+// streams records in (from its delivery goroutine while the machine runs,
+// see obs/pipe.go), HTTP handlers read consistent copies out. It keeps the
+// event stream in append (spill) order — each event's
 // index is its SSE sequence number, which is what lets a client dropped
 // mid-tail resume with Last-Event-ID without duplicate or missing frames,
 // even across a worker failover (the replacement worker replays the spill in
@@ -17,8 +18,7 @@ import (
 // keeps the running aggregates /metrics scrapes. The sink knows nothing of
 // SSE subscribers: each tail reads the stream through its own cursor (next),
 // and the sink only closes one shared wake channel when the stream grows or
-// the run finalizes, so the sim goroutine never encodes a frame or waits on
-// a client.
+// the run finalizes, so the run never encodes a frame or waits on a client.
 type liveSink struct {
 	mu          sync.Mutex
 	design      string

@@ -348,9 +348,9 @@ func finishRun(r *workload.Run) {
 			*flagMetrics, len(m.Samples()), *flagEvery)
 	}
 	if *flagSpill != "" {
-		// Timeline() above (or the first analysis call below) finalizes the
-		// recorder, which flushes the NDJSON terminal line through the sink.
-		m.Timeline()
+		// Finalizing the recorder flushes the NDJSON terminal line through
+		// the sink; Observer does it without materializing a Timeline.
+		m.Observer()
 		if err := m.ObserveErr(); err != nil {
 			log.Fatal(err)
 		}
@@ -360,9 +360,9 @@ func finishRun(r *workload.Run) {
 		fmt.Fprintf(out, "spill: %s (NDJSON event stream; replay with obscheck -spill)\n", *flagSpill)
 	}
 	if *flagSpillDir != "" {
-		// Same finalize path: Timeline() committed the segments through the
+		// Same finalize path: Observer() commits the segments through the
 		// sink; a failed commit (full disk, blocked rename) surfaces here.
-		m.Timeline()
+		m.Observer()
 		if err := m.ObserveErr(); err != nil {
 			log.Fatal(err)
 		}

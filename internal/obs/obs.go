@@ -131,21 +131,25 @@ type Config struct {
 	// deadline cycles, so the recorded state hash is the per-cycle path's.
 	CheckpointEvery int64
 	// Sink, when non-nil, receives every finished event (including
-	// fast-forward jumps, distinguishable by Kind) and every sample as the
-	// recorder appends them, and Finalize when the record closes. Delivery
-	// is per-append — each record is materialized and handed downstream the
-	// moment it lands — so the durable prefix a crashed spill leaves behind
-	// is exactly the appended prefix, which segment-resume verification
-	// depends on. Compose several destinations with NewFanout; the recorder
-	// itself stays the buffering head of the pipeline, so Timeline/Series
-	// keep working regardless of what streams downstream.
+	// fast-forward jumps, distinguishable by Kind) and every sample in
+	// append order, and Finalize when the record closes. Each record is
+	// materialized the moment it lands. Outside a Batch ... Sync window it
+	// is handed downstream at once; inside one (a simulator drive-loop call)
+	// it is delivered in order by the recorder's delivery goroutine (see
+	// pipe.go), and Sync catches the sink up. Either way the sink sees the
+	// same calls, so a spill's bytes do not depend on the window. Compose
+	// several destinations with NewFanout; the recorder itself stays the
+	// buffering head of the pipeline, so Timeline/Series keep working
+	// regardless of what streams downstream.
 	Sink Sink
 }
 
 // Recorder accumulates a run's timeline and samples — the pipeline's
 // buffering sink. It is not safe for concurrent use; the simulator owns it
 // and appends from its single-threaded tick loop. A downstream Sink (if
-// configured) sees events and samples in exactly append order.
+// configured) sees events and samples in exactly append order, from the
+// recorder's delivery goroutine between Batch and Sync and from the caller's
+// goroutine otherwise.
 //
 // The hot path is allocation-free: Intern track/name strings once, then
 // record through SpanID/InstantID/SpanDetailID — each call packs one
@@ -179,6 +183,8 @@ type Recorder struct {
 	ffKind, ffTrack, ffName ID
 
 	windows []window // open fault windows, insertion-ordered
+
+	pipe pipe // batched hand-off to the delivery goroutine (pipe.go)
 
 	// Samples live flat too (see sampleflat.go): a pointer-free word stream
 	// plus a count, materialized to []Sample only on demand.
@@ -435,6 +441,7 @@ func (r *Recorder) Finalize(endCycle int64) error {
 	r.finalized = true
 	if r.cfg.Sink != nil {
 		r.flush()
+		r.Sync()
 		return r.cfg.Sink.Finalize(endCycle)
 	}
 	return nil
@@ -556,7 +563,7 @@ func (r *Recorder) flush() {
 		return
 	}
 	for _, ref := range r.fillScratch(r.flushedSeq, r.seq, true) {
-		r.cfg.Sink.Event(r.materialize(unpackRecord(r.shards[ref.shard].at(int(ref.idx)))))
+		r.emitEvent(r.materialize(unpackRecord(r.shards[ref.shard].at(int(ref.idx)))))
 	}
 	r.flushedSeq = r.seq
 }

@@ -177,7 +177,7 @@ func (sw SampleWriter) Local(name ID, reads, writes int64) {
 }
 
 // Commit seals the sample. A configured sink receives it (materialized
-// transiently) at this point, preserving per-append delivery order.
+// here, on the recorder's goroutine) in append order.
 func (sw SampleWriter) Commit() {
 	r := sw.r
 	if r == nil {
@@ -187,7 +187,7 @@ func (sw SampleWriter) Commit() {
 	r.lastSamp = int64(r.sampStream.chunks[sw.chunk][sw.off+1])
 	if r.cfg.Sink != nil {
 		cur := sampCursor{ws: &r.sampStream, chunk: sw.chunk, off: sw.off}
-		r.cfg.Sink.Sample(decodeSamples(r, cur, nil)[0])
+		r.emitSample(decodeSamples(r, cur, nil)[0])
 	}
 }
 

@@ -4,9 +4,11 @@ package obs
 // recorder calls Event for every finished event in append order — including
 // fast-forward jumps, which carry Kind == KindFFJump so a sink can keep them
 // off the hardware-behaviour record — Sample for every metrics sample, and
-// Finalize exactly once when the run's record closes. Calls arrive from the
-// simulator's single goroutine; a sink shared with other goroutines (the
-// oclmon live server) must do its own locking.
+// Finalize exactly once when the run's record closes. Calls never overlap,
+// but inside a simulator drive-loop call they arrive from the recorder's
+// delivery goroutine (see pipe.go), with every one delivered before the call
+// returns; a sink shared with other goroutines (the oclmon live server) must
+// do its own locking.
 type Sink interface {
 	// Event receives one finished span or instant.
 	Event(e Event)

@@ -362,6 +362,12 @@ func (m *Machine) run(stop, idle int64) error {
 	if m.err != nil {
 		return m.err // e.g. a fault plan targeting an unknown channel/kernel
 	}
+	if m.obs != nil {
+		// Sink delivery runs on the recorder's delivery goroutine for the
+		// call; every return leaves the sink caught up.
+		m.obs.rec.Batch()
+		defer m.obs.rec.Sync()
+	}
 	m.fireCaptures() // a capture at the current cycle
 	if !m.fastForwardOK() {
 		m.closeWindow() // a cycle hook attached mid-window observes every cycle from here

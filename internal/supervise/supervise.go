@@ -489,7 +489,7 @@ func (s *Supervisor) finalizeObs(spec *Spec, m *sim.Machine, out *Outcome) {
 	}
 	func() {
 		defer func() { recover() }() // mid-tick machine after a fault: keep the outcome
-		m.Timeline()                 // forces the recorder's Finalize through to the sink
+		m.Observer()                 // forces the recorder's Finalize through to the sink
 	}()
 	obsErr := m.ObserveErr()
 	if obsErr == nil || spec.FinalizeRetry == nil {

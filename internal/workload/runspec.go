@@ -429,7 +429,7 @@ func (s RunSpec) Execute(sink obs.Sink) (*Run, error) {
 	case r.sinkFinal:
 		return r, sink.Finalize(r.M.Cycle())
 	}
-	r.M.Timeline() // finalizes the recorder, which finalizes the sink
+	r.M.Observer() // finalizes the recorder, which finalizes the sink
 	return r, r.M.ObserveErr()
 }
 

@@ -1,7 +1,9 @@
 #!/bin/sh
 # verify.sh — the full pre-merge gate: static checks, a clean build, and the
-# race-enabled test suite (the simulator is single-goroutine by design, but
-# the host controller and examples are exercised under the detector anyway).
+# race-enabled test suite. A simulator tick loop runs on one goroutine, but
+# inside each drive-loop call the recorder delivers sink records from a
+# second one, and the supervisor, oclmon and perfbench's timing wrappers
+# share state across goroutines, so all of it runs under the detector.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -10,6 +12,7 @@ test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go test -race ./...
+(cd perfbench && go test -race ./...)
 
 # Fuzz smoke: a few seconds each on the parser fuzz targets (spec parser,
 # NDJSON replay, the flat binary codec, the manifest and its run-spec Meta),
