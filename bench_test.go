@@ -450,8 +450,9 @@ func BenchmarkSimThroughput(b *testing.B) {
 
 // BenchmarkSpillLoad prices the read path's end-to-end integrity checking
 // (DESIGN.md §16): loading a sealed segmented spill with every segment's
-// CRC32C verified against the manifest, versus the same load with checksums
-// skipped. Both arms run back to back within each op in alternating order so
+// whole-file CRC32C verified against the manifest, versus the same load with
+// that checksum skipped (each container section's own checksum runs in both
+// arms). Both arms run back to back within each op in alternating order so
 // host drift cancels, and the per-op ratio's median is reported as
 // verify-overhead-pct; benchjson surfaces the median over counts as
 // scrub-verify-overhead-pct, gated at <= 2%.
@@ -495,9 +496,12 @@ func BenchmarkSpillLoad(b *testing.B) {
 // BenchmarkQuerySpill prices the indexed query engine (DESIGN.md §14) against
 // a full scan of the same spill: one checkpointed, segmented spill of the
 // stall-heavy workload, then a narrow query (one kind, the last tenth of the
-// run's cycles) answered via the per-segment sidecar indexes versus decoding
-// every segment. benchjson derives FullScan/Indexed ns/op as query-speedup-x,
-// gated at >= 10.
+// run's cycles) answered via the per-segment container indexes versus
+// decoding every segment's container whole — the same reader with no
+// pruning, so the ratio prices the index alone. benchjson derives
+// FullScan/Indexed ns/op as query-speedup-x, gated at >= 10. The segment
+// counts are exact, so the benchmark also fails outright when the index
+// reads as many segments as the full scan.
 func BenchmarkQuerySpill(b *testing.B) {
 	dir := filepath.Join(b.TempDir(), "spill")
 	res, err := experiments.SpillSimBench(4096, dir, 1024, 4096, 256)
@@ -522,6 +526,10 @@ func BenchmarkQuerySpill(b *testing.B) {
 	}
 	b.Logf("query matches %d events; index read %d of %d segments",
 		len(indexed.Events), indexed.SegmentsRead, indexed.SegmentsTotal)
+	if indexed.SegmentsRead >= scanned.SegmentsRead {
+		b.Fatalf("index read %d segments, as many as the full scan's %d: nothing pruned",
+			indexed.SegmentsRead, scanned.SegmentsRead)
+	}
 	b.Run("Indexed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := query.Run(dir, q); err != nil {
@@ -541,7 +549,7 @@ func BenchmarkQuerySpill(b *testing.B) {
 // BenchmarkDiffSpill prices the differential profiler's indexed spill walk
 // (DESIGN.md §15) against the naive route: two same-seed checkpointed spills
 // of the stall-heavy workload, diffed either by accumulating each spill's
-// flat segments through the sidecar indexes or by fully replaying both spills
+// containers through the segment indexes or by fully replaying both spills
 // into timelines and attributing those. Both routes must produce the same
 // report before either is timed. benchjson derives FullReplay/Indexed ns/op
 // as diff-spill-speedup-x, gated at >= 5.

@@ -5,14 +5,18 @@
 // on. Exit status 0 means every given file is valid and stable.
 //
 // -fsck runs the durability scrubber over a segmented spill directory:
-// every sealed segment's fingerprint is verified, commit debris and sidecar
-// staleness are classified, and with -repair the recoverable damage is fixed
-// in place — byte-identically, by re-executing the run spec the manifest
-// records (any workload in the workload registry: oclprof's, oclmon's,
-// simbench). Exit status 1 means damage remains.
+// every sealed segment's fingerprint is verified, commit debris is
+// classified, and with -repair the recoverable damage is fixed in place —
+// byte-identically, by re-executing the run spec the manifest records (any
+// workload in the workload registry: oclprof's, oclmon's, simbench). Exit
+// status 1 means damage remains.
+//
+// -export writes a spill directory's record to stdout as one NDJSON stream,
+// the bytes oclprof -spill writes for the same run.
 //
 //	go run ./cmd/obscheck -timeline t.json -metrics m.json
 //	go run ./cmd/obscheck -fsck spill/ -repair -fsck-report fsck.json
+//	go run ./cmd/obscheck -export spill/ > run.ndjson
 package main
 
 import (
@@ -21,6 +25,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -41,9 +46,9 @@ var (
 	flagDiff     = flag.String("diff", "", "diff report (oclprof -diff) to validate")
 	flagSpill    = flag.String("spill", "", "NDJSON spill stream (oclprof -spill) to replay and validate")
 	flagSpillDir = flag.String("spill-dir", "", "segmented spill directory (oclprof -spill-dir / oclmon) to stitch, replay, and validate")
-	flagIndex    = flag.String("index", "", "build or repair the per-segment .flat sidecars (pinned OBSFLAT2 index + events) for this spill directory")
+	flagExport   = flag.String("export", "", "write this spill directory's record to stdout as one NDJSON stream (what oclprof -spill writes)")
 	flagFsck     = flag.String("fsck", "", "scrub this spill directory: verify every fingerprint, classify damage, exit 1 if any")
-	flagRepair   = flag.Bool("repair", false, "with -fsck: repair what the scrubber can (orphans, sidecars, re-executable segments)")
+	flagRepair   = flag.Bool("repair", false, "with -fsck: repair what the scrubber can (orphans, re-executable segments)")
 	flagFsckOut  = flag.String("fsck-report", "", "with -fsck: write the machine-readable scrub report (JSON) to this file")
 	flagQuiet    = flag.Bool("q", false, "suppress the per-file summary lines")
 )
@@ -52,8 +57,8 @@ func main() {
 	flag.Parse()
 	if *flagTimeline == "" && *flagMetrics == "" && *flagReport == "" &&
 		*flagAttr == "" && *flagPprof == "" && *flagDiff == "" &&
-		*flagSpill == "" && *flagSpillDir == "" && *flagIndex == "" && *flagFsck == "" {
-		fmt.Fprintln(os.Stderr, "obscheck: nothing to check (pass -timeline, -metrics, -report, -attr, -pprof, -diff, -spill, -spill-dir, -index, and/or -fsck)")
+		*flagSpill == "" && *flagSpillDir == "" && *flagExport == "" && *flagFsck == "" {
+		fmt.Fprintln(os.Stderr, "obscheck: nothing to check (pass -timeline, -metrics, -report, -attr, -pprof, -diff, -spill, -spill-dir, -export, and/or -fsck)")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -87,13 +92,9 @@ func main() {
 			fmt.Printf("%s: ok (%s)\n", *flagSpillDir, summary)
 		}
 	}
-	if *flagIndex != "" {
-		n, err := obs.EnsureIndex(*flagIndex)
-		if err != nil {
-			log.Fatalf("%s: index: %v", *flagIndex, err)
-		}
-		if !*flagQuiet {
-			fmt.Printf("%s: index ok (%d sidecars rebuilt)\n", *flagIndex, n)
+	if *flagExport != "" {
+		if err := export(*flagExport, os.Stdout); err != nil {
+			log.Fatalf("%s: export: %v", *flagExport, err)
 		}
 	}
 	if *flagFsck != "" {
@@ -128,8 +129,8 @@ func fsck(dir string, repair bool, reportOut string) bool {
 			if c.Err != nil {
 				state = "DAMAGED"
 			}
-			fmt.Printf("  %s: checksum %s, sidecar %s, %d lines (%d events, %d samples), %s\n",
-				c.File, c.ChecksumState, c.SidecarState, c.Lines, c.Events, c.Samples, state)
+			fmt.Printf("  %s: checksum %s, %d records (%d events, %d samples), %s\n",
+				c.File, c.ChecksumState, c.Lines, c.Events, c.Samples, state)
 		}
 		for _, d := range rep.Damage {
 			fmt.Printf("  !! %s: %s (%s) — repair: %s\n", d.File, d.Kind, d.Detail, d.Repair)
@@ -158,8 +159,8 @@ func fsck(dir string, repair bool, reportOut string) bool {
 		} else {
 			healthy = res.Healthy
 			if !*flagQuiet {
-				fmt.Printf("  repaired: %d orphans removed, %d sidecars rebuilt, %d segments re-executed\n",
-					len(res.RemovedOrphans), res.RebuiltSidecars, len(res.Repaired))
+				fmt.Printf("  repaired: %d orphans removed, %d segments re-executed\n",
+					len(res.RemovedOrphans), len(res.Repaired))
 			}
 		}
 	}
@@ -184,22 +185,21 @@ func fsck(dir string, repair bool, reportOut string) bool {
 }
 
 // segmentStats prints one integrity row per manifest segment — fingerprint
-// verdict (ok / bad / unverified for pre-checksum manifests), sidecar
-// freshness, record counts, cycle range — plus any unsealed .part files,
-// which nothing reads. Verification reads the segment end to end; nothing is
-// written.
+// verdict (ok / bad / missing), record counts, size, event cycle range —
+// plus any unsealed .part files, which nothing reads. Verification reads the
+// segment end to end; nothing is written.
 func segmentStats(dir string, man *obs.Manifest) {
 	for i, seg := range man.Segments {
 		c := obs.CheckSegment(dir, man, i)
 		cycles := ""
-		if c.SidecarState == "ok" { // a fresh sidecar loads without a rebuild
-			if fl, err := obs.LoadSegFlat(dir, seg, nil); err == nil && len(fl.Records) > 0 {
+		if c.Err == nil && c.Events > 0 {
+			if fl, err := obs.LoadSegFlat(dir, seg, nil); err == nil {
 				idx := fl.Index()
 				cycles = fmt.Sprintf(", cycles [%d,%d]", idx.FirstCycle, idx.LastCycle)
 			}
 		}
-		fmt.Printf("  %s: checksum %s, sidecar %s, %d lines (%d events, %d samples), %d bytes%s, sealed\n",
-			c.File, c.ChecksumState, c.SidecarState, c.Lines, c.Events, c.Samples, seg.Bytes, cycles)
+		fmt.Printf("  %s: checksum %s, %d records (%d events, %d samples), %d bytes%s, sealed\n",
+			c.File, c.ChecksumState, c.Lines, c.Events, c.Samples, seg.FileBytes, cycles)
 		if c.Err != nil {
 			fmt.Printf("    !! %v\n", c.Err)
 		}
@@ -252,6 +252,22 @@ func checkSpillDir(dir string) (string, error) {
 	}
 	return fmt.Sprintf("%d segments, %d lines stitched, end cycle %d",
 		len(slog.Manifest.Segments), len(slog.Lines), slog.Manifest.EndCycle), nil
+}
+
+// export writes a spill directory's sealed record to w as one NDJSON stream:
+// the records fed through an NDJSONSink, finalized at the end cycle when the
+// spill is complete (an incomplete spill's stream has no terminal line).
+func export(dir string, w io.Writer) error {
+	slog, err := obs.LoadSegments(dir)
+	if err != nil {
+		return err
+	}
+	sink := obs.NewNDJSONSink(w, slog.Manifest.Design, slog.Manifest.SampleEvery)
+	slog.Feed(sink)
+	if slog.Manifest.Complete {
+		return sink.Finalize(slog.Manifest.EndCycle)
+	}
+	return sink.Flush()
 }
 
 func checkFile(path string, check func([]byte) (string, error)) {

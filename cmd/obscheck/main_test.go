@@ -167,8 +167,39 @@ func TestSpillDirPrintsIntegrity(t *testing.T) {
 		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
 	if !bytes.Contains([]byte(stdout), []byte("checksum ok")) ||
-		!bytes.Contains([]byte(stdout), []byte("sidecar ok")) {
+		!bytes.Contains([]byte(stdout), []byte(" records (")) {
 		t.Fatalf("no per-segment integrity rows:\n%s", stdout)
+	}
+}
+
+// TestExportMatchesSingleFileSpill runs one workload into a single-file
+// NDJSON spill and a segmented spill at once: -export renders the segmented
+// spill as exactly the single file's bytes, across segment boundaries.
+func TestExportMatchesSingleFileSpill(t *testing.T) {
+	for name, args := range map[string][]string{
+		"chanstall": {"-workload", "chanstall", "-seg-lines", "64", "-checkpoint-every", "512"},
+		"matmul":    {"-workload", "matmul", "-stallmon"},
+		"fir":       {"-workload", "fir", "-stallmon", "-trace"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			tmp := t.TempDir()
+			one, dir := filepath.Join(tmp, "one.ndjson"), filepath.Join(tmp, "spill")
+			args = append([]string{"-log=false", "-spill", one, "-spill-dir", dir}, args...)
+			if _, stderr, code := runCmd(t, oclprofBin, args...); code != 0 {
+				t.Fatalf("oclprof exit %d\n%s", code, stderr)
+			}
+			want, err := os.ReadFile(one)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stdout, stderr, code := runCmd(t, obscheckBin, "-export", dir)
+			if code != 0 {
+				t.Fatalf("export exit %d\n%s", code, stderr)
+			}
+			if stdout != string(want) {
+				t.Fatalf("export differs from the single-file spill (%d vs %d bytes)", len(stdout), len(want))
+			}
+		})
 	}
 }
 
@@ -195,9 +226,6 @@ func TestFsckDetectsDamageAndRepairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := obs.FlipByte(first, 30); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, "seg-000001.flat")); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "manifest.json.tmp"), []byte("{torn"), 0o666); err != nil {

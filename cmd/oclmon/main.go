@@ -8,10 +8,11 @@
 // Every run executes under internal/supervise: per-run cycle budgets, a
 // wall-clock watchdog, panic isolation, a bounded slot+queue admission path,
 // and a per-workload circuit breaker. With -spill-dir the event stream is
-// also committed to crash-safe NDJSON segments; on restart the server
-// replays completed runs from their spill and deterministically re-executes
-// interrupted ones, proving the regenerated stream against every sealed
-// segment's manifest fingerprint before resuming it.
+// also committed to crash-safe container segments, and a completed run's
+// records are served from its spill rather than held in memory; on restart
+// the server replays completed runs from their spill and deterministically
+// re-executes interrupted ones, proving the regenerated stream against
+// every sealed segment's manifest fingerprint before resuming it.
 //
 // Endpoints:
 //
@@ -98,7 +99,7 @@ var (
 	flagCool    = flag.Duration("breaker-cooldown", 30*time.Second, "how long a quarantined workload stays open")
 
 	flagSpillDir    = flag.String("spill-dir", "", "root directory for crash-safe segmented spill (enables replay recovery)")
-	flagSegLines    = flag.Int("seg-lines", 4096, "spill segment rotation threshold (payload lines)")
+	flagSegLines    = flag.Int("seg-lines", 4096, "spill segment rotation threshold (payload records)")
 	flagSegBytes    = flag.Int64("seg-bytes", 1<<20, "spill segment rotation threshold (payload bytes)")
 	flagCkpt        = flag.Int64("checkpoint-every", 0, "record a rewind checkpoint every N cycles in the spill (0 disables; speeds up /runs/{id}/at-cycle)")
 	flagSpillBudget = flag.Int64("spill-budget", 0, "disk budget in bytes for the spill root (0 = unlimited; quarantined then oldest completed runs are evicted to fit)")

@@ -32,7 +32,7 @@ type serverConfig struct {
 	sampleEvery int64 // metrics sampling interval
 	noFF        bool
 	spillDir    string // root directory for durable spill ("" disables)
-	segLines    int    // spill segment rotation (payload lines)
+	segLines    int    // spill segment rotation (payload records)
 	segBytes    int64  // spill segment rotation (payload bytes)
 	ckptEvery   int64  // checkpoint interval in cycles (0 disables; enables fast at-cycle rewind)
 	// spillBudget caps the spill root's total bytes (0 = unlimited). At boot
@@ -128,6 +128,12 @@ func (r *run) finish(m *sim.Machine, out supervise.Outcome) {
 	r.sink.retire(dropped, out.Err)
 	if out.Err != nil {
 		log.Printf("run %s: %s: %v", r.id, out.State, out.Err)
+	}
+	if r.spill == "" {
+		return
+	}
+	if man, err := obs.LoadManifest(r.spill); err == nil && man.Complete {
+		r.sink.serve(r.spill)
 	}
 }
 
@@ -465,9 +471,11 @@ func (s *server) gcSpill() {
 // complete logs become static, already-finalized runs; a log a crash left
 // incomplete is re-executed deterministically from its manifest alone (the
 // resume sink proves each sealed segment's fingerprint and appends the
-// rest; boot scrub has already checked the sealed bytes). It returns
-// the ids of every run it registered — the takeover path reports these to
-// the front end so routes move to this worker.
+// rest). A healthy complete spill is read and CRC-checked once, by its
+// load; a spill that load refuses, and every incomplete one, goes through
+// the boot scrub first. It returns the ids of every run it registered — the
+// takeover path reports these to the front end so routes move to this
+// worker.
 func (s *server) recoverDir(root string) ([]string, error) {
 	ents, err := os.ReadDir(root)
 	if err != nil {
@@ -491,31 +499,26 @@ func (s *server) recoverDir(root string) ([]string, error) {
 			ids = append(ids, id)
 			continue
 		}
-		if rep, serr := scrub.Scan(dir); serr == nil && !rep.Healthy {
-			// Boot scrub: repair what we can (derived artifacts plus corrupt
-			// segments via deterministic re-execution), quarantine what we
-			// cannot — a damaged spill must never be served as a wrong answer.
-			// The rebuild re-executes the spec the manifest records, never
-			// this server's current flags.
-			res, rerr := scrub.Repair(dir, workload.Rebuild)
-			if rerr != nil || !res.Healthy {
-				reason := fmt.Sprintf("%d findings unrepaired", len(rep.Damage))
-				if rerr != nil {
-					reason = rerr.Error()
-				}
-				s.quarantine(id, dir, reason, rep.Damage)
-				ids = append(ids, id)
-				continue
-			}
-			log.Printf("oclmon: spill %s: boot scrub repaired %d findings (%d orphans removed, %d sidecars rebuilt, %d segments re-executed)",
-				dir, len(rep.Damage), len(res.RemovedOrphans), res.RebuiltSidecars, len(res.Repaired))
-		}
-		// A crashed run resumes from its manifest alone; only a complete one
-		// is read back, to be served.
 		man, err := obs.LoadManifest(dir)
 		var slog *obs.SegmentLog
 		if err == nil && man.Complete {
 			slog, err = obs.LoadSegments(dir)
+		}
+		if err == nil && slog != nil {
+			// Only commit debris can remain, and the listing finds it.
+			var removed []string
+			if removed, err = scrub.Sweep(dir, man); len(removed) > 0 {
+				log.Printf("oclmon: spill %s: boot sweep removed %d orphans", dir, len(removed))
+			}
+		}
+		if err != nil || !man.Complete {
+			if !s.bootScrub(id, dir) {
+				ids = append(ids, id)
+				continue
+			}
+			if man, err = obs.LoadManifest(dir); err == nil && man.Complete {
+				slog, err = obs.LoadSegments(dir)
+			}
 		}
 		if err != nil {
 			log.Printf("oclmon: spill %s: unrecoverable: %v", dir, err)
@@ -530,12 +533,10 @@ func (s *server) recoverDir(root string) ([]string, error) {
 			if spec, err := workload.SpecFromManifest(&slog.Manifest); err == nil {
 				r.spec = &spec // the at-cycle rewind re-executes it
 			}
-			if err := slog.Feed(r.sink); err != nil {
-				log.Printf("oclmon: spill %s: %v", dir, err)
-				continue
-			}
+			slog.Feed(r.sink)
 			r.sink.Finalize(slog.Manifest.EndCycle)
 			r.sink.retire(0, nil)
+			r.sink.serve(dir)
 			s.addRun(r)
 			ids = append(ids, id)
 			log.Printf("oclmon: recovered completed run %s from spill (%d events to cycle %d)",
@@ -562,6 +563,35 @@ func (s *server) recoverDir(root string) ([]string, error) {
 		ids = append(ids, id)
 	}
 	return ids, nil
+}
+
+// bootScrub scans a spill its plain load could not vouch for: it repairs
+// what it can (commit debris, and corrupt segments by deterministic
+// re-execution of the spec the manifest records, never this server's
+// current flags) and quarantines what it cannot — a spill of another format
+// version included — reporting false then. A damaged spill must never be
+// served as a wrong answer.
+func (s *server) bootScrub(id, dir string) bool {
+	rep, err := scrub.Scan(dir)
+	if err != nil {
+		s.quarantine(id, dir, err.Error(), nil)
+		return false
+	}
+	if rep.Healthy {
+		return true
+	}
+	res, err := scrub.Repair(dir, workload.Rebuild)
+	if err != nil || !res.Healthy {
+		reason := fmt.Sprintf("%d findings unrepaired", len(rep.Damage))
+		if err != nil {
+			reason = err.Error()
+		}
+		s.quarantine(id, dir, reason, rep.Damage)
+		return false
+	}
+	log.Printf("oclmon: spill %s: boot scrub repaired %d findings (%d orphans removed, %d segments re-executed)",
+		dir, len(rep.Damage), len(res.RemovedOrphans), len(res.Repaired))
+	return true
 }
 
 // acquireLease claims dir's ownership lease (fleet mode only; single-process
@@ -676,14 +706,24 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("POST /runs", s.handleSubmit)
 	mux.HandleFunc("POST /takeover", s.handleTakeover)
 	mux.HandleFunc("GET /runs/{id}/timeline.json", s.withRun(func(w http.ResponseWriter, req *http.Request, r *run) {
+		tl, _, err := r.sink.record()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
-		if err := obs.WriteTimeline(w, r.sink.snapshot()); err != nil {
+		if err := obs.WriteTimeline(w, tl); err != nil {
 			log.Printf("timeline %s: %v", r.id, err)
 		}
 	}))
 	mux.HandleFunc("GET /runs/{id}/attr.json", s.withRun(func(w http.ResponseWriter, req *http.Request, r *run) {
+		tl, _, err := r.sink.record()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
-		if err := analyze.WriteJSON(w, analyze.Attribute(r.sink.snapshot())); err != nil {
+		if err := analyze.WriteJSON(w, analyze.Attribute(tl)); err != nil {
 			log.Printf("attr %s: %v", r.id, err)
 		}
 	}))
@@ -726,9 +766,11 @@ func (s *server) handleDiff(w http.ResponseWriter, req *http.Request, a *run) {
 		}
 		th.AbsCycles = p
 	}
-	rep := diff.Compare(
-		analyze.Attribute(a.sink.snapshot()), analyze.Attribute(b.sink.snapshot()),
-		a.sink.series(), b.sink.series(), th)
+	rep, err := compareRuns(a, b, th)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := diff.WriteReport(w, rep); err != nil {
 		log.Printf("diff %s/%s: %v", a.id, b.id, err)
@@ -763,12 +805,27 @@ func (s *server) runVerdict(r *run) diff.Verdict {
 	r.diffMu.Lock()
 	defer r.diffMu.Unlock()
 	if r.diffBase != baseID {
-		rep := diff.Compare(
-			analyze.Attribute(base.sink.snapshot()), analyze.Attribute(r.sink.snapshot()),
-			base.sink.series(), r.sink.series(), diff.DefaultThresholds())
+		rep, err := compareRuns(base, r, diff.DefaultThresholds())
+		if err != nil {
+			log.Printf("diff %s/%s: %v", baseID, r.id, err)
+			return ""
+		}
 		r.diffBase, r.diffVerdict = baseID, rep.Verdict
 	}
 	return r.diffVerdict
+}
+
+// compareRuns is the differential report of run b against baseline run a.
+func compareRuns(a, b *run, th diff.Thresholds) (*diff.Report, error) {
+	ta, sa, err := a.sink.record()
+	if err != nil {
+		return nil, err
+	}
+	tb, sb, err := b.sink.record()
+	if err != nil {
+		return nil, err
+	}
+	return diff.Compare(analyze.Attribute(ta), analyze.Attribute(tb), sa, sb, th), nil
 }
 
 // handleBaselinePin pins a completed run as its workload's comparison
@@ -820,8 +877,8 @@ func (s *server) handleBaselines(w http.ResponseWriter, req *http.Request) {
 
 // handleQuery answers GET /runs/{id}/query?q=<query> from the run's spill
 // directory via the segment index (DESIGN.md §14) — only segments whose
-// sidecar index might hold matches are read, so a narrow query over a long
-// run touches a few files, not the whole spill. Requires the run to be
+// container index might hold matches are decoded, so a narrow query over a
+// long run decodes a few segments, not the whole spill. Requires the run to be
 // spilling; the live in-memory timeline is served by timeline.json instead.
 func (s *server) handleQuery(w http.ResponseWriter, req *http.Request, r *run) {
 	if r.spill == "" {
@@ -1223,9 +1280,15 @@ func (s *server) serveEvents(w http.ResponseWriter, req *http.Request, r *run) {
 	}
 	ka := time.NewTicker(s.cfg.sseKeepalive)
 	defer ka.Stop()
+	defer r.sink.tail()()
 	// The cursor is the next id to send; no id follows MaxInt64.
 	for cur := min(max(after, -1), math.MaxInt64-1) + 1; ; {
-		evs, done, wake := r.sink.next(cur)
+		evs, done, wake, err := r.sink.next(cur)
+		if err != nil {
+			// The stream is already open: it ends without a finalize frame.
+			log.Printf("events %s: %v", r.id, err)
+			return
+		}
 		if len(evs) > 0 {
 			for i := range evs {
 				frame := append(bw.AvailableBuffer(), "id: "...)

@@ -21,6 +21,7 @@ import (
 
 	"oclfpga/internal/obs"
 	"oclfpga/internal/obs/diff"
+	"oclfpga/internal/obs/query"
 	"oclfpga/internal/obs/scrub"
 	"oclfpga/internal/sim"
 	"oclfpga/internal/supervise"
@@ -259,8 +260,8 @@ func TestSlowSSEClientReceivesEveryFrame(t *testing.T) {
 	}
 	var spilled []string
 	for _, l := range log.Lines {
-		if e, ok := bytes.CutPrefix(l, []byte(`{"e":`)); ok {
-			spilled = append(spilled, string(bytes.TrimSuffix(e, []byte("}"))))
+		if l.S == nil {
+			spilled = append(spilled, string(obs.AppendEventJSON(nil, &l.E)))
 		}
 	}
 	if len(spilled) != frames {
@@ -268,7 +269,7 @@ func TestSlowSSEClientReceivesEveryFrame(t *testing.T) {
 	}
 	for i := range spilled {
 		if payloads[i] != spilled[i] {
-			t.Fatalf("frame %d payload differs from its spill line:\n sse   %s\n spill %s", i, payloads[i], spilled[i])
+			t.Fatalf("frame %d payload differs from its spilled event:\n sse   %s\n spill %s", i, payloads[i], spilled[i])
 		}
 	}
 	ts := httptest.NewServer(srv.handler())
@@ -737,12 +738,134 @@ func TestSSEFinalizeAfterSpillCommit(t *testing.T) {
 	}
 	events := 0
 	for _, l := range log.Lines {
-		if bytes.HasPrefix(l, []byte(`{"e":`)) {
+		if l.S == nil {
 			events++
 		}
 	}
 	if fin.Frames != events || received != fin.Frames {
 		t.Fatalf("finalize frames=%d, spill holds %d events, client received %d", fin.Frames, events, received)
+	}
+}
+
+// TestCompletedRunServedFromSpill: once a run's spill is committed, its
+// in-memory records are dropped and every read re-loads them from the
+// spill, answering byte-identically to a server that holds its runs in
+// memory. A tail already at the stream end reads no records, so it still
+// gets its finalize frame when the spill is gone; a read that needs the
+// records then fails rather than answering.
+func TestCompletedRunServedFromSpill(t *testing.T) {
+	host := func(spillDir string) (*server, string) {
+		sup := supervise.New(supervise.Config{Slots: 1})
+		t.Cleanup(sup.Close)
+		srv := newServer(serverConfig{n: 256, sampleEvery: 1000, spillDir: spillDir, segLines: 64}, sup)
+		for _, id := range []string{"run1", "run2"} {
+			if _, err := srv.admit(256, "", supervise.Limits{}); err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, srv, id, supervise.StateCompleted)
+		}
+		ts := httptest.NewServer(srv.handler())
+		t.Cleanup(ts.Close)
+		return srv, ts.URL
+	}
+	root := t.TempDir()
+	held, heldURL := host("")
+	spilled, spilledURL := host(root)
+	released := func(r *run) bool {
+		r.sink.mu.Lock()
+		defer r.sink.mu.Unlock()
+		return r.sink.released && r.sink.stream == nil && r.sink.samples == nil
+	}
+	for _, id := range []string{"run1", "run2"} {
+		deadline := time.Now().Add(10 * time.Second)
+		for !released(spilled.get(id)) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: completed spilled run still holds its records", id)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if released(held.get(id)) {
+			t.Fatalf("%s: a run without a spill dropped its records", id)
+		}
+	}
+	for _, path := range []string{
+		"/runs/run1/events", "/runs/run2/timeline.json", "/runs/run2/attr.json", "/runs/run1/diff/run2",
+	} {
+		if got, want := scrape(t, spilledURL+path), scrape(t, heldURL+path); got != want {
+			t.Errorf("GET %s from the spill differs from the in-memory run's:\n%s\nwant:\n%s", path, got, want)
+		}
+	}
+	// Concurrent readers of a released run each re-load it on their own.
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		path := []string{"/runs/run2/events", "/runs/run2/timeline.json"}[i%2]
+		want := scrape(t, heldURL+path)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Get(spilledURL + path)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			if got, err := io.ReadAll(resp.Body); err != nil || string(got) != want {
+				t.Errorf("concurrent GET %s differs from the in-memory run's (err %v)", path, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := grepMetrics(scrape(t, spilledURL+"/metrics"), `{run="run1"}`),
+		grepMetrics(scrape(t, heldURL+"/metrics"), `{run="run1"}`); !strings.Contains(got, "oclmon_samples_total") ||
+		grepMetrics(got, "_total") != grepMetrics(want, "_total") {
+		t.Errorf("released run's counters:\n%s\nwant:\n%s", got, want)
+	}
+
+	ids := sseIDs(t, heldURL+"/runs/run1/events", "")
+	if err := os.RemoveAll(filepath.Join(root, "run1")); err != nil {
+		t.Fatal(err)
+	}
+	if tail := sseIDs(t, spilledURL+"/runs/run1/events", strconv.FormatInt(ids[len(ids)-1], 10)); len(tail) != 0 {
+		t.Fatalf("reconnect at the stream end got frames %v", tail)
+	}
+	if body := scrape(t, spilledURL+"/runs/run1/events"); strings.Contains(body, "event: finalize") {
+		t.Fatal("a stream whose spill is gone was served to its finalize frame")
+	}
+	resp, err := http.Get(spilledURL + "/runs/run1/timeline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("timeline of a run whose spill is gone = %d, want 500", resp.StatusCode)
+	}
+}
+
+// TestLiveSinkHoldsStreamForReadingTail: a tail reading when the run's
+// spill is committed keeps the stream in memory — its reads never touch the
+// spill — and the sink drops the stream when that tail ends.
+func TestLiveSinkHoldsStreamForReadingTail(t *testing.T) {
+	s := newLiveSink("d", 0)
+	for c := int64(1); c <= 3; c++ {
+		s.Event(obs.Event{Kind: obs.KindChanStall, Track: "chan:pipe", Name: "read-stall", Start: c, End: c})
+	}
+	end := s.tail()
+	s.Finalize(5)
+	s.retire(0, nil)
+	s.serve(filepath.Join(t.TempDir(), "no-spill"))
+	evs, done, _, err := s.next(0)
+	if err != nil || !done || len(evs) != 3 {
+		t.Fatalf("tail read %d events, done %v, err %v; want 3 from memory", len(evs), done, err)
+	}
+	if s.released {
+		t.Fatal("stream dropped under a reading tail")
+	}
+	end()
+	if !s.released || s.stream != nil {
+		t.Fatal("stream kept after the last tail ended")
+	}
+	if _, _, _, err := s.next(0); err == nil {
+		t.Fatal("a released sink whose spill is gone served its stream")
 	}
 }
 
@@ -790,9 +913,9 @@ func completeSpilledRun(t *testing.T, root string, n int, ckptEvery int64) strin
 }
 
 // TestBootScrubRepairsDamagedSpill rots a completed spill on disk (bit flip
-// in a sealed segment, deleted sidecar, torn-rename debris) and reboots: the
-// boot scrubber must repair the segment by deterministic re-execution,
-// byte-identically, and then serve the run as if nothing happened.
+// in a sealed segment, torn-rename debris) and reboots: the boot scrubber
+// must repair the segment by deterministic re-execution, byte-identically,
+// and then serve the run as if nothing happened.
 func TestBootScrubRepairsDamagedSpill(t *testing.T) {
 	root := t.TempDir()
 	dir := completeSpilledRun(t, root, 256, 0)
@@ -806,9 +929,6 @@ func TestBootScrubRepairsDamagedSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := obs.FlipByte(first, 30); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, man.Segments[1].File[:len(man.Segments[1].File)-len(".ndjson")]+".flat")); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "manifest.json.tmp"), []byte("{torn"), 0o666); err != nil {
@@ -850,6 +970,103 @@ func TestBootScrubRepairsDamagedSpill(t *testing.T) {
 	}
 	if r.sink.stats().cycle != man.EndCycle {
 		t.Fatalf("served run at cycle %d, want %d", r.sink.stats().cycle, man.EndCycle)
+	}
+}
+
+// TestBootSweepsHealthySpill reboots over a healthy completed spill that a
+// crash left commit debris beside: its load alone vouches for every segment,
+// and the debris is swept from the directory listing.
+func TestBootSweepsHealthySpill(t *testing.T) {
+	root := t.TempDir()
+	dir := completeSpilledRun(t, root, 256, 0)
+	for _, f := range []string{"manifest.json.tmp", "seg-000099.flat.part"} {
+		if err := os.WriteFile(filepath.Join(dir, f), []byte("{torn"), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sup := supervise.New(supervise.Config{Slots: 1})
+	defer sup.Close()
+	srv := newServer(serverConfig{n: 256, sampleEvery: 1000, spillDir: root, segLines: 64}, sup)
+	if err := srv.recoverSpills(); err != nil {
+		t.Fatal(err)
+	}
+	if r := srv.get("run1"); r == nil || r.quarantinedSpill {
+		t.Fatal("healthy spill not hosted")
+	}
+	rep, err := scrub.Scan(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Healthy {
+		t.Fatalf("debris survived the boot sweep: %+v", rep.Damage)
+	}
+}
+
+// TestVersion1SpillRefused opens a spill directory in the version-1 layout —
+// NDJSON segments with .flat sidecars, as the previous format's writer left
+// them (testdata/spill-v1). Every reader refuses it with the one typed
+// error, none panics, and the boot quarantines it under that error without
+// touching its files.
+func TestVersion1SpillRefused(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "run-v1")
+	if err := os.MkdirAll(dir, 0o777); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir("testdata/spill-v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := map[string][]byte{}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join("testdata/spill-v1", e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		orig[e.Name()] = data
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := &obs.SpillVersionError{Version: 1}
+	refused := func(name string, err error) {
+		t.Helper()
+		var ve *obs.SpillVersionError
+		if !errors.As(err, &ve) || *ve != *want {
+			t.Errorf("%s: err = %v, want %v", name, err, want)
+		}
+	}
+	_, err = obs.LoadSegments(dir)
+	refused("LoadSegments", err)
+	_, err = query.Run(dir, query.Query{Kind: obs.KindChanStall})
+	refused("query.Run", err)
+	_, _, _, err = diff.CompareSpills(dir, dir, diff.DefaultThresholds())
+	refused("diff.CompareSpills", err)
+	_, err = scrub.Scan(dir)
+	refused("scrub.Scan", err)
+	var man obs.Manifest
+	if err := json.Unmarshal(orig["manifest.json"], &man); err != nil {
+		t.Fatal(err)
+	}
+	_, err = obs.NewResumeSink(obs.SegmentConfig{Dir: dir}, &man)
+	refused("NewResumeSink", err)
+
+	sup := supervise.New(supervise.Config{Slots: 1})
+	defer sup.Close()
+	srv := newServer(serverConfig{n: 256, sampleEvery: 1000, spillDir: root, segLines: 64}, sup)
+	if err := srv.recoverSpills(); err != nil {
+		t.Fatal(err)
+	}
+	if r := srv.get("run-v1"); r == nil || !r.quarantinedSpill {
+		t.Fatal("version-1 spill not hosted as quarantined")
+	}
+	if q, ok := scrub.Quarantined(dir); !ok || q.Reason != want.Error() {
+		t.Fatalf("quarantine record = %+v, want reason %q", q, want.Error())
+	}
+	for name, data := range orig {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%s changed by the refusal (err %v)", name, err)
+		}
 	}
 }
 

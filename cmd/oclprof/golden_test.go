@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -18,12 +19,15 @@ import (
 	"oclfpga/internal/workload"
 )
 
-// goldenFile pins the SHA-256 of every file of four durable spills: two
+// goldenFile pins the SHA-256 of every file of four durable spills — two
 // oclprof CLI runs, the simbench-4096 spill at the shipped rotation
 // defaults, and a simbench spill driven by a seeded random RunFor slice
-// schedule. The hashes were recorded once and are never regenerated: a
-// change to how records reach the sink (batching, ordering, rotation) must
-// leave every segment, sidecar and manifest byte-identical.
+// schedule — and of each segment's NDJSON rendering, listed as the
+// seg-NNNNNN.ndjson that segment would be as a stream. A change to how
+// records reach the sink (batching, ordering, rotation) must leave every
+// container, manifest and rendering byte-identical. The renderings' hashes
+// are the NDJSON segment files' of the spill format before containers, so
+// they also pin that the container holds exactly the records those did.
 const goldenFile = "testdata/spill-golden.sha256"
 
 func TestSpillGoldenBytes(t *testing.T) {
@@ -43,7 +47,7 @@ func TestSpillGoldenBytes(t *testing.T) {
 	}
 	spillSliced(t, filepath.Join(root, "simbench-sliced"))
 
-	got := hashTree(t, root)
+	got := hashTree(t, root, renderSegments(t, root))
 	want, err := os.ReadFile(goldenFile)
 	if err != nil {
 		t.Fatalf("%v; computed hashes:\n%s", err, got)
@@ -89,11 +93,48 @@ func spillSliced(t *testing.T, dir string) {
 	}
 }
 
-// hashTree lists "<path relative to root>  <sha256>" for every regular file
-// under root, sorted by path.
-func hashTree(t *testing.T, root string) string {
+// renderSegments renders every segment of each spill under root as the
+// NDJSON stream it holds: an NDJSONSink fed that segment's records,
+// finalized only for a complete spill's last segment. It returns
+// "<spill>/seg-NNNNNN.ndjson  <sha256>" lines.
+func renderSegments(t *testing.T, root string) []string {
 	t.Helper()
+	spills, err := os.ReadDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var lines []string
+	for _, sp := range spills {
+		log, err := obs.LoadSegments(filepath.Join(root, sp.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		man, rest := log.Manifest, log.Lines
+		for i, seg := range man.Segments {
+			var buf bytes.Buffer
+			sink := obs.NewNDJSONSink(&buf, man.Design, man.SampleEvery)
+			(&obs.SegmentLog{Lines: rest[:seg.Lines]}).Feed(sink)
+			rest = rest[seg.Lines:]
+			if man.Complete && i == len(man.Segments)-1 {
+				if err := sink.Finalize(man.EndCycle); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := sink.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(buf.Bytes())
+			name := strings.TrimSuffix(seg.File, ".flat") + ".ndjson"
+			lines = append(lines, fmt.Sprintf("%s/%s  %s", sp.Name(), name, hex.EncodeToString(sum[:])))
+		}
+	}
+	return lines
+}
+
+// hashTree lists "<path relative to root>  <sha256>" for every regular file
+// under root and every extra line, sorted by path.
+func hashTree(t *testing.T, root string, extra []string) string {
+	t.Helper()
+	lines := extra
 	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err

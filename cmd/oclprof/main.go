@@ -53,9 +53,9 @@ var (
 	flagFolded   = flag.String("folded", "", "write folded stall stacks (flamegraph.pl input) to this file")
 	flagPprof    = flag.String("pprof", "", "write a gzipped pprof stall profile to this file (open with go tool pprof -http)")
 	flagSpill    = flag.String("spill", "", "stream observability records to this file as NDJSON while the run executes")
-	flagSpillDir = flag.String("spill-dir", "", "stream observability records into crash-safe rotated NDJSON segments under this directory")
-	flagSegLines = flag.Int("seg-lines", 4096, "segment rotation threshold in payload lines (with -spill-dir)")
-	flagSegBytes = flag.Int64("seg-bytes", 1<<20, "segment rotation threshold in payload bytes (with -spill-dir)")
+	flagSpillDir = flag.String("spill-dir", "", "stream observability records into crash-safe rotated segments (OBSFLAT3 containers) under this directory")
+	flagSegLines = flag.Int("seg-lines", 4096, "segment rotation threshold in payload records (with -spill-dir)")
+	flagSegBytes = flag.Int64("seg-bytes", 1<<20, "segment rotation threshold in encoded payload bytes (with -spill-dir)")
 	flagAtCycle  = flag.Int64("at-cycle", -1, "re-execute to this cycle and dump the machine state as JSON (with -spill-dir: re-execute the spill's recorded run spec, rewound from its nearest recorded checkpoint, hash-verified)")
 	flagBreak    = flag.String("break", "", "halt re-execution on breakpoint/watchpoint specs: cycle=N | chan:NAME.stall>K | chan:NAME.len>K | unit:NAME.state=S (comma-separated)")
 	flagQueryStr = flag.String("query", "", "answer an event query from -spill-dir via the segment index: 'track=T name=N kind=K cycles=[a,b]'")
@@ -90,7 +90,7 @@ func observeOn() bool {
 func analyzeOn() bool { return *flagAttr != "" || *flagFolded != "" || *flagPprof != "" }
 
 // spillFile holds the -spill NDJSON destination open across the run; the
-// simulator's recorder streams into it and finishRun closes it.
+// simulator's recorder streams into it, and finishRun closes it.
 var spillFile *os.File
 
 // flagSpec is the run the flags describe. -vcd attaches a cycle hook, which
@@ -649,9 +649,8 @@ type scrubVerdict struct {
 	Healthy bool          `json:"healthy"`
 }
 
-// runScrub verifies and self-heals -spill-dir: derived damage (commit
-// debris, stale sidecars) is repaired in place, and damaged segment bodies
-// are regenerated byte-identically by re-executing the run spec the
+// runScrub verifies and self-heals -spill-dir: commit debris is removed in
+// place, and damaged segments are regenerated byte-identically by re-executing the run spec the
 // manifest records. Exit 0 means the directory ends healthy.
 func runScrub() {
 	dir := *flagSpillDir
@@ -678,8 +677,8 @@ func runScrub() {
 			fmt.Fprintf(os.Stderr, "scrub: repair: %v\n", rerr)
 		} else {
 			v.Healthy = res.Healthy
-			fmt.Fprintf(os.Stderr, "scrub: %d orphans removed, %d sidecars rebuilt, %d segments re-executed\n",
-				len(res.RemovedOrphans), res.RebuiltSidecars, len(res.Repaired))
+			fmt.Fprintf(os.Stderr, "scrub: %d orphans removed, %d segments re-executed\n",
+				len(res.RemovedOrphans), len(res.Repaired))
 		}
 	}
 	enc := json.NewEncoder(os.Stdout)

@@ -2,12 +2,16 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"oclfpga/internal/obs"
+	"oclfpga/internal/obs/diff"
+	"oclfpga/internal/obs/query"
 	"oclfpga/internal/obs/scrub"
 	"oclfpga/internal/workload"
 )
@@ -62,7 +66,7 @@ func TestScrubRepairSimBenchPinned(t *testing.T) {
 			}
 
 			// The full damage cocktail: bit rot in one segment, a truncated
-			// second, a deleted sidecar, and torn-rename debris.
+			// second, and torn-rename debris.
 			first := man.Segments[0].File
 			mid := man.Segments[len(man.Segments)/2].File
 			if err := obs.FlipByte(filepath.Join(dir, first), 40); err != nil {
@@ -73,9 +77,6 @@ func TestScrubRepairSimBenchPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := os.Truncate(filepath.Join(dir, mid), st.Size()-13); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.Remove(filepath.Join(dir, "seg-000002.flat")); err != nil {
 				t.Fatal(err)
 			}
 			if err := os.WriteFile(filepath.Join(dir, "manifest.json.tmp"), []byte("{torn"), 0o666); err != nil {
@@ -140,5 +141,146 @@ func TestScrubRepairRefusesForeignWorkload(t *testing.T) {
 	var uw *workload.UnknownWorkloadError
 	if err := workload.Rebuild(man, nil); !errors.As(err, &uw) || uw.Name != "something-else" {
 		t.Fatalf("rebuild of a foreign workload: %v, want *UnknownWorkloadError", err)
+	}
+}
+
+// TestSwappedSidecarServesOwnEvents leaves a well-formed container of the
+// same length in one segment's place — a copy of another segment's with the
+// same record count, what an interrupted write leaves behind in a reused
+// spill directory, and the segment's own container with one record changed
+// and every section re-sealed, so only the body differs. Only the manifest's
+// fingerprints tell either from the segment: the query engine and the spill
+// diff must refuse the segment rather than answer from the other events,
+// and once scrub has regenerated it by re-execution they answer from its
+// own events again.
+func TestSwappedSidecarServesOwnEvents(t *testing.T) {
+	plants := map[string]func(t *testing.T, dir string, man *obs.Manifest) (obs.SegmentInfo, []byte){
+		"another segment's container": func(t *testing.T, dir string, man *obs.Manifest) (obs.SegmentInfo, []byte) {
+			byShape := map[[2]int64]obs.SegmentInfo{}
+			for _, seg := range man.Segments {
+				shape := [2]int64{int64(seg.Lines), seg.FileBytes}
+				if other, ok := byShape[shape]; ok {
+					data, err := os.ReadFile(filepath.Join(dir, other.File))
+					if err != nil {
+						t.Fatal(err)
+					}
+					return seg, data
+				}
+				byShape[shape] = seg
+			}
+			t.Fatalf("no two segments share a record count and length: %+v", man.Segments)
+			return obs.SegmentInfo{}, nil
+		},
+		"its own container re-sealed": func(t *testing.T, dir string, man *obs.Manifest) (obs.SegmentInfo, []byte) {
+			seg := man.Segments[1]
+			data, err := os.ReadFile(filepath.Join(dir, seg.File))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fl, err := obs.DecodeFlat(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Shorten one record that spans neither end of the segment's
+			// cycle range, so the index — and the head — stay the same.
+			first, last := fl.Records[0].Start, fl.Records[0].End
+			for _, r := range fl.Records {
+				first, last = min(first, r.Start), max(last, r.End)
+			}
+			for i, r := range fl.Records {
+				if r.Start > first && r.End < last && r.End > r.Start {
+					fl.Records[i].End = r.Start
+					out := fl.AppendFlat(nil)
+					if len(out) != len(data) || bytes.Equal(out, data) {
+						t.Fatalf("re-sealed container: %d bytes (was %d), changed %v", len(out), len(data), !bytes.Equal(out, data))
+					}
+					orig, err := obs.DecodeFlat(data)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(fl.Index(), orig.Index()) {
+						t.Fatal("re-sealed container's index differs")
+					}
+					return seg, out
+				}
+			}
+			t.Fatalf("%s has no record inside its cycle range", seg.File)
+			return obs.SegmentInfo{}, nil
+		},
+	}
+	for name, plant := range plants {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, err := SpillSimBench(16, dir, 64, 256, 24); err != nil {
+				t.Fatal(err)
+			}
+			man, err := obs.LoadManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers := func() (string, string, error) {
+				res, err := query.Run(dir, query.Query{From: 0, To: 1 << 40, HasRange: true})
+				if err != nil {
+					return "", "", err
+				}
+				side, err := diff.AttributeSpill(dir)
+				if err != nil {
+					return "", "", err
+				}
+				q, err := json.Marshal(res.Events)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a, err := json.Marshal(side.Attr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(q), string(a), nil
+			}
+			wantQ, wantA, err := answers()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			seg, data := plant(t, dir, man)
+			if err := os.WriteFile(filepath.Join(dir, seg.File), data, 0o666); err != nil {
+				t.Fatal(err)
+			}
+			// The whole run, and a point at the segment's last cycle, which a
+			// foreign index would prune the segment from.
+			for _, q := range []query.Query{
+				{From: 0, To: 1 << 40, HasRange: true},
+				{From: seg.LastCycle, To: seg.LastCycle, HasRange: true},
+			} {
+				if _, err := query.Run(dir, q); err == nil {
+					t.Errorf("query %+v served %s from a container not its own", q, seg.File)
+				} else if ce, ok := obs.AsCorrupt(err); !ok || ce.File != seg.File {
+					t.Errorf("query %+v: err = %v, want a *CorruptSegmentError naming %s", q, err, seg.File)
+				}
+			}
+			if _, err := diff.AttributeSpill(dir); err == nil {
+				t.Errorf("spill diff attributed %s from a container not its own", seg.File)
+			} else if ce, ok := obs.AsCorrupt(err); !ok || ce.File != seg.File {
+				t.Errorf("spill diff: err = %v, want a *CorruptSegmentError naming %s", err, seg.File)
+			}
+
+			res, err := scrub.Repair(dir, workload.Rebuild)
+			if err != nil {
+				t.Fatalf("repair: %v (remaining %+v)", err, res.Remaining)
+			}
+			if !res.Healthy {
+				t.Fatalf("repair left damage: %+v", res.Remaining)
+			}
+			gotQ, gotA, err := answers()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotQ != wantQ {
+				t.Errorf("query after repair differs from the clean spill's")
+			}
+			if gotA != wantA {
+				t.Errorf("spill diff after repair differs from the clean spill's")
+			}
+		})
 	}
 }

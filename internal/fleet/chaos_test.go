@@ -182,7 +182,7 @@ func TestFleetChaosRecovery(t *testing.T) {
 			// then kill the owner mid-run via the chaos endpoint.
 			deadline := time.Now().Add(30 * time.Second)
 			for {
-				if sealed, _ := filepath.Glob(filepath.Join(dir, "seg-*.ndjson")); len(sealed) > 0 {
+				if sealed, _ := filepath.Glob(filepath.Join(dir, "seg-*.flat")); len(sealed) > 0 {
 					break
 				}
 				if time.Now().After(deadline) {

@@ -28,8 +28,8 @@ func NewAccumulator(design string, endCycle int64) *Accumulator {
 	return &Accumulator{design: design, endCycle: endCycle, runCycles: map[string]int64{}}
 }
 
-// AddFlatLog folds one decoded OBSFLAT2 log (typically a segment's binary
-// sidecar, or a recorder's FlatLog for AttributeRecorder) into the
+// AddFlatLog folds one decoded flat log (typically a spill segment's
+// container, or a recorder's FlatLog for AttributeRecorder) into the
 // accumulation: kinds match by interned ID against the log's own string
 // table, the chan-stall unit comes straight from the TmplUnit argument
 // (falling back to parsing the "unit=" detail of replayed records that

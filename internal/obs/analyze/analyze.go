@@ -130,7 +130,7 @@ func Attribute(t *obs.Timeline) *Attribution {
 
 // AttributeRecorder analyzes a finalized recorder straight off its flat
 // records — the zero-materialization read path: the recorder's flat log is
-// folded into an Accumulator exactly as a spill segment's sidecar is, so no
+// folded into an Accumulator exactly as a spill segment's container is, so no
 // Event values are built. The result is identical to Attribute(r.Timeline()).
 func AttributeRecorder(r *obs.Recorder) *Attribution {
 	ac := NewAccumulator(r.Design(), r.EndCycle())

@@ -27,9 +27,9 @@ type CorruptSegmentError struct {
 	// reports offset 0, a missing file -1).
 	Offset int64
 	// Reason classifies the damage: "checksum" (bit rot), "truncated",
-	// "missing", "garbage" (unparseable content), "stale" (sidecar
-	// disagreeing with the manifest), "structure" (parseable but
-	// self-inconsistent).
+	// "missing", "garbage" (an undecodable container), "structure"
+	// (decodable but disagreeing with the manifest), "repair-divergence" (a
+	// re-execution that did not reproduce the fingerprint).
 	Reason string
 	// Expected/Got describe the failed check (checksums, counts, sizes).
 	Expected string

@@ -18,8 +18,8 @@ type SpillSide struct {
 }
 
 // AttributeSpill attributes a completed segmented spill by walking each
-// segment's pinned OBSFLAT2 sidecar (rebuilt from the NDJSON truth when
-// missing or stale) — no Event materialization, no whole-run replay.
+// segment's OBSFLAT3 container — no Event materialization, no whole-run
+// replay.
 // Segments whose index proves they hold no unit-run, chan-stall, or
 // line-fetch records are skipped. The result is identical to replaying the
 // spill and running analyze.Attribute on the reconstructed timeline.

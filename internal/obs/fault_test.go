@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -29,15 +30,15 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
-// assertSameLines byte-compares the durable payload lines of two loaded logs.
+// assertSameLines compares the durable payload records of two loaded logs.
 func assertSameLines(t *testing.T, want, got *SegmentLog) {
 	t.Helper()
 	if len(want.Lines) != len(got.Lines) {
-		t.Fatalf("line counts differ: want %d, got %d", len(want.Lines), len(got.Lines))
+		t.Fatalf("record counts differ: want %d, got %d", len(want.Lines), len(got.Lines))
 	}
 	for i := range want.Lines {
-		if !bytes.Equal(want.Lines[i], got.Lines[i]) {
-			t.Fatalf("line %d differs:\n%s\nvs\n%s", i, want.Lines[i], got.Lines[i])
+		if !reflect.DeepEqual(want.Lines[i], got.Lines[i]) {
+			t.Fatalf("record %d differs:\n%+v\nvs\n%+v", i, want.Lines[i], got.Lines[i])
 		}
 	}
 }
@@ -155,7 +156,7 @@ func TestSegmentSinkFaultMatrix(t *testing.T) {
 }
 
 // assertSameDir requires dir to hold exactly clean's files, byte for byte:
-// segments, sidecars and manifest.
+// segments and manifest.
 func assertSameDir(t *testing.T, clean, dir string) {
 	t.Helper()
 	want, err := os.ReadDir(clean)
@@ -205,7 +206,7 @@ func resumeCrashed(t *testing.T, dir string, cfg SegmentConfig) *SegmentSink {
 
 // TestSegmentSalvageAtEveryByteOffset is the crash sweep: a crashed run's
 // unsealed .part is truncated at every possible byte offset, and every single
-// truncation must resume to a directory — segments, sidecars and manifest —
+// truncation must resume to a directory — segments and manifest —
 // byte-identical to the uninterrupted run's. The .part is never read, so no
 // torn byte can reach the record.
 func TestSegmentSalvageAtEveryByteOffset(t *testing.T) {
@@ -239,7 +240,7 @@ func TestSegmentSalvageAtEveryByteOffset(t *testing.T) {
 }
 
 // TestSegmentSalvageLiesAreDropped plants a fabricated (well-formed but wrong)
-// line in the .part tail: the resumed directory must still be byte-identical
+// container as the .part: the resumed directory must still be byte-identical
 // to the uninterrupted run's, because the regenerated truth is what lands.
 func TestSegmentSalvageLiesAreDropped(t *testing.T) {
 	clean := t.TempDir()
@@ -248,13 +249,12 @@ func TestSegmentSalvageLiesAreDropped(t *testing.T) {
 	dir := t.TempDir()
 	crashSpill(t, dir)
 	parts, _ := filepath.Glob(filepath.Join(dir, "*.part"))
-	data, err := os.ReadFile(parts[0])
-	if err != nil {
-		t.Fatal(err)
+	lie := newFlatBuilder()
+	lie.addEvent(&Event{Kind: KindLaunch, Track: "unit:ghost", Name: "never-happened", Start: 9, End: 9, Instant: true})
+	_, data := lie.finish(filepath.Base(parts[0]), -1, nil)
+	if _, err := DecodeFlat(data); err != nil {
+		t.Fatalf("the planted lie does not even decode: %v", err)
 	}
-	// Drop the torn tail, then append a parseable lie.
-	data = data[:bytes.LastIndexByte(data, '\n')+1]
-	data = append(data, []byte(`{"e":{"kind":"launch","track":"unit:ghost","name":"never-happened","start":9,"end":9,"instant":true}}`+"\n")...)
 	if err := os.WriteFile(parts[0], data, 0o666); err != nil {
 		t.Fatal(err)
 	}
@@ -315,10 +315,8 @@ func TestResumeIgnoresRotationFlags(t *testing.T) {
 			sealed := map[string][]byte{}
 			sealedLines := 0
 			for _, seg := range man.Segments {
-				for _, f := range []string{seg.File, FlatSegmentName(seg.File)} {
-					if sealed[f], err = os.ReadFile(filepath.Join(dir, f)); err != nil {
-						t.Fatal(err)
-					}
+				if sealed[seg.File], err = os.ReadFile(filepath.Join(dir, seg.File)); err != nil {
+					t.Fatal(err)
 				}
 				sealedLines += seg.Lines
 			}
@@ -359,9 +357,10 @@ func TestResumeIgnoresRotationFlags(t *testing.T) {
 	}
 }
 
-// TestSegmentBitFlipCaughtByChecksum flips a byte that keeps the segment
-// perfectly parseable — same length, valid JSON, right line count — so only
-// the CRC can tell. It must: as a typed verdict naming file and reason.
+// TestSegmentBitFlipCaughtByChecksum flips a byte inside a string of the
+// container's string table — same length, every count intact — and expects
+// the whole-file CRC to refuse it first, as a typed verdict naming file and
+// reason, with the section's own checksum behind it.
 func TestSegmentBitFlipCaughtByChecksum(t *testing.T) {
 	dir := t.TempDir()
 	spillSegments(t, dir)
@@ -375,7 +374,7 @@ func TestSegmentBitFlipCaughtByChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip a letter inside a payload string: "launch" -> "la5nch" stays JSON.
+	// Flip a letter inside an interned string: "launch" -> "la5nch".
 	i := bytes.Index(data, []byte("launch"))
 	if i < 0 {
 		t.Fatalf("fixture drifted: no 'launch' in %s", seg.File)
@@ -392,34 +391,27 @@ func TestSegmentBitFlipCaughtByChecksum(t *testing.T) {
 	if ce.File != seg.File || ce.Reason != "checksum" {
 		t.Fatalf("verdict = %+v", ce)
 	}
-	// The escape hatch still reads the damaged-but-parseable bytes.
-	if _, err := LoadSegmentsWith(dir, LoadOptions{SkipChecksums: true}); err != nil {
-		t.Fatalf("SkipChecksums load failed: %v", err)
+	// Without the whole-file CRC the string table's checksum still refuses.
+	if _, err := LoadSegmentsWith(dir, LoadOptions{SkipChecksums: true}); err == nil ||
+		!strings.Contains(err.Error(), "string table checksum") {
+		t.Fatalf("SkipChecksums load = %v, want the string table's checksum verdict", err)
 	}
-	// And the whole-file readers agree with the loader.
+	// And the other readers agree with the loader.
 	c := CheckSegment(dir, &log.Manifest, 0)
 	if c.ChecksumState != "bad" || c.Err == nil {
 		t.Fatalf("CheckSegment = %+v", c)
 	}
-	if _, _, err := ReadSegmentEvents(dir, seg); err == nil {
-		t.Fatal("ReadSegmentEvents accepted flipped segment")
+	if _, err := LoadSegFlat(dir, seg, nil); err == nil {
+		t.Fatal("LoadSegFlat accepted flipped segment")
 	}
 }
 
-// TestLegacyManifestLoadsUnverified drops the fingerprints from a manifest
-// (the pre-checksum format) and expects the spill to still load and check as
-// "unverified", not fail.
-func TestLegacyManifestLoadsUnverified(t *testing.T) {
+// TestUnfingerprintedManifestRefused drops the fingerprints from a manifest:
+// every segment entry must carry one, so the manifest is refused rather than
+// loaded unverified.
+func TestUnfingerprintedManifestRefused(t *testing.T) {
 	dir := t.TempDir()
 	spillSegments(t, dir)
-	man, err := LoadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range man.Segments {
-		man.Segments[i].FileBytes = 0
-		man.Segments[i].CRC32C = 0
-	}
 	buf, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		t.Fatal(err)
@@ -429,21 +421,14 @@ func TestLegacyManifestLoadsUnverified(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, manifestName), buf, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	// Sidecars now look stale (their SegCRC32C pins the old fingerprint).
-	if _, err := LoadSegments(dir); err != nil {
-		t.Fatalf("legacy manifest rejected: %v", err)
-	}
-	log, _ := LoadSegments(dir)
-	c := CheckSegment(dir, &log.Manifest, 0)
-	if c.ChecksumState != "unverified" {
-		t.Fatalf("ChecksumState = %q, want unverified", c.ChecksumState)
+	if _, err := LoadSegments(dir); err == nil || !strings.Contains(err.Error(), "no fingerprint") {
+		t.Fatalf("unfingerprinted manifest: err = %v", err)
 	}
 }
 
 // TestRepairSinkByteIdentical damages two segments of a sealed spill, repairs
 // them by re-executing the workload through a RepairSink, and requires every
-// repaired file to come back byte-for-byte identical to the clean original —
-// sidecars included.
+// repaired file to come back byte-for-byte identical to the clean original.
 func TestRepairSinkByteIdentical(t *testing.T) {
 	clean := t.TempDir()
 	spillSegments(t, clean)
@@ -629,7 +614,7 @@ func TestRepairSinkRejectsUnknownSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewRepairSink(dir, man, []string{"seg-000099.ndjson"}, nil); err == nil {
+	if _, err := NewRepairSink(dir, man, []string{"seg-000099.flat"}, nil); err == nil {
 		t.Fatal("accepted a damage list outside the manifest")
 	}
 }

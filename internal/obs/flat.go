@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"strconv"
 	"sync"
 )
@@ -231,30 +232,25 @@ type flatRef struct {
 	shard, idx int32
 }
 
-// FlatLog is a standalone flat record stream: an intern table and the merged
-// (sequence-ordered) records. It is the unit the binary flat codec
-// round-trips, and what the codec fuzz target exercises. A recorder snapshot
-// leaves Pin and Samples zero; a sealed segment's sidecar (index.go) carries
-// both.
+// FlatLog is a standalone flat record stream: an intern table, the merged
+// (sequence-ordered) records and, for a sealed spill segment, its samples
+// and end cycle. It is the unit the binary flat codec round-trips — the
+// durable segment container (segment.go) — and what the codec fuzz target
+// exercises. A recorder snapshot carries no samples and EndCycle -1.
 type FlatLog struct {
-	// Pin ties a segment sidecar to the sealed segment bytes it was built
-	// from.
-	Pin FlatPin
-	// Samples counts the segment's sample lines, which the log does not hold.
-	Samples int
 	Strings []string
 	Records []FlatRecord
+	// Samples holds a segment's metrics samples as flat sample items
+	// (sampleflat.go) whose names index Strings. The high 32 bits of each
+	// header item's first word are the sample's position in the stream: the
+	// number of records before it.
+	Samples []uint64
+	// EndCycle is the run's end cycle in a complete spill's last segment —
+	// what the NDJSON stream's fin line carries — and -1 in any other log.
+	EndCycle int64
 }
 
-// FlatPin is the manifest fingerprint a segment sidecar answers for: the
-// entry's payload line and byte counts and the sealed file's CRC32C.
-type FlatPin struct {
-	Lines  int
-	Bytes  int64
-	CRC32C uint32
-}
-
-const flatMagic = "OBSFLAT2"
+const flatMagic = "OBSFLAT3"
 
 // maxFlatStrings/maxFlatRecords bound DecodeFlat's up-front allocations; the
 // per-item length checks against the remaining input are the real guard, these
@@ -264,8 +260,17 @@ const (
 	maxFlatRecords = 1 << 26
 )
 
-// recBytes is one encoded record: the six packed words plus its CRC32C.
+// recBytes is one encoded record: the six packed words plus its checksum.
 const recBytes = recWords*8 + 4
+
+// sectionSum is the checksum each section and record of the codec carries:
+// CRC-32 (IEEE). It is deliberately not the CRC32C the manifest fingerprints
+// a segment file with. A CRC over bytes followed by their own CRC under the
+// same polynomial cancels them out, so a whole-file CRC32C over
+// CRC32C-sealed sections would not change when a section changes
+// consistently — and resume and repair prove a regenerated container by
+// exactly that fingerprint.
+func sectionSum(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
 
 // Index section sizes: the fixed head (events, samples, first and last
 // cycle, entry count) and one entry (string ID, kind count, role bits).
@@ -279,6 +284,22 @@ const (
 	roleTrack uint8 = 1 << iota
 	roleName
 )
+
+// sampleCount counts the header items of a flat sample stream.
+func sampleCount(w []uint64) int {
+	n := 0
+	for i := 0; i < len(w); {
+		tag := w[i] & sampTagMask
+		if tag > sampTagLocal {
+			break
+		}
+		if tag == sampTagHeader {
+			n++
+		}
+		i += sampItemWords[tag]
+	}
+	return n
+}
 
 // appendIndex appends the index section: the log's event and sample counts,
 // its cycle span (min Start, max End; both -1 with no records), and one
@@ -319,78 +340,93 @@ func (l *FlatLog) appendIndex(buf []byte) []byte {
 	buf = buf[:entStart+n*idxEntryBytes]
 	head := buf[start:entStart]
 	le.PutUint32(head, uint32(len(l.Records)))
-	le.PutUint32(head[4:], uint32(l.Samples))
+	le.PutUint32(head[4:], uint32(sampleCount(l.Samples)))
 	le.PutUint64(head[8:], uint64(first))
 	le.PutUint64(head[16:], uint64(last))
 	le.PutUint32(head[24:], uint32(n))
-	return le.AppendUint32(buf, Checksum(buf[start:]))
+	return le.AppendUint32(buf, sectionSum(buf[start:]))
 }
 
 // AppendFlat serializes the log to buf in four checksummed sections:
 //
-//	magic    "OBSFLAT2"
-//	pin      lines u64, bytes u64, segment CRC32C u32; then the section's CRC32C
+//	magic    "OBSFLAT3"
 //	strings  count u32, then length u32 + bytes per string (index 0's empty
-//	         string implicit); then the section's CRC32C
+//	         string implicit); then the section's checksum
 //	index    events u32, samples u32, first and last cycle i64, entry count
 //	         u32, then per string ID in use, ascending: ID u32, kind count
-//	         u32, role bits u8 (1 track, 2 name); then the section's CRC32C
-//	records  count u32, then per record its six packed words and their CRC32C
+//	         u32, role bits u8 (1 track, 2 name); then the section's checksum
+//	samples  end cycle i64 (-1: none), word count u32, then the sample
+//	         items' words u64; then the section's checksum
+//	records  count u32, then per record its six packed words and their
+//	         checksum
+//
+// Every checksum is sectionSum's CRC-32.
 //
 // A flipped bit anywhere in the artifact is a decode error with a byte
 // offset, never a wrong event. The index section is a function of the
-// records and the sample count, so a reader can prune on it without
-// decoding records, and DecodeFlat holds it to the records it decodes. The
-// encoding is canonical — DecodeFlat∘AppendFlat is the identity, which the
-// codec fuzz target checks (checksums are functions of the data, so the
-// identity survives them).
+// records and the samples, so a reader can prune on it without decoding
+// either, and DecodeFlat holds it to what it decodes. The encoding is
+// canonical — DecodeFlat∘AppendFlat is the identity, which the codec fuzz
+// target checks (checksums are functions of the data, so the identity
+// survives them).
 func (l *FlatLog) AppendFlat(buf []byte) []byte {
-	size := len(flatMagic) + 8 + 8 + 4 + 4 + 4 + 4 + idxHeadBytes + len(l.Strings)*idxEntryBytes + 4 + 4 + len(l.Records)*recBytes
+	buf, _ = l.appendFlat(buf)
+	return buf
+}
+
+// appendFlat is AppendFlat, also returning where in buf the container's
+// head — magic, string table and index section — ends.
+func (l *FlatLog) appendFlat(buf []byte) ([]byte, int) {
+	size := len(flatMagic) + 4 + 4 + idxHeadBytes + len(l.Strings)*idxEntryBytes + 4 +
+		8 + 4 + 8*len(l.Samples) + 4 + 4 + len(l.Records)*recBytes
 	for _, s := range l.Strings[1:] {
 		size += 4 + len(s)
 	}
 	if cap(buf)-len(buf) < size {
 		buf = append(make([]byte, 0, len(buf)+size), buf...)
 	}
+	le := binary.LittleEndian
 	buf = append(buf, flatMagic...)
-	pinStart := len(buf)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(l.Pin.Lines))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(l.Pin.Bytes))
-	buf = binary.LittleEndian.AppendUint32(buf, l.Pin.CRC32C)
-	buf = binary.LittleEndian.AppendUint32(buf, Checksum(buf[pinStart:]))
 	strStart := len(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(l.Strings)))
+	buf = le.AppendUint32(buf, uint32(len(l.Strings)))
 	for _, s := range l.Strings[1:] {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
+		buf = le.AppendUint32(buf, uint32(len(s)))
 		buf = append(buf, s...)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, Checksum(buf[strStart:]))
+	buf = le.AppendUint32(buf, sectionSum(buf[strStart:]))
 	buf = l.appendIndex(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(l.Records)))
+	smpStart := len(buf)
+	buf = le.AppendUint64(buf, uint64(l.EndCycle))
+	buf = le.AppendUint32(buf, uint32(len(l.Samples)))
+	for _, w := range l.Samples {
+		buf = le.AppendUint64(buf, w)
+	}
+	buf = le.AppendUint32(buf, sectionSum(buf[smpStart:]))
+	buf = le.AppendUint32(buf, uint32(len(l.Records)))
 	var w [recWords]uint64
 	for _, f := range l.Records {
 		packRecord(w[:], f)
 		start := len(buf)
 		for _, x := range w {
-			buf = binary.LittleEndian.AppendUint64(buf, x)
+			buf = le.AppendUint64(buf, x)
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, Checksum(buf[start:]))
+		buf = le.AppendUint32(buf, sectionSum(buf[start:]))
 	}
-	return buf
+	return buf, smpStart
 }
 
 // DecodeFlat parses a stream written by AppendFlat, validating every index and
 // checksum: kind/track/name/literal-detail IDs must land inside the decoded
-// string table, templates and flags must be known, every section and record
-// CRC must match, the index section must be exactly the one the decoded
-// records imply, and no trailing bytes may follow. Malformed input yields an
-// error, never a panic.
+// string table, templates, flags and sample item tags must be known, every
+// section and record CRC must match, the index section must be exactly the
+// one the decoded records and samples imply, and no trailing bytes may
+// follow. Malformed input yields an error, never a panic.
 func DecodeFlat(data []byte) (*FlatLog, error) {
 	h, err := decodeFlatHead(data)
 	if err != nil {
 		return nil, err
 	}
-	return h.decodeRecords()
+	return h.decodeBody()
 }
 
 // flatReader walks an AppendFlat stream. A read past the end returns zeros
@@ -416,27 +452,27 @@ func (r *flatReader) u32() uint32 { return binary.LittleEndian.Uint32(r.take(4))
 func (r *flatReader) u64() uint64 { return binary.LittleEndian.Uint64(r.take(8)) }
 func (r *flatReader) off() int64  { return int64(len(r.orig) - len(r.data)) }
 
-// section checks a section's trailing CRC32C over orig[start:off()].
+// section checks a section's trailing checksum over orig[start:off()].
 func (r *flatReader) section(name string, start int64) error {
 	body := r.orig[start:r.off()]
 	crc := r.u32()
 	if r.short {
 		return errFlatTruncated
 	}
-	if got := Checksum(body); got != crc {
+	if got := sectionSum(body); got != crc {
 		return fmt.Errorf("obs: flat: %s checksum mismatch at byte %d (expected %08x, got %08x)",
 			name, start, crc, got)
 	}
 	return nil
 }
 
-// flatHead is an AppendFlat stream decoded up to its records: the pin, the
-// string table and the index section, each checksum-verified, with every
-// index entry's string ID inside the table. That is enough to answer the
-// index without decoding a record.
+// flatHead is an AppendFlat stream decoded up to its samples: the string
+// table and the index section, each checksum-verified, with every index
+// entry's string ID inside the table. That is enough to answer the index
+// without decoding a sample or a record.
 type flatHead struct {
-	log    *FlatLog // Pin, Samples and Strings; no Records yet
-	idx    []byte   // the raw index section, its CRC32C included
+	log    *FlatLog // Strings only
+	idx    []byte   // the raw index section, its checksum included
 	idxOff int64    // the index section's stream offset
 	r      flatReader
 }
@@ -448,12 +484,6 @@ func decodeFlatHead(data []byte) (*flatHead, error) {
 	r := flatReader{orig: data, data: data[len(flatMagic):]}
 
 	l := &FlatLog{}
-	pinStart := r.off()
-	l.Pin = FlatPin{Lines: int(r.u64()), Bytes: int64(r.u64()), CRC32C: r.u32()}
-	if err := r.section("pin", pinStart); err != nil {
-		return nil, err
-	}
-
 	strStart := r.off()
 	nStr := r.u32()
 	if r.short {
@@ -477,12 +507,10 @@ func decodeFlatHead(data []byte) (*flatHead, error) {
 		return nil, err
 	}
 
-	// The index section is read for its extent and sample count here, and
-	// held to the decoded records by decodeRecords.
+	// The index section is read for its extent here, and held to the decoded
+	// records and samples by decodeBody.
 	idxStart := r.off()
-	r.take(4)
-	l.Samples = int(r.u32())
-	r.take(16)
+	r.take(idxHeadBytes - 4)
 	nEnt := r.u32()
 	if r.short {
 		return nil, errFlatTruncated
@@ -502,14 +530,42 @@ func decodeFlatHead(data []byte) (*flatHead, error) {
 	return &flatHead{log: l, idx: data[idxStart:r.off()], idxOff: idxStart, r: r}, nil
 }
 
-// index answers the index section without decoding a record.
+// index answers the index section without decoding a sample or record.
 func (h *flatHead) index() *SegIndex { return parseIndex(h.log.Strings, h.idx) }
 
-// decodeRecords decodes and checks the records section and holds the index
-// section to it, completing the log.
-func (h *flatHead) decodeRecords() (*FlatLog, error) {
+// decodeBody decodes and checks the samples and records sections and holds
+// the index section to them, completing the log.
+func (h *flatHead) decodeBody() (*FlatLog, error) {
 	r, l := &h.r, h.log
 	nStr := uint32(len(l.Strings))
+	events := binary.LittleEndian.Uint32(h.idx)
+
+	smpStart := r.off()
+	l.EndCycle = int64(r.u64())
+	nWords := r.u32()
+	if r.short {
+		return nil, errFlatTruncated
+	}
+	if uint64(nWords)*8 > uint64(len(r.data)) {
+		return nil, fmt.Errorf("obs: flat: sample word count %d past end", nWords)
+	}
+	raw := r.take(int(nWords) * 8)
+	if err := r.section("samples", smpStart); err != nil {
+		return nil, err
+	}
+	if l.EndCycle < -1 {
+		return nil, fmt.Errorf("obs: flat: end cycle %d out of range", l.EndCycle)
+	}
+	if nWords > 0 {
+		l.Samples = make([]uint64, nWords)
+	}
+	for i := range l.Samples {
+		l.Samples[i] = binary.LittleEndian.Uint64(raw[i*8:])
+	}
+	if err := checkSamples(l.Samples, nStr, uint64(events)); err != nil {
+		return nil, fmt.Errorf("obs: flat: samples at byte %d: %w", smpStart, err)
+	}
+
 	nRec := r.u32()
 	if r.short {
 		return nil, errFlatTruncated
@@ -526,7 +582,7 @@ func (h *flatHead) decodeRecords() (*FlatLog, error) {
 		for j := range w {
 			w[j] = binary.LittleEndian.Uint64(rec[j*8:])
 		}
-		if got, crc := Checksum(rec[:recWords*8]), binary.LittleEndian.Uint32(rec[recWords*8:]); got != crc {
+		if got, crc := sectionSum(rec[:recWords*8]), binary.LittleEndian.Uint32(rec[recWords*8:]); got != crc {
 			return nil, fmt.Errorf("obs: flat: record %d checksum mismatch at byte %d (expected %08x, got %08x)",
 				i, recOff, crc, got)
 		}
@@ -552,6 +608,47 @@ func (h *flatHead) decodeRecords() (*FlatLog, error) {
 		return nil, fmt.Errorf("obs: flat: index section at byte %d disagrees with the records", h.idxOff)
 	}
 	return l, nil
+}
+
+// checkSamples holds a flat sample stream to its item layout: whole items of
+// known tags, a header item first, header positions ascending and at most
+// records, every name ID inside the string table, and every unused bit of
+// an item's tag word clear (so decode then re-encode is the byte identity).
+func checkSamples(w []uint64, nStr uint32, records uint64) error {
+	var at uint64
+	for i := 0; i < len(w); {
+		tag := w[i] & sampTagMask
+		if tag > sampTagLocal {
+			return fmt.Errorf("item at word %d: unknown tag %d", i, tag)
+		}
+		n := sampItemWords[tag]
+		if i+n > len(w) {
+			return fmt.Errorf("item at word %d: cut short", i)
+		}
+		if i == 0 && tag != sampTagHeader {
+			return fmt.Errorf("item at word 0: not a sample header")
+		}
+		id, flags := w[i]>>32, w[i]&0xffffffff&^sampTagMask
+		outside := id >= uint64(nStr)
+		switch tag {
+		case sampTagHeader:
+			if id < at || id > records {
+				return fmt.Errorf("item at word %d: position %d out of order", i, id)
+			}
+			at, outside = id, false
+		case sampTagLSU:
+			flags &^= sampStoreBit
+			outside = outside || w[i+1]&0xffffffff >= uint64(nStr) || w[i+1]>>32 >= uint64(nStr)
+		}
+		if flags != 0 {
+			return fmt.Errorf("item at word %d: reserved bits set", i)
+		}
+		if outside {
+			return fmt.Errorf("item at word %d: string ID out of range", i)
+		}
+		i += n
+	}
+	return nil
 }
 
 // Detail renders the record's annotation against the log's string table.

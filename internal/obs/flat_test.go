@@ -64,19 +64,20 @@ func TestFlatCodecRejectsMalformed(t *testing.T) {
 		r.Finalize(500)
 		return r.FlatLog().AppendFlat(nil)
 	}()
-	pin := (&FlatLog{Strings: []string{""}}).AppendFlat(nil)[:len(flatMagic)+24]
+	magic := []byte(flatMagic)
 	cases := map[string][]byte{
 		"empty":       nil,
 		"bad magic":   []byte("OBSFLAT9xxxxxxxx"),
 		"retired v1":  []byte("OBSFLAT1\x01\x00\x00\x00\x00\x00\x00\x00"),
-		"magic only":  []byte("OBSFLAT2"),
+		"retired v2":  append([]byte("OBSFLAT2"), good[len(flatMagic):]...),
+		"magic only":  magic,
 		"truncated":   good[:len(good)-3],
 		"trailing":    append(append([]byte(nil), good...), 0),
-		"zero nstr":   append(append([]byte(nil), pin...), 0, 0, 0, 0),
-		"huge nstr":   append(append([]byte(nil), pin...), 0xff, 0xff, 0xff, 0xff),
-		"str too big": append(append([]byte(nil), pin...), 2, 0, 0, 0, 0xff, 0xff, 0, 0),
+		"zero nstr":   append(append([]byte(nil), magic...), 0, 0, 0, 0),
+		"huge nstr":   append(append([]byte(nil), magic...), 0xff, 0xff, 0xff, 0xff),
+		"str too big": append(append([]byte(nil), magic...), 2, 0, 0, 0, 0xff, 0xff, 0, 0),
 	}
-	for name, bad := range badIndexes(sidecarLog().AppendFlat(nil)) {
+	for name, bad := range badContainers(containerLog().AppendFlat(nil)) {
 		cases[name] = bad
 	}
 	for name, data := range cases {
@@ -290,22 +291,35 @@ func TestReleaseContract(t *testing.T) {
 	}
 }
 
-// sidecarLog is a small segment sidecar: pin and sample count set, and an
-// event with a detail so the index has kind, track and name entries.
-func sidecarLog() *FlatLog {
+// containerLog is a small segment container: events and samples
+// interleaved, an end cycle, and an event with a detail so the index has
+// kind, track and name entries. Its sample words are: the first sample's
+// header (words 0-1, after one event) and a channel item (2-9), then the
+// second's header (10-11, after two events), an LSU item (12-20) and a
+// local item (21-23).
+func containerLog() *FlatLog {
 	b := newFlatBuilder()
 	b.addEvent(&Event{Kind: KindChanStall, Track: "chan:pipe", Name: "read-stall", Start: 5, End: 40})
+	b.addSample(&Sample{Cycle: 50, Channels: []ChannelSample{{Name: "pipe", Len: 2, Stats: channel.Stats{Writes: 3}}}})
 	b.addEvent(&Event{Kind: KindLaunch, Track: "unit:k", Name: "go", Start: 0, End: 0, Instant: true, Detail: "x"})
-	b.samples = 1
-	return b.finish(SegmentInfo{File: "seg-000001.ndjson", Lines: 3, Bytes: 222, CRC32C: 0xdeadbeef})
+	b.addSample(&Sample{Cycle: 100,
+		LSUs:   []LSUSample{{Unit: "k", Array: "tbl", Kind: "burst", IsStore: true, LSUStats: mem.LSUStats{Stores: 4}}},
+		Locals: []LocalSample{{Name: "ibuf", Reads: 1, Writes: 2}}})
+	_, buf := b.finish("seg-000001.flat", 500, nil)
+	l, err := DecodeFlat(buf)
+	if err != nil {
+		panic(err)
+	}
+	return l
 }
 
-// badIndexes damages an encoded sidecar's index section and pin in the ways
-// DecodeFlat must refuse. The index damage keeps the section CRC valid, so
-// only the structure or the cross-check against the records can catch it.
-func badIndexes(enc []byte) map[string][]byte {
+// badContainers damages an encoded container's index and samples sections
+// in the ways DecodeFlat must refuse. Most damage reseals the section's CRC,
+// so only the structure or the cross-check against the records can catch
+// it.
+func badContainers(enc []byte) map[string][]byte {
 	le := binary.LittleEndian
-	idx := len(flatMagic) + 24
+	idx := len(flatMagic)
 	n := le.Uint32(enc[idx:])
 	for idx += 4; n > 1; n-- {
 		idx += 4 + int(le.Uint32(enc[idx:]))
@@ -315,17 +329,82 @@ func badIndexes(enc []byte) map[string][]byte {
 	reseal := func(at int, v uint32) []byte {
 		out := append([]byte(nil), enc...)
 		le.PutUint32(out[at:], v)
-		le.PutUint32(out[end:], Checksum(out[idx:end]))
+		le.PutUint32(out[end:], sectionSum(out[idx:end]))
 		return out
 	}
-	pin := append([]byte(nil), enc...)
-	pin[len(flatMagic)] ^= 1 // pin lines changed under a stale section CRC
+	smp := end + 4
+	smpEnd := smp + 12 + 8*int(le.Uint32(enc[smp+8:]))
+	word := func(i int) int { return smp + 12 + 8*i }
+	resealSamples := func(at int, v uint64) []byte {
+		out := append([]byte(nil), enc...)
+		le.PutUint64(out[at:], v)
+		le.PutUint32(out[smpEnd:], sectionSum(out[smp:smpEnd]))
+		return out
+	}
+	stale := append([]byte(nil), enc...)
+	stale[word(1)] ^= 1 // a sample cycle changed under a stale section CRC
 	return map[string][]byte{
-		"truncated index":     enc[:idx+idxHeadBytes/2],
-		"index ID past table": reseal(idx+idxHeadBytes, 99),  // role bits on an out-of-range ID
-		"index kind count":    reseal(idx+idxHeadBytes+4, 7), // a count the records disagree with
-		"index event count":   reseal(idx, 5),                // events != records
-		"index cycle span":    reseal(idx+8, 1),              // first cycle moved
-		"pin crc stale":       pin,
+		"truncated index":          enc[:idx+idxHeadBytes/2],
+		"index ID past table":      reseal(idx+idxHeadBytes, 99),  // role bits on an out-of-range ID
+		"index kind count":         reseal(idx+idxHeadBytes+4, 7), // a count the records disagree with
+		"index event count":        reseal(idx, 5),                // events != records
+		"index sample count":       reseal(idx+4, 1),              // samples != sample headers
+		"index cycle span":         reseal(idx+8, 1),              // first cycle moved
+		"samples crc stale":        stale,
+		"end cycle below -1":       resealSamples(smp, uint64(0xfffffffffffffffb)),
+		"sample tag unknown":       resealSamples(word(0), 5|1<<32),
+		"sample entry first":       resealSamples(word(0), sampTagChan|1<<32),
+		"sample reserved bits":     resealSamples(word(0), sampTagHeader|1<<8|1<<32),
+		"sample past records":      resealSamples(word(10), sampTagHeader|3<<32),
+		"sample positions reverse": resealSamples(word(10), sampTagHeader|0<<32),
+		"sample name past table":   resealSamples(word(2), sampTagChan|999<<32),
+		"sample lsu kind past":     resealSamples(word(13), 1|999<<32),
+		"sample item cut short":    resealSamples(word(21), sampTagChan|1<<32),
+	}
+}
+
+// TestContainerKeepsStreamOrder round-trips an interleaved stream through a
+// container: decoding yields the same events and samples, in the same
+// order, and the end cycle.
+func TestContainerKeepsStreamOrder(t *testing.T) {
+	l := containerLog()
+	got := l.appendPayloads(nil)
+	kinds := ""
+	for _, p := range got {
+		if p.S != nil {
+			kinds += "s"
+		} else {
+			kinds += "e"
+		}
+	}
+	if kinds != "eses" || l.EndCycle != 500 {
+		t.Fatalf("stream order %q, end cycle %d; want eses, 500", kinds, l.EndCycle)
+	}
+	want := Sample{Cycle: 100,
+		LSUs:   []LSUSample{{Unit: "k", Array: "tbl", Kind: "burst", IsStore: true, LSUStats: mem.LSUStats{Stores: 4}}},
+		Locals: []LocalSample{{Name: "ibuf", Reads: 1, Writes: 2}}}
+	if !reflect.DeepEqual(*got[3].S, want) || got[2].E.Detail != "x" || got[1].S.Channels[0].Writes != 3 {
+		t.Fatalf("payloads differ: %+v", got)
+	}
+	if idx := l.Index(); idx.Events != 2 || idx.Samples != 2 {
+		t.Fatalf("index counts %d events, %d samples", idx.Events, idx.Samples)
+	}
+}
+
+// TestFileFingerprintSeesSealedChanges pins why sections use another CRC
+// than the manifest's file fingerprint: two containers that differ in one
+// record, each with every section checksum consistent, must still differ in
+// their whole-file CRC32C — the fingerprint resume and repair prove a
+// regenerated segment by.
+func TestFileFingerprintSeesSealedChanges(t *testing.T) {
+	sum := func(start int64) uint32 {
+		b := newFlatBuilder()
+		b.addEvent(&Event{Kind: KindLaunch, Track: "unit:k", Name: "launch", Start: start, End: start, Instant: true})
+		b.addSample(&Sample{Cycle: 50})
+		info, _ := b.finish("seg-000001.flat", -1, nil)
+		return info.CRC32C
+	}
+	if sum(0) == sum(3) {
+		t.Fatal("whole-file CRC32C blind to a consistently re-sealed record")
 	}
 }

@@ -11,8 +11,8 @@ import (
 // FuzzFlatCodec throws arbitrary byte streams at the flat binary codec.
 // DecodeFlat must classify every input — a log or an error, never a panic —
 // and the encoding is canonical: when an input decodes, re-encoding the log
-// must reproduce the input byte for byte, pin, string table, index section
-// and all (the intern-table round-trip), and the re-decode must accept it
+// must reproduce the input byte for byte, string table, index, samples and
+// all (the intern-table round-trip), and the re-decode must accept it
 // again.
 func FuzzFlatCodec(f *testing.F) {
 	live := NewRecorder("fuzz", Config{})
@@ -27,15 +27,14 @@ func FuzzFlatCodec(f *testing.F) {
 	live.FFJump(41, 49)
 	f.Add(live.FlatLog().AppendFlat(nil))
 	f.Add((&FlatLog{Strings: []string{""}}).AppendFlat(nil))
-	f.Add([]byte("OBSFLAT2"))
-	f.Add([]byte("OBSFLAT1 retired magic"))
+	f.Add([]byte("OBSFLAT3"))
+	f.Add([]byte("OBSFLAT2 retired magic"))
 	f.Add([]byte(""))
-	// A segment sidecar: pin and sample count set, then the index section
-	// damaged in the ways DecodeFlat must refuse.
-	side := sidecarLog()
-	enc := side.AppendFlat(nil)
+	// A segment container: samples interleaved and an end cycle, then its
+	// index and samples sections damaged in the ways DecodeFlat must refuse.
+	enc := containerLog().AppendFlat(nil)
 	f.Add(enc)
-	for _, bad := range badIndexes(enc) {
+	for _, bad := range badContainers(enc) {
 		f.Add(bad)
 	}
 
@@ -57,9 +56,13 @@ func FuzzFlatCodec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode of canonical bytes failed: %v", err)
 		}
-		// Details must render without panicking for every accepted record.
+		// Details must render, and records and samples merge back into one
+		// stream, without panicking for every accepted log.
 		for _, rec := range l2.Records {
 			_ = l2.Detail(rec)
+		}
+		if n := len(l2.appendPayloads(nil)); n != len(l2.Records)+sampleCount(l2.Samples) {
+			t.Fatalf("%d payloads from %d records and %d samples", n, len(l2.Records), sampleCount(l2.Samples))
 		}
 	})
 }
@@ -163,9 +166,11 @@ func FuzzManifest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(real)
-	f.Add([]byte(`{"obsSegments":1,"design":"d","segments":[]}`))
-	f.Add([]byte(`{"obsSegments":1,"design":"d","segments":[{"file":"../etc/passwd","lines":1}]}`))
-	f.Add([]byte(`{"obsSegments":1,"segments":[{"file":"seg-000001.ndjson","lines":-4}]}`))
+	f.Add([]byte(`{"obsSegments":2,"design":"d","segments":[]}`))
+	f.Add([]byte(`{"obsSegments":2,"design":"d","segments":[{"file":"../etc/passwd","lines":1,"fileBytes":9}]}`))
+	f.Add([]byte(`{"obsSegments":2,"segments":[{"file":"seg-000001.flat","lines":-4,"fileBytes":9}]}`))
+	f.Add([]byte(`{"obsSegments":2,"segments":[{"file":"seg-000001.flat","lines":4}]}`))
+	f.Add([]byte(`{"obsSegments":1,"design":"d","segments":[{"file":"seg-000001.ndjson","lines":1}]}`))
 	f.Add([]byte(`{"obsSegments":9}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(""))

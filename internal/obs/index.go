@@ -2,39 +2,29 @@ package obs
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
-	"strings"
 )
 
-// Per-segment sidecars (DESIGN.md §14). Each sealed NDJSON segment gains one
-// derived artifact next to it:
+// Segment containers (DESIGN.md §14). Each sealed segment is one file in the
+// OBSFLAT3 codec (flat.go), listed and fingerprinted in the manifest:
 //
-//	seg-000001.ndjson   the durable truth (listed in the manifest)
-//	seg-000001.flat     the segment's events in the OBSFLAT2 binary codec
-//	                    (flat.go): pinned to the manifest entry, with a
-//	                    per-segment string table, an index section and the
-//	                    records (samples and the fin line excluded)
-//
-// The sidecar is a cache, never a source of truth: it is not listed in the
-// manifest (LoadSegments ignores unlisted files by design), its pin must
-// equal the manifest entry's lines/bytes/CRC32C before it is used, and a
-// missing, undecodable or stale one is rebuilt from the NDJSON segment — at
-// seal time by the sink, on demand by LoadSegFlat. Seal-time and rebuilt
-// sidecars are byte-identical: both walk the same events in append order
-// through the same builder, so intern order and record order agree.
+//	seg-000001.flat   a per-segment string table, an index section, the
+//	                  segment's samples (with their places among the events
+//	                  and, in a complete spill's last segment, the run's end
+//	                  cycle) and its event records
 //
 // The index is what lets a query answer by reading only matching segments:
 // a segment is skipped outright when the queried kind has a zero count, the
 // track/name is absent from the vocabulary sets, or the cycle range is
-// disjoint — no replay, no JSON parse.
+// disjoint — its samples and records are never decoded.
 
-// SegIndex is the Go view of a sidecar's index section.
+// SegIndex is the Go view of a container's index section.
 type SegIndex struct {
-	// Events/Samples split the segment's payload lines by type.
+	// Events/Samples split the segment's payload records by type.
 	Events  int `json:"events"`
 	Samples int `json:"samples"`
 	// FirstCycle/LastCycle span the segment's events (min Start, max End);
@@ -79,23 +69,15 @@ func parseIndex(strs []string, sec []byte) *SegIndex {
 	return idx
 }
 
-// FlatSegmentName returns the OBSFLAT2 sidecar name for a segment file name.
-func FlatSegmentName(segFile string) string {
-	return strings.TrimSuffix(segFile, ".ndjson") + ".flat"
-}
-
-// pinOf is the pin a sidecar of the segment must carry.
-func pinOf(seg SegmentInfo) FlatPin {
-	return FlatPin{Lines: seg.Lines, Bytes: seg.Bytes, CRC32C: seg.CRC32C}
-}
-
-// flatBuilder accumulates one segment's flat sidecar as events and samples
-// are appended — shared by the segment encoder (seal and repair) and the
-// rebuild path, which is what makes the three byte-identical.
+// flatBuilder accumulates one segment's container as events and samples
+// arrive — shared by the sink's seal and the regeneration behind resume and
+// repair, which is what makes their containers byte-identical.
 type flatBuilder struct {
-	tab     internTable
-	records []FlatRecord
-	samples int
+	tab      internTable
+	records  []FlatRecord
+	samples  []uint64
+	nSamples int
+	last     int64 // highest cycle any record reached
 }
 
 func newFlatBuilder() *flatBuilder { return &flatBuilder{tab: newInternTable()} }
@@ -120,28 +102,55 @@ func (b *flatBuilder) addEvent(e *Event) {
 		rec.Arg = uint64(b.tab.intern(e.Detail))
 	}
 	b.records = append(b.records, rec)
+	b.last = max(b.last, e.End)
 }
 
-// finish closes the builder into the sidecar of the sealed segment seg.
-func (b *flatBuilder) finish(seg SegmentInfo) *FlatLog {
-	return &FlatLog{Pin: pinOf(seg), Samples: b.samples, Strings: b.tab.strs, Records: b.records}
+func (b *flatBuilder) addSample(s *Sample) {
+	b.samples = append(b.samples, sampTagHeader|uint64(len(b.records))<<32, uint64(s.Cycle))
+	for i := range s.Channels {
+		c := &s.Channels[i]
+		putChan(b.item(sampTagChan), b.tab.intern(c.Name), c.Len, c.Stats)
+	}
+	for i := range s.LSUs {
+		l := &s.LSUs[i]
+		putLSU(b.item(sampTagLSU), b.tab.intern(l.Unit), b.tab.intern(l.Array), b.tab.intern(l.Kind), l.IsStore, l.LSUStats)
+	}
+	for i := range s.Locals {
+		l := &s.Locals[i]
+		putLocal(b.item(sampTagLocal), b.tab.intern(l.Name), l.Reads, l.Writes)
+	}
+	b.nSamples++
+	b.last = max(b.last, s.Cycle)
 }
 
-// writeSegFlat commits a segment's sidecar with temp-file + rename, matching
-// the segment commit discipline so a crash never leaves a torn sidecar.
-func writeSegFlat(fs VFS, dir, segFile string, fl *FlatLog) error {
-	path := filepath.Join(dir, FlatSegmentName(segFile))
-	if err := fs.WriteFile(path+".tmp", fl.AppendFlat(nil), 0o666); err != nil {
-		return fmt.Errorf("obs: segflat: %w", err)
-	}
-	if err := fs.Rename(path+".tmp", path); err != nil {
-		return fmt.Errorf("obs: segflat: %w", err)
-	}
-	return nil
+// item appends one sample item of the given tag's width for the caller to
+// fill: every put* function writes all of its words.
+func (b *flatBuilder) item(tag int) []uint64 {
+	n, w := len(b.samples), sampItemWords[tag]
+	b.samples = slices.Grow(b.samples, w)[:n+w]
+	return b.samples[n:]
+}
+
+// lines counts the payload records so far; bytes their encoded size, what
+// SegmentConfig.MaxBytes bounds.
+func (b *flatBuilder) lines() int { return len(b.records) + b.nSamples }
+
+func (b *flatBuilder) bytes() int64 { return int64(len(b.records))*recBytes + int64(len(b.samples))*8 }
+
+// finish encodes the container into buf (reused) as manifest entry file,
+// with the run's end cycle when it is a complete spill's last segment (-1
+// otherwise), and returns its entry and bytes.
+func (b *flatBuilder) finish(file string, endCycle int64, buf []byte) (SegmentInfo, []byte) {
+	l := FlatLog{Strings: b.tab.strs, Records: b.records, Samples: b.samples, EndCycle: endCycle}
+	buf, head := l.appendFlat(buf[:0])
+	return SegmentInfo{
+		File: file, Lines: b.lines(), Bytes: b.bytes(), LastCycle: b.last,
+		FileBytes: int64(len(buf)), CRC32C: Checksum(buf), HeadCRC32C: Checksum(buf[:head]),
+	}, buf
 }
 
 // LoadManifest reads just a spill directory's manifest — the entry point for
-// index-driven readers that must not pay LoadSegments' full line scan.
+// index-driven readers that must not pay LoadSegments' full decode.
 func LoadManifest(dir string) (*Manifest, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -150,118 +159,114 @@ func LoadManifest(dir string) (*Manifest, error) {
 	return ParseManifest(raw)
 }
 
-// readSegFlat reads and decodes the segment's sidecar and checks its pin. It
-// never writes: a missing sidecar is an os.IsNotExist error, an undecodable
-// or stale one any other error. keep, when set, is asked about the index
-// once the pin, string table and index section are verified; a segment it
-// rejects is nil, its records neither decoded nor checked.
-func readSegFlat(dir string, seg SegmentInfo, keep func(*SegIndex) bool) (*FlatLog, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, FlatSegmentName(seg.File)))
+// readContainer reads one sealed segment's container and holds it to its
+// manifest entry: the file's length, its head's fingerprint (HeadCRC32C),
+// its CRC32C (when crc is set, which nothing but LoadOptions.SkipChecksums
+// clears), then every section's own checksum and the entry's payload
+// count. Every failure is a *CorruptSegmentError, except an unreadable
+// file's own error. fp is the fingerprint verdict CheckSegment reports:
+// "missing", "bad" (length or CRC32C mismatch), or "ok" (empty when crc is
+// unset). keep, when set, is asked about the index once the head is
+// verified and proven the segment's own; a segment it rejects is nil, its
+// body — samples and records — neither decoded nor checked.
+func readContainer(dir string, seg SegmentInfo, crc bool, keep func(*SegIndex) bool) (fp string, fl *FlatLog, err error) {
+	data, err := os.ReadFile(filepath.Join(dir, seg.File))
 	if err != nil {
-		return nil, err
-	}
-	h, err := decodeFlatHead(raw)
-	if err == nil && h.log.Pin != pinOf(seg) {
-		err = errors.New("stale sidecar: pinned to other segment bytes")
-	}
-	var fl *FlatLog
-	if err == nil {
-		if keep != nil && !keep(h.index()) {
-			return nil, nil
+		if os.IsNotExist(err) {
+			err = corrupt(dir, seg.File, -1, "missing", "sealed segment file", "no file")
 		}
-		fl, err = h.decodeRecords()
+		return "missing", nil, err
+	}
+	if int64(len(data)) != seg.FileBytes {
+		reason := "truncated"
+		if int64(len(data)) > seg.FileBytes {
+			reason = "structure"
+		}
+		return "bad", nil, corrupt(dir, seg.File, min(int64(len(data)), seg.FileBytes), reason,
+			fmt.Sprintf("%d bytes", seg.FileBytes), fmt.Sprintf("%d bytes", len(data)))
+	}
+	h, err := decodeFlatHead(data)
+	if err == nil {
+		if got := Checksum(data[:h.r.off()]); got != seg.HeadCRC32C {
+			return "bad", nil, corrupt(dir, seg.File, 0, "checksum",
+				fmt.Sprintf("head crc32c %08x", seg.HeadCRC32C), fmt.Sprintf("%08x", got))
+		}
+		if keep != nil && !keep(h.index()) {
+			return "", nil, nil
+		}
+	}
+	if crc {
+		if got := Checksum(data); got != seg.CRC32C {
+			return "bad", nil, corrupt(dir, seg.File, 0, "checksum",
+				fmt.Sprintf("crc32c %08x", seg.CRC32C), fmt.Sprintf("%08x", got))
+		}
+		fp = "ok"
+	}
+	if err == nil {
+		fl, err = h.decodeBody()
 	}
 	if err != nil {
-		return nil, fmt.Errorf("obs: segflat: %s: %w", seg.File, err)
+		return fp, nil, corrupt(dir, seg.File, -1, "garbage", "OBSFLAT3 container", err.Error())
 	}
-	return fl, nil
+	if n := len(fl.Records) + sampleCount(fl.Samples); n != seg.Lines {
+		return fp, nil, corrupt(dir, seg.File, -1, "structure",
+			fmt.Sprintf("%d payload records (manifest)", seg.Lines), fmt.Sprintf("%d payload records", n))
+	}
+	return fp, fl, nil
+}
+
+// LoadSegFlat returns the segment's decoded container — the read path of
+// the query engine and the spill diff. keep, when set, prunes: it is asked
+// about the segment's index, read from the container's head once that is
+// proven the segment's own by its manifest fingerprint, and a segment it
+// rejects returns nil with its body neither decoded nor checked. A segment
+// that is read is held to its whole-file CRC32C and checked section by
+// section, so another well-formed container in its place is refused;
+// damage is a *CorruptSegmentError.
+func LoadSegFlat(dir string, seg SegmentInfo, keep func(*SegIndex) bool) (*FlatLog, error) {
+	_, fl, err := readContainer(dir, seg, true, keep)
+	return fl, err
 }
 
 // FlatEvents materializes a flat log's records back into events, in record
-// order — byte-identical (as JSON) to the events the NDJSON segment parses
-// to, which the query engine's flat/NDJSON equivalence rests on.
+// order.
 func (l *FlatLog) FlatEvents() []Event {
 	out := make([]Event, len(l.Records))
 	for i, f := range l.Records {
-		out[i] = Event{
-			Kind:    l.Strings[f.Kind],
-			Track:   l.Strings[f.Track],
-			Name:    l.Strings[f.Name],
-			Start:   f.Start,
-			End:     f.End,
-			Instant: f.IsInstant(),
-			Detail:  l.Detail(f),
-		}
+		out[i] = l.event(f)
 	}
 	return out
 }
 
-// ensureSegFlat returns the segment's pinned sidecar, or nil when keep
-// rejects its index (see readSegFlat). A missing, undecodable or stale
-// sidecar — of a segment keep does not rule out by a verified index — is
-// rebuilt from the NDJSON truth and written back: rebuilt reports that, werr
-// is the write-back's error, and err a failure to read the truth itself (a
-// typed *CorruptSegmentError for damage).
-func ensureSegFlat(dir string, seg SegmentInfo, keep func(*SegIndex) bool) (fl *FlatLog, rebuilt bool, werr, err error) {
-	if fl, err := readSegFlat(dir, seg, keep); err == nil {
-		return fl, false, nil, nil
+func (l *FlatLog) event(f FlatRecord) Event {
+	return Event{
+		Kind:    l.Strings[f.Kind],
+		Track:   l.Strings[f.Track],
+		Name:    l.Strings[f.Name],
+		Start:   f.Start,
+		End:     f.End,
+		Instant: f.IsInstant(),
+		Detail:  l.Detail(f),
 	}
-	events, samples, err := ReadSegmentEvents(dir, seg)
-	if err != nil {
-		return nil, false, nil, err
-	}
-	b := newFlatBuilder()
-	for i := range events {
-		b.addEvent(&events[i])
-	}
-	b.samples = samples
-	fl = b.finish(seg)
-	werr = writeSegFlat(OSFS(), dir, seg.File, fl)
-	if keep != nil && !keep(fl.Index()) {
-		fl = nil
-	}
-	return fl, true, werr, nil
 }
 
-// LoadSegFlat returns the segment's pinned OBSFLAT2 sidecar — the one read
-// path of the query engine and the spill diff. keep, when set, prunes: it is
-// asked about the segment's index, read from the sidecar's verified head
-// before any record, and a segment it rejects returns nil with its records
-// neither decoded nor checked. A segment that is read is checked whole. A
-// sidecar that is missing, undecodable or pinned to other bytes is rebuilt
-// from the NDJSON truth and written back best-effort: a read-only spill
-// directory still answers, it just rebuilds again next time.
-func LoadSegFlat(dir string, seg SegmentInfo, keep func(*SegIndex) bool) (*FlatLog, error) {
-	fl, _, _, err := ensureSegFlat(dir, seg, keep)
-	return fl, err
-}
-
-// EnsureSegFlat is LoadSegFlat for callers whose job is the sidecar itself
-// (`obscheck -index`, scrub's rebuild-sidecar rung): a failed write-back is
-// an error. It reports whether the sidecar was rebuilt.
-func EnsureSegFlat(dir string, seg SegmentInfo) (rebuilt bool, err error) {
-	_, rebuilt, werr, err := ensureSegFlat(dir, seg, nil)
-	if err == nil {
-		err = werr
-	}
-	return rebuilt, err
-}
-
-// EnsureIndex builds or repairs the sidecar of every sealed segment in the
-// spill directory, returning how many were (re)built.
-func EnsureIndex(dir string) (rebuilt int, err error) {
-	man, err := LoadManifest(dir)
-	if err != nil {
-		return 0, err
-	}
-	for _, seg := range man.Segments {
-		r, err := EnsureSegFlat(dir, seg)
-		if err != nil {
-			return rebuilt, err
+// appendPayloads appends the log's events and samples to out in stream
+// order: each sample after as many events as its position counts.
+func (l *FlatLog) appendPayloads(out []Payload) []Payload {
+	samples := decodeSamples(l.Strings, sampCursor{ws: &wordStream{chunks: [][]uint64{l.Samples}}}, nil)
+	next, si := 0, 0
+	for i := 0; i < len(l.Samples); i += sampItemWords[l.Samples[i]&sampTagMask] {
+		if l.Samples[i]&sampTagMask != sampTagHeader {
+			continue
 		}
-		if r {
-			rebuilt++
+		for at := int(l.Samples[i] >> 32); next < at; next++ {
+			out = append(out, Payload{E: l.event(l.Records[next])})
 		}
+		out = append(out, Payload{S: &samples[si]})
+		si++
 	}
-	return rebuilt, nil
+	for ; next < len(l.Records); next++ {
+		out = append(out, Payload{E: l.event(l.Records[next])})
+	}
+	return out
 }

@@ -640,8 +640,9 @@ func (r *Recorder) DetailOf(f FlatRecord) string {
 // merged record stream — as a standalone, codec-round-trippable value.
 func (r *Recorder) FlatLog() *FlatLog {
 	l := &FlatLog{
-		Strings: append([]string(nil), r.tab.strs...),
-		Records: make([]FlatRecord, 0, r.nEvents+r.nJumps),
+		Strings:  append([]string(nil), r.tab.strs...),
+		Records:  make([]FlatRecord, 0, r.nEvents+r.nJumps),
+		EndCycle: -1,
 	}
 	r.VisitFlat(func(f FlatRecord) { l.Records = append(l.Records, f) })
 	return l
@@ -662,7 +663,7 @@ func (r *Recorder) sampleSlice() []Sample {
 	}
 	var out []Sample
 	if r.nSamples > 0 {
-		out = decodeSamples(r, sampCursor{ws: &r.sampStream}, make([]Sample, 0, r.nSamples))
+		out = decodeSamples(r.tab.strs, sampCursor{ws: &r.sampStream}, make([]Sample, 0, r.nSamples))
 	}
 	if r.finalized {
 		r.sampCache, r.sampBuilt = out, true

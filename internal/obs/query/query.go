@@ -1,6 +1,6 @@
 // Package query is the time-travel debugging front end over the simulator's
 // observability record (DESIGN.md §14): an indexed query engine that answers
-// event queries from a segmented spill's OBSFLAT2 sidecars, materializing
+// event queries from a segmented spill's OBSFLAT3 containers, materializing
 // only matching segments, and a breakpoint/watchpoint spec language
 // (breaks.go) the simulator's re-execution engine halts on.
 package query
@@ -127,7 +127,7 @@ func (q *Query) Match(e *obs.Event) bool {
 	return true
 }
 
-// mightMatch prunes a segment by its sidecar index: zero events, an absent
+// mightMatch prunes a segment by its container index: zero events, an absent
 // kind/track/name, or a disjoint cycle range all prove no event can match.
 func (q *Query) mightMatch(idx *obs.SegIndex) bool {
 	if idx.Events == 0 {
@@ -165,12 +165,19 @@ type Result struct {
 }
 
 // Run answers the query from the spill directory through each segment's
-// pinned OBSFLAT2 sidecar (rebuilt from the NDJSON truth when missing or
-// stale), decoding and materializing records only from segments the
-// sidecar's index cannot rule out. Works on incomplete (crashed or in-flight) spills — the sealed
-// prefix is queried. Results are byte-identical (as JSON) to ScanAll's
-// full-replay scan.
-func Run(dir string, q Query) (*Result, error) {
+// container, decoding and materializing records only from segments the
+// container's index cannot rule out. Works on incomplete (crashed or
+// in-flight) spills — the sealed prefix is queried. Results are
+// byte-identical (as JSON) to ScanAll's full scan.
+func Run(dir string, q Query) (*Result, error) { return run(dir, q, q.mightMatch) }
+
+// ScanAll answers the query by decoding every sealed segment's container
+// whole, with no index pruning — the correctness baseline (and the benchmark
+// denominator) Run is compared against.
+func ScanAll(dir string, q Query) (*Result, error) { return run(dir, q, nil) }
+
+// run answers q from the segments keep admits (all with keep nil).
+func run(dir string, q Query, keep func(*obs.SegIndex) bool) (*Result, error) {
 	man, err := obs.LoadManifest(dir)
 	if err != nil {
 		return nil, err
@@ -180,7 +187,7 @@ func Run(dir string, q Query) (*Result, error) {
 		SegmentsTotal: len(man.Segments), Events: []obs.Event{},
 	}
 	for _, seg := range man.Segments {
-		fl, err := obs.LoadSegFlat(dir, seg, q.mightMatch)
+		fl, err := obs.LoadSegFlat(dir, seg, keep)
 		if err != nil {
 			return nil, err
 		}
@@ -189,33 +196,6 @@ func Run(dir string, q Query) (*Result, error) {
 		}
 		res.SegmentsRead++
 		events := fl.FlatEvents()
-		for i := range events {
-			if q.Match(&events[i]) {
-				res.Events = append(res.Events, events[i])
-			}
-		}
-	}
-	return res, nil
-}
-
-// ScanAll answers the query by parsing every sealed NDJSON segment — the
-// correctness baseline (and the benchmark denominator) Run is compared
-// against.
-func ScanAll(dir string, q Query) (*Result, error) {
-	man, err := obs.LoadManifest(dir)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Dir: dir, Query: q.String(), Design: man.Design,
-		SegmentsTotal: len(man.Segments), Events: []obs.Event{},
-	}
-	for _, seg := range man.Segments {
-		events, _, err := obs.ReadSegmentEvents(dir, seg)
-		if err != nil {
-			return nil, err
-		}
-		res.SegmentsRead++
 		for i := range events {
 			if q.Match(&events[i]) {
 				res.Events = append(res.Events, events[i])

@@ -115,133 +115,53 @@ func TestIndexPrunes(t *testing.T) {
 	}
 }
 
-// A pruned segment's sidecar is read only up to its index: damage in its
-// records neither fails the query nor triggers a rebuild. A query that reads
-// the segment still checks it whole, and rebuilds it from the NDJSON truth.
+// A pruned segment's container is read only up to its index: damage in its
+// records does not fail a query its index rules out. A query that reads the
+// segment checks it whole and refuses the damage with a typed verdict, as the
+// unpruned full scan does.
 func TestPrunedSegmentRecordsUnread(t *testing.T) {
 	dir := t.TempDir()
 	buildSpill(t, dir)
-	path := filepath.Join(dir, obs.FlatSegmentName("seg-000001.ndjson"))
-	clean, err := os.ReadFile(path)
+	late := Query{From: 1900, To: 1999, HasRange: true} // seg-000001 ends long before
+	want, err := ScanAll(dir, late)
 	if err != nil {
 		t.Fatal(err)
 	}
-	damaged := append([]byte(nil), clean...)
+	path := filepath.Join(dir, "seg-000001.flat")
+	damaged, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	damaged[len(damaged)-10] ^= 0xff // inside the last record
 	if err := os.WriteFile(path, damaged, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	late := Query{From: 1900, To: 1999, HasRange: true} // seg-000001 ends long before
 	indexed, err := Run(dir, late)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := ScanAll(dir, late)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := mustJSON(t, indexed.Events), mustJSON(t, full.Events); got != want {
-		t.Errorf("indexed events != full-scan events\nindexed: %s\nfull:    %s", got, want)
-	}
-	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, damaged) {
-		t.Fatalf("pruned segment's sidecar was rewritten (err %v)", err)
+	if got, want := mustJSON(t, indexed.Events), mustJSON(t, want.Events); got != want {
+		t.Errorf("indexed events != clean full-scan events\nindexed: %s\nfull:    %s", got, want)
 	}
 
 	early := Query{From: 0, To: 10, HasRange: true}
-	if _, err := Run(dir, early); err != nil {
-		t.Fatal(err)
+	for name, read := range map[string]func(string, Query) (*Result, error){"Run": Run, "ScanAll": ScanAll} {
+		q := early
+		if name == "ScanAll" {
+			q = late
+		}
+		if _, err := read(dir, q); !isCorrupt(err) {
+			t.Errorf("%s over the damaged segment: err = %v, want a typed corruption verdict", name, err)
+		}
 	}
-	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, clean) {
-		t.Fatalf("read segment's damaged sidecar was not rebuilt (err %v)", err)
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, damaged) {
+		t.Fatalf("a reader rewrote the damaged segment (err %v)", err)
 	}
 }
 
-// Seal-time sidecars must be byte-identical to obscheck -index rebuilds:
-// both walk the same events through the same builder.
-func TestRebuiltSidecarsByteIdentical(t *testing.T) {
-	dir := t.TempDir()
-	buildSpill(t, dir)
-	sealed := map[string][]byte{}
-	for _, pat := range []string{"*.flat"} {
-		files, err := filepath.Glob(filepath.Join(dir, pat))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(files) == 0 {
-			t.Fatalf("no %s sidecars written at seal time", pat)
-		}
-		for _, f := range files {
-			raw, err := os.ReadFile(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sealed[filepath.Base(f)] = raw
-			if err := os.Remove(f); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	rebuilt, err := obs.EnsureIndex(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	man, err := obs.LoadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rebuilt != len(man.Segments) {
-		t.Errorf("EnsureIndex rebuilt %d, want %d", rebuilt, len(man.Segments))
-	}
-	for name, want := range sealed {
-		got, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatalf("%s: not rebuilt: %v", name, err)
-		}
-		if string(got) != string(want) {
-			t.Errorf("%s: rebuilt sidecar differs from seal-time sidecar", name)
-		}
-	}
-	if n, err := obs.EnsureIndex(dir); err != nil || n != 0 {
-		t.Errorf("second EnsureIndex = (%d, %v), want (0, nil)", n, err)
-	}
-}
-
-// A corrupt flat sidecar must be rebuilt from the NDJSON truth, not serve
-// wrong answers: the query matches the full scan, and the rebuilt sidecars
-// are the seal-time bytes again.
-func TestCorruptFlatFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	buildSpill(t, dir)
-	flats, err := filepath.Glob(filepath.Join(dir, "*.flat"))
-	if err != nil || len(flats) == 0 {
-		t.Fatalf("glob: %v (%d files)", err, len(flats))
-	}
-	sealed := map[string][]byte{}
-	for _, f := range flats {
-		if sealed[f], err = os.ReadFile(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(f, []byte("garbage"), 0o666); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q := Query{Kind: "exec"}
-	indexed, err := Run(dir, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := ScanAll(dir, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mustJSON(t, indexed.Events) != mustJSON(t, full.Events) {
-		t.Error("corrupt flat artifacts changed query results")
-	}
-	for f, want := range sealed {
-		if got, err := os.ReadFile(f); err != nil || string(got) != string(want) {
-			t.Errorf("%s: corrupt flat was not rebuilt to its seal-time bytes (%v)", filepath.Base(f), err)
-		}
-	}
+func isCorrupt(err error) bool {
+	_, ok := obs.AsCorrupt(err)
+	return ok
 }
 
 func TestCheckpoints(t *testing.T) {

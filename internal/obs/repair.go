@@ -9,103 +9,86 @@ import (
 // Byte-identical regeneration (DESIGN.md §11, §16). The manifest's
 // per-segment fingerprints (FileBytes + CRC32C) make every sealed segment
 // provably reproducible: re-execute the deterministic workload from cycle 0,
-// cut the regenerated line stream into segments exactly as the manifest
-// records them, and demand that each cut's fingerprint equals its entry's.
-// Repair and resume are the same walk over the sealed prefix. Repair keeps
-// the regenerated bytes of the damaged segments and swaps them in; resume
-// keeps none and, once the prefix is proven, appends new segments where it
-// ends. A crashed run's unsealed .part is never read: whatever it held, the
-// re-execution regenerates.
+// cut the regenerated record stream into segments exactly as the manifest
+// records them, and demand that each cut's container fingerprint equals its
+// entry's. Repair and resume are the same walk over the sealed prefix.
+// Repair keeps the regenerated containers of the damaged segments and swaps
+// them in; resume keeps none and, once the prefix is proven, appends new
+// segments where it ends. A crashed run's unsealed segment is never read:
+// whatever it held, the re-execution regenerates.
 
 // sealedPrefix is the one verifier of a manifest's sealed segments against a
-// regenerated stream: the segment walk, the cut at each entry's line count,
-// the fingerprint compare, the end-cycle and fin check, and the short-run
+// regenerated stream: the segment walk, the cut at each entry's record
+// count, the fingerprint compare, the end-cycle check, and the short-run
 // error. Every mismatch is a *CorruptSegmentError naming the segment.
 type sealedPrefix struct {
 	dir string
 	man Manifest
-	// keep names the segments whose regenerated bytes and sidecar are kept
-	// for the caller (repair's damaged list); kept holds them once verified.
+	// keep names the segments whose regenerated containers are kept for the
+	// caller (repair's damaged list); kept holds them once verified.
 	keep map[string]bool
-	kept map[string]stagedSegment
+	kept map[string][]byte
 
-	idx   int         // manifest segment being regenerated
-	enc   *segEncoder // its regenerated bytes
-	lines int         // payload lines of the segments verified so far
+	idx   int          // manifest segment being regenerated
+	b     *flatBuilder // its regenerated records; nil once every segment is proven
+	buf   []byte       // encode buffer of segments not kept
+	lines int          // payload records of the segments verified so far
 	err   error
 }
 
-// stagedSegment is one kept segment's verified bytes and sidecar.
-type stagedSegment struct {
-	buf  []byte
-	flat *FlatLog
-}
-
 func newSealedPrefix(dir string, man *Manifest, keep map[string]bool) *sealedPrefix {
-	p := &sealedPrefix{dir: dir, man: *man, keep: keep, kept: map[string]stagedSegment{}}
+	p := &sealedPrefix{dir: dir, man: *man, keep: keep, kept: map[string][]byte{}}
 	p.open()
 	return p
 }
 
-// open starts regenerating the next manifest segment, if any, in memory;
-// only a kept segment builds a sidecar.
+// open starts regenerating the next manifest segment, if any, in memory.
 func (p *sealedPrefix) open() {
-	p.enc = nil
+	p.b = nil
 	if p.idx == len(p.man.Segments) {
 		return
 	}
-	p.enc = newSegEncoder(nil, p.man.Design, p.man.SampleEvery, p.keep[p.man.Segments[p.idx].File])
+	p.b = newFlatBuilder()
 	p.advance()
 }
 
-// holdsFin reports whether the open segment is a complete spill's last one,
-// which closes only on the fin line.
-func (p *sealedPrefix) holdsFin() bool {
+// holdsEnd reports whether the open segment is a complete spill's last one,
+// which closes only at the run's end.
+func (p *sealedPrefix) holdsEnd() bool {
 	return p.man.Complete && p.idx == len(p.man.Segments)-1
 }
 
-// advance closes the open segment once it holds its entry's line count.
+// advance closes the open segment once it holds its entry's record count.
 func (p *sealedPrefix) advance() {
-	if p.err == nil && p.enc != nil && !p.holdsFin() && p.enc.lines >= p.man.Segments[p.idx].Lines {
-		p.close()
+	if p.err == nil && p.b != nil && !p.holdsEnd() && p.b.lines() >= p.man.Segments[p.idx].Lines {
+		p.close(-1)
 	}
 }
 
-// take reports whether a regenerated payload line belongs to the sealed
-// prefix, landing it there if so. Once every sealed segment is proven, lines
-// are the caller's; after a mismatch, the prefix swallows the rest.
-func (p *sealedPrefix) take(line []byte, cycle int64, ev *Event) bool {
-	if p.enc == nil {
-		return false
+// target is the builder a regenerated record belongs to: the open segment's
+// while the sealed prefix is being proven, nil once it is (or after a
+// mismatch, when the rest is swallowed).
+func (p *sealedPrefix) target() *flatBuilder {
+	if p.err != nil {
+		return nil
 	}
-	if p.err == nil {
-		p.enc.payload(line, cycle, ev)
-		p.advance()
-	}
-	return true
+	return p.b
 }
 
-// close fingerprint-verifies the open segment against its manifest entry,
-// keeps it when asked, and opens the next.
-func (p *sealedPrefix) close() {
+// close fingerprint-verifies the open segment, with endCycle, against its
+// manifest entry, keeps it when asked, and opens the next.
+func (p *sealedPrefix) close(endCycle int64) {
 	seg := p.man.Segments[p.idx]
-	got, flat := p.enc.finish(seg.File)
-	switch {
-	case fingerprinted(seg) && (got.FileBytes != seg.FileBytes || got.CRC32C != seg.CRC32C):
+	got, buf := p.b.finish(seg.File, endCycle, p.buf)
+	if got != seg {
 		p.err = p.diverged(seg.File, 0,
 			fmt.Sprintf("%d bytes crc32c %08x (manifest)", seg.FileBytes, seg.CRC32C),
 			fmt.Sprintf("%d bytes crc32c %08x (regenerated)", got.FileBytes, got.CRC32C))
 		return
-	case !fingerprinted(seg) && got.Bytes != seg.Bytes:
-		// Legacy entry without a fingerprint: the payload byte count is the
-		// best identity check available.
-		p.err = p.diverged(seg.File, 0,
-			fmt.Sprintf("%d payload bytes (manifest)", seg.Bytes),
-			fmt.Sprintf("%d payload bytes (regenerated)", got.Bytes))
-		return
 	}
+	p.buf = buf
 	if p.keep[seg.File] {
-		p.kept[seg.File] = stagedSegment{buf: p.enc.buf, flat: flat}
+		p.kept[seg.File], p.buf = buf, nil
 	}
 	p.lines += seg.Lines
 	p.idx++
@@ -113,7 +96,8 @@ func (p *sealedPrefix) close() {
 }
 
 // end checks the regenerated run ended where the manifest says: a complete
-// spill's end cycle and fin line, and no sealed segment left short.
+// spill's end cycle, closing its last segment, and no sealed segment left
+// short.
 func (p *sealedPrefix) end(endCycle int64) error {
 	if p.err == nil && p.man.Complete {
 		if endCycle != p.man.EndCycle {
@@ -122,12 +106,11 @@ func (p *sealedPrefix) end(endCycle int64) error {
 				fmt.Sprintf("end cycle %d (regenerated)", endCycle))
 			return p.err
 		}
-		if p.enc != nil && p.holdsFin() {
-			p.enc.fin(endCycle)
-			p.close()
+		if p.b != nil && p.holdsEnd() {
+			p.close(endCycle)
 		}
 	}
-	if p.err == nil && p.enc != nil {
+	if p.err == nil && p.b != nil {
 		p.err = p.diverged(p.man.Segments[p.idx].File, -1,
 			fmt.Sprintf("%d sealed segments", len(p.man.Segments)),
 			fmt.Sprintf("run ended during segment %d", p.idx+1))
@@ -139,18 +122,13 @@ func (p *sealedPrefix) diverged(file string, off int64, expected, got string) *C
 	return corrupt(p.dir, file, off, "repair-divergence", expected, got)
 }
 
-// fingerprinted reports whether a manifest entry records its file's length
-// and CRC32C (entries written before checksumming existed do not).
-func fingerprinted(seg SegmentInfo) bool { return seg.FileBytes != 0 || seg.CRC32C != 0 }
-
 // SegmentRepair reports one segment's outcome after a repair run.
 type SegmentRepair struct {
 	File string `json:"file"`
 	// Damaged records whether the segment was on the repair list.
 	Damaged bool `json:"damaged"`
-	// Verified reports the regenerated bytes matched the manifest
-	// fingerprint (always checked; for legacy unfingerprinted entries the
-	// weaker payload byte count stands in, and Verified is false).
+	// Verified reports the regenerated container matched the manifest
+	// fingerprint.
 	Verified bool `json:"verified"`
 	// Written reports the regenerated file was swapped in.
 	Written bool `json:"written,omitempty"`
@@ -161,7 +139,6 @@ type SegmentRepair struct {
 type RepairSink struct {
 	fs        VFS
 	prefix    *sealedPrefix
-	line      []byte // reused encode buffer
 	finalized bool
 }
 
@@ -182,22 +159,26 @@ func NewRepairSink(dir string, man *Manifest, damaged []string, fs VFS) (*Repair
 	return &RepairSink{fs: fs, prefix: newSealedPrefix(dir, man, dm)}, nil
 }
 
-// Event implements Sink. Lines past the sealed prefix (an incomplete spill)
-// are the resume path's business; repair only reconstructs what the manifest
-// attests.
+// Event implements Sink. Records past the sealed prefix (an incomplete
+// spill) are the resume path's business; repair only reconstructs what the
+// manifest attests.
 func (r *RepairSink) Event(e Event) {
-	r.line = appendEventLine(r.line[:0], &e)
-	r.prefix.take(r.line, e.End, &e)
+	if b := r.prefix.target(); b != nil {
+		b.addEvent(&e)
+		r.prefix.advance()
+	}
 }
 
 // Sample implements Sink.
 func (r *RepairSink) Sample(sm Sample) {
-	r.line = appendSampleLine(r.line[:0], &sm)
-	r.prefix.take(r.line, sm.Cycle, nil)
+	if b := r.prefix.target(); b != nil {
+		b.addSample(&sm)
+		r.prefix.advance()
+	}
 }
 
 // Finalize implements Sink: it checks the regenerated run covered every
-// sealed segment and, for a complete manifest, ended with its fin line.
+// sealed segment and, for a complete manifest, ended at its end cycle.
 func (r *RepairSink) Finalize(endCycle int64) error {
 	if !r.finalized {
 		r.finalized = true
@@ -206,10 +187,10 @@ func (r *RepairSink) Finalize(endCycle int64) error {
 	return r.prefix.err
 }
 
-// Commit swaps the regenerated damaged files (and their sidecars) in, each
-// committed as a sealed segment is: written, fsynced, closed, then renamed.
-// Nothing is written unless every segment — intact and damaged — regenerated
-// to its manifest fingerprint.
+// Commit swaps the regenerated damaged containers in, each committed as a
+// sealed segment is: written, fsynced, closed, then renamed. Nothing is
+// written unless every segment — intact and damaged — regenerated to its
+// manifest fingerprint.
 func (r *RepairSink) Commit() ([]SegmentRepair, error) {
 	if !r.finalized {
 		return nil, fmt.Errorf("obs: repair: Commit before Finalize")
@@ -217,7 +198,7 @@ func (r *RepairSink) Commit() ([]SegmentRepair, error) {
 	p := r.prefix
 	var done []SegmentRepair
 	for _, seg := range p.man.Segments[:p.idx] {
-		done = append(done, SegmentRepair{File: seg.File, Damaged: p.keep[seg.File], Verified: fingerprinted(seg)})
+		done = append(done, SegmentRepair{File: seg.File, Damaged: p.keep[seg.File], Verified: true})
 	}
 	if p.err != nil {
 		return done, p.err
@@ -227,34 +208,16 @@ func (r *RepairSink) Commit() ([]SegmentRepair, error) {
 		if !rep.Damaged {
 			continue
 		}
-		st := p.kept[rep.File]
-		if err := r.swap(filepath.Join(p.dir, rep.File), st.buf); err != nil {
+		// A failure at any stage leaves the damaged file in place.
+		path := filepath.Join(p.dir, rep.File)
+		err := writeSynced(r.fs, path+".repair", p.kept[rep.File])
+		if err == nil {
+			err = r.fs.Rename(path+".repair", path)
+		}
+		if err != nil {
 			return done, fmt.Errorf("obs: repair: %s: %w", rep.File, err)
 		}
 		rep.Written = true
-		// Sidecars are caches: best-effort, like seal time.
-		_ = writeSegFlat(r.fs, p.dir, rep.File, st.flat)
 	}
 	return done, nil
-}
-
-// swap durably replaces path with buf: a staging file written, fsynced and
-// closed, then renamed over the damaged file. A failure at any stage leaves
-// the damaged file in place.
-func (r *RepairSink) swap(path string, buf []byte) error {
-	f, err := r.fs.Create(path + ".repair")
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(buf)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	return r.fs.Rename(path+".repair", path)
 }

@@ -134,7 +134,10 @@ func (sw SampleWriter) Channel(name ID, length int, st channel.Stats) {
 	if sw.r == nil {
 		return
 	}
-	w := sw.r.sampStream.grab(8)
+	putChan(sw.r.sampStream.grab(sampItemWords[sampTagChan]), name, length, st)
+}
+
+func putChan(w []uint64, name ID, length int, st channel.Stats) {
 	w[0] = sampTagChan | uint64(name)<<32
 	w[1] = uint64(length)
 	w[2] = uint64(st.Writes)
@@ -150,7 +153,10 @@ func (sw SampleWriter) LSU(unit, array, kind ID, isStore bool, st mem.LSUStats) 
 	if sw.r == nil {
 		return
 	}
-	w := sw.r.sampStream.grab(9)
+	putLSU(sw.r.sampStream.grab(sampItemWords[sampTagLSU]), unit, array, kind, isStore, st)
+}
+
+func putLSU(w []uint64, unit, array, kind ID, isStore bool, st mem.LSUStats) {
 	w[0] = sampTagLSU | uint64(unit)<<32
 	if isStore {
 		w[0] |= sampStoreBit
@@ -170,7 +176,10 @@ func (sw SampleWriter) Local(name ID, reads, writes int64) {
 	if sw.r == nil {
 		return
 	}
-	w := sw.r.sampStream.grab(3)
+	putLocal(sw.r.sampStream.grab(sampItemWords[sampTagLocal]), name, reads, writes)
+}
+
+func putLocal(w []uint64, name ID, reads, writes int64) {
 	w[0] = sampTagLocal | uint64(name)<<32
 	w[1] = uint64(reads)
 	w[2] = uint64(writes)
@@ -187,14 +196,15 @@ func (sw SampleWriter) Commit() {
 	r.lastSamp = int64(r.sampStream.chunks[sw.chunk][sw.off+1])
 	if r.cfg.Sink != nil {
 		cur := sampCursor{ws: &r.sampStream, chunk: sw.chunk, off: sw.off}
-		r.emitSample(decodeSamples(r, cur, nil)[0])
+		r.emitSample(decodeSamples(r.tab.strs, cur, nil)[0])
 	}
 }
 
 // decodeSamples materializes samples from cur to the end of the stream,
-// appending to out. Entry slices are nil when a sample recorded nothing of
-// that kind, matching the omitempty JSON forms.
-func decodeSamples(r *Recorder, cur sampCursor, out []Sample) []Sample {
+// appending to out, with names resolved through strs. Entry slices are nil
+// when a sample recorded nothing of that kind, matching the omitempty JSON
+// forms.
+func decodeSamples(strs []string, cur sampCursor, out []Sample) []Sample {
 	for w := cur.next(); w != nil; w = cur.next() {
 		switch w[0] & sampTagMask {
 		case sampTagHeader:
@@ -202,7 +212,7 @@ func decodeSamples(r *Recorder, cur sampCursor, out []Sample) []Sample {
 		case sampTagChan:
 			s := &out[len(out)-1]
 			s.Channels = append(s.Channels, ChannelSample{
-				Name: r.tab.str(ID(w[0] >> 32)),
+				Name: strs[w[0]>>32],
 				Len:  int(int64(w[1])),
 				Stats: channel.Stats{
 					Writes: int64(w[2]), Reads: int64(w[3]),
@@ -213,9 +223,9 @@ func decodeSamples(r *Recorder, cur sampCursor, out []Sample) []Sample {
 		case sampTagLSU:
 			s := &out[len(out)-1]
 			s.LSUs = append(s.LSUs, LSUSample{
-				Unit:    r.tab.str(ID(w[0] >> 32)),
-				Array:   r.tab.str(ID(w[1] & 0xffffffff)),
-				Kind:    r.tab.str(ID(w[1] >> 32)),
+				Unit:    strs[w[0]>>32],
+				Array:   strs[w[1]&0xffffffff],
+				Kind:    strs[w[1]>>32],
 				IsStore: w[0]&sampStoreBit != 0,
 				LSUStats: mem.LSUStats{
 					Loads: int64(w[2]), Stores: int64(w[3]),
@@ -227,7 +237,7 @@ func decodeSamples(r *Recorder, cur sampCursor, out []Sample) []Sample {
 		case sampTagLocal:
 			s := &out[len(out)-1]
 			s.Locals = append(s.Locals, LocalSample{
-				Name:  r.tab.str(ID(w[0] >> 32)),
+				Name:  strs[w[0]>>32],
 				Reads: int64(w[1]), Writes: int64(w[2]),
 			})
 		}

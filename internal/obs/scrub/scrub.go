@@ -1,15 +1,15 @@
 // Package scrub is the spill durability engine (DESIGN.md §16): it walks a
 // segmented spill directory, classifies every kind of disk damage the chaos
-// suite can inject — bit rot, truncation, torn renames, missing or stale
-// sidecars — and repairs what the durable record proves repairable. Derived
-// damage (sidecars, orphans) is repaired in place; segment-body damage is
-// repaired by deterministic re-execution through obs.RepairSink, which
-// refuses to write anything it cannot prove byte-identical to the manifest's
-// fingerprints. What cannot be repaired is quarantined with a typed verdict,
-// never served as a wrong answer.
+// suite can inject — bit rot, truncation, torn renames — and repairs what the
+// durable record proves repairable. Commit debris is removed in place;
+// segment damage is repaired by deterministic re-execution through
+// obs.RepairSink, which refuses to write anything it cannot prove
+// byte-identical to the manifest's fingerprints. What cannot be repaired is
+// quarantined with a typed verdict, never served as a wrong answer.
 package scrub
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -33,15 +33,9 @@ const (
 	// fingerprint) but fails structural validation — or one that grew.
 	KindStructure Kind = "structure"
 	// KindTornRename is debris from a crash inside a commit: an orphan
-	// sealed segment the manifest never adopted, a stray .tmp, a .part other
-	// than an incomplete spill's open one, or a sidecar without a segment. A
-	// leftover .idx.json from the retired two-file sidecar layout counts too.
+	// sealed segment the manifest never adopted, a stray .tmp or .repair, or
+	// a .part other than an incomplete spill's next one.
 	KindTornRename Kind = "torn-rename"
-	// KindSidecarStale is a .flat sidecar that does not decode or is pinned
-	// to other bytes than the manifest entry's; KindSidecarMissing one that
-	// is absent.
-	KindSidecarStale   Kind = "sidecar-stale"
-	KindSidecarMissing Kind = "sidecar-missing"
 	// KindBadManifest is an unreadable or invalid manifest — nothing else
 	// can be trusted, so the run is quarantined.
 	KindBadManifest Kind = "bad-manifest"
@@ -53,8 +47,6 @@ const (
 	RepairNone = "none"
 	// RepairRemoveOrphan removes commit debris.
 	RepairRemoveOrphan = "remove-orphan"
-	// RepairSidecar rebuilds derived artifacts from the segment truth.
-	RepairSidecar = "rebuild-sidecar"
 	// RepairReexec regenerates the segment by deterministic re-execution.
 	RepairReexec = "re-execute"
 )
@@ -83,6 +75,9 @@ type Report struct {
 }
 
 // Scan classifies every artifact in a spill directory without modifying it.
+// A manifest of another spill format version is refused with its
+// *obs.SpillVersionError rather than classified: it is not damage, and no
+// repair applies.
 func Scan(dir string) (*Report, error) {
 	rep := &Report{Dir: dir}
 	if q, ok := Quarantined(dir); ok {
@@ -98,6 +93,10 @@ func Scan(dir string) (*Report, error) {
 		return nil, err
 	}
 	man, err := obs.ParseManifest(raw)
+	var ve *obs.SpillVersionError
+	if errors.As(err, &ve) {
+		return nil, err
+	}
 	if err != nil {
 		rep.Damage = append(rep.Damage, Damage{Kind: KindBadManifest, File: "manifest.json",
 			Detail: err.Error(), Repair: RepairNone})
@@ -105,46 +104,48 @@ func Scan(dir string) (*Report, error) {
 	}
 	rep.Manifest = man
 
-	listed := map[string]bool{"manifest.json": true, quarantineName: true}
 	for i, seg := range man.Segments {
-		listed[seg.File] = true
-		listed[obs.FlatSegmentName(seg.File)] = true
 		c := obs.CheckSegment(dir, man, i)
 		rep.Segments = append(rep.Segments, c)
-		if c.Err != nil {
-			d := Damage{File: seg.File, Detail: c.Err.Error(), Repair: RepairReexec}
-			if ce, ok := obs.AsCorrupt(c.Err); ok {
-				switch ce.Reason {
-				case "checksum":
-					d.Kind = KindBitRot
-				case "truncated":
-					d.Kind = KindTruncated
-				case "missing":
-					d.Kind = KindMissing
-				default:
-					d.Kind = KindStructure
-				}
-			} else {
-				d.Kind = KindStructure
-			}
-			rep.Damage = append(rep.Damage, d)
-			rep.NeedsReexec = append(rep.NeedsReexec, seg.File)
+		if c.Err == nil {
 			continue
 		}
-		switch c.SidecarState {
-		case "stale":
-			rep.Damage = append(rep.Damage, Damage{Kind: KindSidecarStale, File: obs.FlatSegmentName(seg.File),
-				Repair: RepairSidecar})
-		case "missing":
-			rep.Damage = append(rep.Damage, Damage{Kind: KindSidecarMissing, File: obs.FlatSegmentName(seg.File),
-				Repair: RepairSidecar})
+		d := Damage{Kind: KindStructure, File: seg.File, Detail: c.Err.Error(), Repair: RepairReexec}
+		if ce, ok := obs.AsCorrupt(c.Err); ok {
+			switch ce.Reason {
+			case "checksum":
+				d.Kind = KindBitRot
+			case "truncated":
+				d.Kind = KindTruncated
+			case "missing":
+				d.Kind = KindMissing
+			}
 		}
+		rep.Damage = append(rep.Damage, d)
+		rep.NeedsReexec = append(rep.NeedsReexec, seg.File)
 	}
+	debris, err := listDebris(dir, man)
+	if err != nil {
+		return nil, err
+	}
+	rep.Damage = append(rep.Damage, debris...)
+	rep.Healthy = len(rep.Damage) == 0 && rep.Quarantined == nil
+	return rep, nil
+}
 
+// listDebris lists the commit debris in a spill directory — files a crash
+// inside a commit left that the manifest does not list — reading the
+// directory listing only, never a segment.
+func listDebris(dir string, man *obs.Manifest) ([]Damage, error) {
+	listed := map[string]bool{"manifest.json": true, quarantineName: true}
+	for _, seg := range man.Segments {
+		listed[seg.File] = true
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
+	var out []Damage
 	for _, e := range entries {
 		if e.IsDir() {
 			continue
@@ -154,29 +155,23 @@ func Scan(dir string) (*Report, error) {
 		switch {
 		case listed[name]:
 		case strings.HasSuffix(name, ".tmp") || strings.HasSuffix(name, ".repair"):
-			rep.Damage = append(rep.Damage, Damage{Kind: KindTornRename, File: name,
+			out = append(out, Damage{Kind: KindTornRename, File: name,
 				Detail: "stray temp file from an interrupted commit", Repair: RepairRemoveOrphan})
 		case seg && !part:
 			// A sealed segment beyond the manifest: rename landed, manifest
 			// rewrite did not. The manifest is truth; this is debris.
-			rep.Damage = append(rep.Damage, Damage{Kind: KindTornRename, File: name,
+			out = append(out, Damage{Kind: KindTornRename, File: name,
 				Detail: "sealed segment the manifest never adopted", Repair: RepairRemoveOrphan})
 		case seg && (man.Complete || name != obs.PartName(man)):
-			rep.Damage = append(rep.Damage, Damage{Kind: KindTornRename, File: name,
+			out = append(out, Damage{Kind: KindTornRename, File: name,
 				Detail: "unsealed segment left behind", Repair: RepairRemoveOrphan})
 		case seg:
-			// An incomplete spill's open segment: the expected debris of a
-			// crash, never read (resume regenerates it), never damage.
-		case strings.HasSuffix(name, ".idx.json"):
-			rep.Damage = append(rep.Damage, Damage{Kind: KindTornRename, File: name,
-				Detail: "index sidecar of the retired two-file layout", Repair: RepairRemoveOrphan})
-		case strings.HasSuffix(name, ".flat"):
-			rep.Damage = append(rep.Damage, Damage{Kind: KindTornRename, File: name,
-				Detail: "sidecar without a manifest segment", Repair: RepairRemoveOrphan})
+			// An incomplete spill's next segment, caught mid-commit: the
+			// expected debris of a crash, never read (resume regenerates
+			// it), never damage.
 		}
 	}
-	rep.Healthy = len(rep.Damage) == 0 && rep.Quarantined == nil
-	return rep, nil
+	return out, nil
 }
 
 // Rebuild re-executes the deterministic workload a manifest describes,
@@ -192,8 +187,6 @@ type Result struct {
 	Before *Report `json:"before"`
 	// RemovedOrphans lists commit debris deleted.
 	RemovedOrphans []string `json:"removedOrphans,omitempty"`
-	// RebuiltSidecars counts .flat sidecars regenerated from segment truth.
-	RebuiltSidecars int `json:"rebuiltSidecars,omitempty"`
 	// Repaired is the per-segment outcome of the re-execution, if one ran.
 	Repaired []obs.SegmentRepair `json:"repaired,omitempty"`
 	// Healthy reports the post-repair rescan came back clean.
@@ -202,71 +195,35 @@ type Result struct {
 	Remaining []Damage `json:"remaining,omitempty"`
 }
 
-// RepairDerived fixes everything that does not require re-execution: commit
-// debris is removed, stale/missing sidecars of intact segments are rebuilt.
-// Segment-body damage is left in place and reported in Remaining.
-func RepairDerived(dir string) (*Result, error) {
-	rep, err := Scan(dir)
+// Sweep removes a spill directory's commit debris, returning the files
+// removed. It reads the directory listing only, never a segment: the boot
+// path of a spill whose load already verified every segment.
+func Sweep(dir string, man *obs.Manifest) ([]string, error) {
+	debris, err := listDebris(dir, man)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Before: rep}
-	if err := applyDerived(dir, rep, res); err != nil {
-		return res, err
-	}
-	after, err := Scan(dir)
-	if err != nil {
-		return res, err
-	}
-	res.Healthy = after.Healthy
-	res.Remaining = after.Damage
-	return res, nil
+	return removeDebris(dir, debris)
 }
 
-func applyDerived(dir string, rep *Report, res *Result) error {
-	bodyDamaged := map[string]bool{}
-	for _, f := range rep.NeedsReexec {
-		bodyDamaged[f] = true
-	}
-	for _, d := range rep.Damage {
-		switch d.Repair {
-		case RepairRemoveOrphan:
-			if err := os.Remove(filepath.Join(dir, d.File)); err != nil && !os.IsNotExist(err) {
-				return fmt.Errorf("scrub: remove orphan %s: %w", d.File, err)
-			}
-			res.RemovedOrphans = append(res.RemovedOrphans, d.File)
-		case RepairSidecar:
-			seg, ok := segForSidecar(rep.Manifest, d.File)
-			if !ok || bodyDamaged[seg.File] {
-				continue // body must be repaired first
-			}
-			rebuilt, err := obs.EnsureSegFlat(dir, seg)
-			if err != nil {
-				return fmt.Errorf("scrub: rebuild sidecar for %s: %w", seg.File, err)
-			}
-			if rebuilt {
-				res.RebuiltSidecars++
-			}
+// removeDebris deletes the commit debris among damage, returning the files
+// removed.
+func removeDebris(dir string, damage []Damage) ([]string, error) {
+	var removed []string
+	for _, d := range damage {
+		if d.Repair != RepairRemoveOrphan {
+			continue
 		}
-	}
-	return nil
-}
-
-// segForSidecar finds the manifest segment a .flat sidecar belongs to.
-func segForSidecar(man *obs.Manifest, flatFile string) (obs.SegmentInfo, bool) {
-	if man == nil {
-		return obs.SegmentInfo{}, false
-	}
-	for _, seg := range man.Segments {
-		if obs.FlatSegmentName(seg.File) == flatFile {
-			return seg, true
+		if err := os.Remove(filepath.Join(dir, d.File)); err != nil && !os.IsNotExist(err) {
+			return removed, fmt.Errorf("scrub: remove orphan %s: %w", d.File, err)
 		}
+		removed = append(removed, d.File)
 	}
-	return obs.SegmentInfo{}, false
+	return removed, nil
 }
 
-// Repair runs the full decision tree: derived repairs first, then — if any
-// segment bodies are damaged and a rebuild is available — a deterministic
+// Repair runs the full decision tree: commit debris removed first, then — if
+// any segments are damaged and a rebuild is available — a deterministic
 // re-execution through obs.RepairSink, whose fingerprint verification makes
 // the swap byte-identical-or-nothing. A clean rescan clears any quarantine
 // marker; a dirty one reports Remaining so the caller can quarantine.
@@ -280,7 +237,7 @@ func Repair(dir string, rebuild Rebuild) (*Result, error) {
 		res.Remaining = rep.Damage
 		return res, fmt.Errorf("scrub: %s: manifest unusable; nothing to repair against", dir)
 	}
-	if err := applyDerived(dir, rep, res); err != nil {
+	if res.RemovedOrphans, err = removeDebris(dir, rep.Damage); err != nil {
 		return res, err
 	}
 	if len(rep.NeedsReexec) > 0 {
@@ -304,16 +261,6 @@ func Repair(dir string, rebuild Rebuild) (*Result, error) {
 	after, err := Scan(dir)
 	if err != nil {
 		return res, err
-	}
-	// Derived damage can surface only after the body repair (a swapped-in
-	// segment's old sidecar is now stale); one more derived pass settles it.
-	if !after.Healthy {
-		if err := applyDerived(dir, after, res); err != nil {
-			return res, err
-		}
-		if after, err = Scan(dir); err != nil {
-			return res, err
-		}
 	}
 	res.Healthy = after.Healthy || (after.Quarantined != nil && len(after.Damage) == 0)
 	res.Remaining = after.Damage

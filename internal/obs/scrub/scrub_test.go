@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -175,8 +176,8 @@ func TestScrubChaosMatrixAtRest(t *testing.T) {
 }
 
 // TestScrubDerivedRepairs covers the damage shapes that never need
-// re-execution: sidecar rot and torn-rename debris heal from the durable
-// truth alone — the path obscheck -fsck -repair takes without a workload.
+// re-execution: torn-rename debris heals from the durable record alone — the
+// path obscheck -fsck -repair takes without a workload.
 func TestScrubDerivedRepairs(t *testing.T) {
 	clean := t.TempDir()
 	spill(t, clean)
@@ -185,37 +186,25 @@ func TestScrubDerivedRepairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg0 := man.Segments[0].File
-	idx0 := "seg-000001.flat"
 
 	cases := []struct {
 		name   string
 		inject func(t *testing.T, dir string)
 		kind   scrub.Kind
 	}{
-		{"sidecar-missing", func(t *testing.T, dir string) {
-			// The fin-bearing last segment's sidecar.
-			os.Remove(filepath.Join(dir, obs.FlatSegmentName(man.Segments[len(man.Segments)-1].File)))
-		}, scrub.KindSidecarMissing},
-		{"sidecar-stale", func(t *testing.T, dir string) {
-			if err := obs.FlipByte(filepath.Join(dir, idx0), 30); err != nil {
-				t.Fatal(err)
-			}
-		}, scrub.KindSidecarStale},
-		{"flat-missing", func(t *testing.T, dir string) {
-			os.Remove(filepath.Join(dir, "seg-000001.flat"))
-		}, scrub.KindSidecarMissing},
 		{"torn-rename-tmp", func(t *testing.T, dir string) {
 			os.WriteFile(filepath.Join(dir, "manifest.json.tmp"), []byte("{torn"), 0o666)
 		}, scrub.KindTornRename},
 		{"orphan-sealed-segment", func(t *testing.T, dir string) {
 			data, _ := os.ReadFile(filepath.Join(dir, seg0))
-			os.WriteFile(filepath.Join(dir, "seg-000099.ndjson"), data, 0o666)
+			os.WriteFile(filepath.Join(dir, "seg-000099.flat"), data, 0o666)
 		}, scrub.KindTornRename},
 		{"stale-part-after-completion", func(t *testing.T, dir string) {
-			os.WriteFile(filepath.Join(dir, "seg-000009.ndjson.part"), []byte("x"), 0o666)
+			os.WriteFile(filepath.Join(dir, "seg-000009.flat.part"), []byte("x"), 0o666)
 		}, scrub.KindTornRename},
-		{"orphan-sidecar", func(t *testing.T, dir string) {
-			os.WriteFile(filepath.Join(dir, "seg-000042.idx.json"), []byte("{}"), 0o666)
+		{"stray-repair-staging", func(t *testing.T, dir string) {
+			data, _ := os.ReadFile(filepath.Join(dir, seg0))
+			os.WriteFile(filepath.Join(dir, seg0+".repair"), data, 0o666)
 		}, scrub.KindTornRename},
 	}
 	for _, tc := range cases {
@@ -235,12 +224,12 @@ func TestScrubDerivedRepairs(t *testing.T) {
 				t.Fatalf("derived damage demands re-execution: %v", rep.NeedsReexec)
 			}
 
-			res, err := scrub.RepairDerived(dir)
+			res, err := scrub.Repair(dir, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !res.Healthy || len(res.Remaining) != 0 {
-				t.Fatalf("derived repair left damage: %+v", res.Remaining)
+			if !res.Healthy || len(res.Remaining) != 0 || len(res.RemovedOrphans) != 1 {
+				t.Fatalf("debris repair: removed %v, left %+v", res.RemovedOrphans, res.Remaining)
 			}
 			assertDirsIdentical(t, clean, dir)
 		})
@@ -317,20 +306,15 @@ func TestScrubMidRunDamage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(cleanLog.Lines) != len(log.Lines) {
-				t.Fatalf("line counts differ: clean %d, recovered %d", len(cleanLog.Lines), len(log.Lines))
-			}
-			for i := range cleanLog.Lines {
-				if !bytes.Equal(cleanLog.Lines[i], log.Lines[i]) {
-					t.Fatalf("line %d differs", i)
-				}
+			if !reflect.DeepEqual(cleanLog.Lines, log.Lines) {
+				t.Fatalf("records differ: clean %d, recovered %d", len(cleanLog.Lines), len(log.Lines))
 			}
 		})
 	}
 }
 
 // tornTailSpill leaves an incomplete spill behind: one sealed segment and a
-// .part tail ending in a torn line.
+// torn .part of the next, as a crash inside its seal's write leaves it.
 func tornTailSpill(t *testing.T, dir string) *obs.Manifest {
 	t.Helper()
 	sink, err := obs.NewSegmentSink(cfg(dir))
@@ -341,10 +325,10 @@ func tornTailSpill(t *testing.T, dir string) *obs.Manifest {
 	rec.Instant(obs.KindLaunch, "unit:k", "launch", 0, "")
 	rec.Add(obs.Event{Kind: obs.KindChanStall, Track: "chan:pipe", Name: "read-stall", Start: 5, End: 24})
 	rec.Add(obs.Event{Kind: obs.KindChanStall, Track: "chan:pipe", Name: "write-stall", Start: 30, End: 44})
-	// No finalize: the run "crashes" mid-write. The sink's buffered bytes for
-	// the open segment never reached disk, so fabricate the torn tail the
-	// kernel would have landed: a valid header (copied from the sealed
-	// segment), one complete payload line, and a torn half line.
+	// No finalize: the run "crashes" while sealing its next segment. Its
+	// records never reached disk, so fabricate the torn container the kernel
+	// would have landed: the head of a valid one (copied from the sealed
+	// segment), cut mid-section.
 	man, err := obs.LoadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -356,11 +340,8 @@ func tornTailSpill(t *testing.T, dir string) *obs.Manifest {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdrEnd := bytes.IndexByte(sealed, '\n') + 1
-	lineEnd := hdrEnd + bytes.IndexByte(sealed[hdrEnd:], '\n') + 1
-	torn := append(append([]byte(nil), sealed[:lineEnd]...), []byte(`{"e":{"kind":"chan-st`)...)
 	part := filepath.Join(dir, obs.PartName(man))
-	if err := os.WriteFile(part, torn, 0o666); err != nil {
+	if err := os.WriteFile(part, sealed[:len(sealed)/2], 0o666); err != nil {
 		t.Fatal(err)
 	}
 	return man

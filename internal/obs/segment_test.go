@@ -2,8 +2,10 @@ package obs
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -95,8 +97,9 @@ func TestSegmentRoundTrip(t *testing.T) {
 }
 
 // crashSpill emulates a process dying mid-run: a prefix of the feed lands in
-// dir, nothing is finalized, and the open .part segment is left truncated
-// mid-line — the bytes a SIGKILL between two writes would leave behind.
+// dir, nothing is finalized, the open segment's records die with the process,
+// and the next segment's .part is left torn — the bytes a SIGKILL inside a
+// seal's write would leave behind.
 func crashSpill(t *testing.T, dir string) {
 	t.Helper()
 	sink, err := NewSegmentSink(segCfg(dir))
@@ -113,20 +116,11 @@ func crashSpill(t *testing.T, dir string) {
 	if err := sink.err(); err != nil {
 		t.Fatal(err)
 	}
-	if sink.enc != nil {
-		if err := sink.enc.flush(); err != nil {
-			t.Fatal(err)
-		}
+	if sink.enc == nil || len(sink.man.Segments) == 0 {
+		t.Fatalf("want sealed segments and an open one, got %d sealed", len(sink.man.Segments))
 	}
-	parts, err := filepath.Glob(filepath.Join(dir, "*.part"))
-	if err != nil || len(parts) != 1 {
-		t.Fatalf("parts = %v, err = %v", parts, err)
-	}
-	st, err := os.Stat(parts[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(parts[0], st.Size()-7); err != nil {
+	info, buf := sink.enc.finish(PartName(&sink.man), -1, nil)
+	if err := os.WriteFile(filepath.Join(dir, info.File), buf[:len(buf)-7], 0o666); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -174,18 +168,13 @@ func TestSegmentResumeByteIdentical(t *testing.T) {
 	}
 	assertSameRecord(t, head, tl, ser)
 
-	// And line-for-line identically to the clean spill.
+	// And record-for-record identically to the clean spill.
 	cleanLog, err := LoadSegments(clean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cleanLog.Lines) != len(stitched.Lines) {
-		t.Fatalf("line counts differ: clean %d, stitched %d", len(cleanLog.Lines), len(stitched.Lines))
-	}
-	for i := range cleanLog.Lines {
-		if !bytes.Equal(cleanLog.Lines[i], stitched.Lines[i]) {
-			t.Fatalf("line %d differs:\n%s\nvs\n%s", i, cleanLog.Lines[i], stitched.Lines[i])
-		}
+	if !reflect.DeepEqual(cleanLog.Lines, stitched.Lines) {
+		t.Fatalf("records differ: clean %d, stitched %d", len(cleanLog.Lines), len(stitched.Lines))
 	}
 }
 
@@ -298,12 +287,13 @@ func TestSegmentLoadRejectsCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw = bytes.Replace(raw, []byte(`"obsSegments": 1`), []byte(`"obsSegments": 9`), 1)
+		raw = bytes.Replace(raw, []byte(`"obsSegments": 2`), []byte(`"obsSegments": 9`), 1)
 		if err := os.WriteFile(p, raw, 0o666); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadSegments(dir); err == nil {
-			t.Fatal("accepted bad manifest version")
+		var ve *SpillVersionError
+		if _, err := LoadSegments(dir); !errors.As(err, &ve) || ve.Version != 9 {
+			t.Fatalf("err = %v, want a version-9 SpillVersionError", err)
 		}
 	})
 	t.Run("missing manifest", func(t *testing.T) {
@@ -325,6 +315,29 @@ func TestSegmentLoadRejectsCorruption(t *testing.T) {
 		f.Close()
 		if _, err := LoadSegments(dir); err == nil {
 			t.Fatal("accepted garbage line")
+		}
+	})
+	// With the whole-file CRC32C skipped, each container section's own
+	// checksum still refuses a flipped bit, wherever it lands.
+	t.Run("flipped bit with file checksums skipped", func(t *testing.T) {
+		dir := fresh(t)
+		log, _ := LoadSegments(dir)
+		seg := log.Manifest.Segments[0]
+		raw, err := os.ReadFile(filepath.Join(dir, seg.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := range raw {
+			if err := FlipByte(filepath.Join(dir, seg.File), int64(off)); err != nil {
+				t.Fatal(err)
+			}
+			_, err := LoadSegmentsWith(dir, LoadOptions{SkipChecksums: true})
+			if _, ok := AsCorrupt(err); !ok {
+				t.Fatalf("flip at byte %d of %d: err = %v, want a typed corruption verdict", off, len(raw), err)
+			}
+			if err := FlipByte(filepath.Join(dir, seg.File), int64(off)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }
@@ -389,14 +402,15 @@ func TestSegmentRetryFinalizeStreamErrorPermanent(t *testing.T) {
 
 func TestIsSegmentFile(t *testing.T) {
 	for name, want := range map[string][2]bool{
-		"seg-000001.ndjson":      {false, true},
-		"seg-000012.ndjson.part": {true, true},
-		"seg-1234567.ndjson":     {false, true},
-		"seg-1.ndjson":           {false, false},
-		"seg-000000.ndjson":      {false, false},
-		"seg-00000a.ndjson":      {false, false},
-		"seg-000001.ndjson.tmp":  {false, false},
-		"seg-000001.flat":        {false, false},
+		"seg-000001.flat":        {false, true},
+		"seg-000012.flat.part":   {true, true},
+		"seg-1234567.flat":       {false, true},
+		"seg-1.flat":             {false, false},
+		"seg-000000.flat":        {false, false},
+		"seg-00000a.flat":        {false, false},
+		"seg-000001.flat.tmp":    {false, false},
+		"seg-000001.flat.repair": {false, false},
+		"seg-000001.ndjson":      {false, false},
 		"manifest.json":          {false, false},
 	} {
 		part, ok := IsSegmentFile(name)
@@ -404,7 +418,7 @@ func TestIsSegmentFile(t *testing.T) {
 			t.Errorf("IsSegmentFile(%q) = %v, %v; want %v, %v", name, part, ok, want[0], want[1])
 		}
 	}
-	if got := PartName(&Manifest{Segments: make([]SegmentInfo, 2)}); got != "seg-000003.ndjson.part" {
+	if got := PartName(&Manifest{Segments: make([]SegmentInfo, 2)}); got != "seg-000003.flat.part" {
 		t.Fatalf("PartName = %q", got)
 	}
 }

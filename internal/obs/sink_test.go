@@ -110,9 +110,10 @@ func TestReplayNDJSONErrors(t *testing.T) {
 	}
 }
 
-type errWriter struct{ n int }
+type errWriter struct{ n, calls int }
 
 func (w *errWriter) Write(p []byte) (int, error) {
+	w.calls++
 	if w.n <= 0 {
 		return 0, bytes.ErrTooLarge
 	}
@@ -121,19 +122,18 @@ func (w *errWriter) Write(p []byte) (int, error) {
 }
 
 func TestNDJSONSinkStickyError(t *testing.T) {
-	sink := NewNDJSONSink(&errWriter{n: 0}, "d", 0)
+	w := &errWriter{n: 0}
+	sink := NewNDJSONSink(w, "d", 0)
 	ev := Event{Kind: KindLaunch, Track: "unit:k", Name: "go", Instant: true}
-	for i := 0; i < 1000; i++ { // enough lines to overflow a write chunk
+	for i := 0; i < 1000; i++ {
 		sink.Event(ev)
 	}
-	if sink.enc.err == nil {
+	if sink.err == nil {
 		t.Fatal("write error not recorded")
 	}
-	// Quiet after the first error: later lines are dropped, not buffered.
-	held := len(sink.enc.buf)
-	sink.Event(ev)
-	if len(sink.enc.buf) != held {
-		t.Fatalf("sink buffered %d more bytes after its write error", len(sink.enc.buf)-held)
+	// Quiet after the first error: later lines are not written.
+	if w.calls != 1 {
+		t.Fatalf("sink wrote %d more times after its write error", w.calls-1)
 	}
 	if err := sink.Finalize(5); err == nil {
 		t.Fatal("write error not surfaced at Finalize")

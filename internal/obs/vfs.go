@@ -6,7 +6,7 @@ import (
 )
 
 // VFS is the filesystem seam under the durable spill writers. Everything the
-// SegmentSink (and its sidecar writes) does to disk goes through this
+// SegmentSink (and a repair's swap) does to disk goes through this
 // interface, so the disk-fault chaos suite can inject short writes, ENOSPC,
 // fsync failures, and torn renames at any point in the commit protocol and
 // assert the directory stays recoverable. The zero value of SegmentConfig.FS

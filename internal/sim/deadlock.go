@@ -246,8 +246,10 @@ func (m *Machine) DeadlockReport(reason Reason) *DeadlockReport {
 	// A budget expiry is a resumable pause, not a terminal diagnosis: a
 	// supervisor slicing RunFor hits one per slice, and recording each would
 	// make the telemetry stream depend on the slicing — breaking replay
-	// recovery's byte-identity against an uninterrupted run.
-	if m.obs != nil && reason != ReasonBudget {
+	// recovery's byte-identity against an uninterrupted run. A panic is not
+	// recorded either: the sink that panicked would receive the instant and
+	// could panic again, losing the report this diagnosis returns.
+	if m.obs != nil && reason != ReasonBudget && reason != ReasonPanic {
 		m.obs.rec.Instant(obs.KindBlame, "diagnosis", string(reason), m.cycle, r.Blame)
 	}
 	return r

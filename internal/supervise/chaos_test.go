@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -135,7 +136,9 @@ func TestChaosEveryRunTerminatesClassified(t *testing.T) {
 		func() (*sim.Machine, error) { return startBench(t, 64, false, nil), nil }, nil)
 	submit("panic-start", supervise.Limits{},
 		func() (*sim.Machine, error) { panic("chaos: compile exploded") }, nil)
-	submit("panic-sink", supervise.Limits{},
+	// A short first slice hands the sink its records while kernels are
+	// still running, so the detonation diagnoses a machine mid-flight.
+	submit("panic-sink", supervise.Limits{Slice: 64},
 		func() (*sim.Machine, error) { return startBench(t, 48, false, &detonator{left: 3}), nil }, nil)
 
 	// A transient sink outage: finalize fails twice, the retry loop commits.
@@ -206,6 +209,8 @@ func TestChaosEveryRunTerminatesClassified(t *testing.T) {
 	if out := outcomes["panic-sink"]; out.PanicValue == nil ||
 		out.Diagnostic == nil || out.Diagnostic.Reason != sim.ReasonPanic {
 		t.Errorf("panic-sink = %+v, want ReasonPanic diagnostic", out)
+	} else if d := out.Diagnostic; strings.HasPrefix(d.Blame, "diagnosis unavailable") || len(d.Waits) == 0 {
+		t.Errorf("panic-sink diagnostic is not the machine's report: blame %q, %d waits", d.Blame, len(d.Waits))
 	}
 
 	st := sup.Stats()

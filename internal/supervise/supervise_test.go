@@ -267,7 +267,10 @@ func TestMidRunPanicGetsDiagnostic(t *testing.T) {
 	defer s.Close()
 	c := newCollect(1)
 	opts := sim.Options{Observe: &obs.Config{Sink: &panicSink{after: 1}}}
-	if err := s.Submit(Spec{ID: "mid", Workload: "mid", Start: startQuick(t, d, opts), Done: c.cb}); err != nil {
+	// A short first slice delivers the sink its records while the kernel is
+	// still running, so the panic always lands mid-run.
+	spec := Spec{ID: "mid", Workload: "mid", Start: startQuick(t, d, opts), Done: c.cb, Limits: Limits{Slice: 16}}
+	if err := s.Submit(spec); err != nil {
 		t.Fatal(err)
 	}
 	out := c.wait(t)[0]
@@ -276,6 +279,11 @@ func TestMidRunPanicGetsDiagnostic(t *testing.T) {
 	}
 	if out.Diagnostic == nil || out.Diagnostic.Reason != sim.ReasonPanic {
 		t.Fatalf("diagnostic = %+v", out.Diagnostic)
+	}
+	// The machine's own wait-for report, not the stand-in safeReport
+	// synthesizes when the diagnosis itself panics.
+	if d := out.Diagnostic; strings.HasPrefix(d.Blame, "diagnosis unavailable") || len(d.Waits) == 0 {
+		t.Fatalf("diagnostic is not the machine's report: blame %q, %d waits", d.Blame, len(d.Waits))
 	}
 }
 

@@ -196,24 +196,26 @@ type (
 // NewObserveFanout composes sinks; nils are skipped.
 func NewObserveFanout(sinks ...ObserveSink) *ObserveFanout { return obs.NewFanout(sinks...) }
 
-// NewNDJSONSink streams observability records to w as NDJSON.
+// NewNDJSONSink streams observability records to w as NDJSON, buffered and
+// flushed at Finalize, so w may be a plain file.
 func NewNDJSONSink(w io.Writer, design string, sampleEvery int64) *NDJSONSink {
 	return obs.NewNDJSONSink(w, design, sampleEvery)
 }
 
 // ReplayNDJSON replays a spill stream through a fresh buffering recorder and
 // returns the timeline and series it reconstructs — byte-identical, once
-// serialized, to what the originating machine would have returned. The
-// stream is read as one sealed spill segment: a malformed or truncated one
-// is a *CorruptSegmentError.
+// serialized, to what the originating machine would have returned. A
+// malformed or truncated stream is a *CorruptSegmentError.
 func ReplayNDJSON(r io.Reader) (*Timeline, *MetricsSeries, error) { return obs.ReplayNDJSON(r) }
 
-// Crash-safe spill (DESIGN.md §11): the segmented form of the NDJSON stream.
-// Records rotate through size-bounded segment files committed atomically
-// (temp file + rename) under a manifest, so a crash at any instant leaves a
-// loadable durable prefix; a resume sink re-executes the deterministic run,
-// proves each sealed segment against its manifest fingerprint, and appends
-// the remainder.
+// Crash-safe spill (DESIGN.md §11): the durable form of the record. Records
+// rotate through size-bounded segments, each one OBSFLAT3 container file
+// committed atomically (temp file + fsync + rename) under a manifest that
+// fingerprints it, so a crash at any instant leaves a loadable durable
+// prefix; a resume sink re-executes the deterministic run, proves each
+// sealed segment against its manifest fingerprint, and appends the
+// remainder. NDJSON is the stream form only: NDJSONSink and ReplayNDJSON,
+// and obscheck -export renders a spill directory as one NDJSON stream.
 type (
 	// SegmentConfig configures a segmented spill directory.
 	SegmentConfig = obs.SegmentConfig
@@ -221,7 +223,7 @@ type (
 	// segments (NewSegmentSink for fresh runs, NewResumeSink for recovery).
 	SegmentSink = obs.SegmentSink
 	// SegmentLog is a loaded spill directory: its manifest and every sealed
-	// payload line, in order.
+	// payload record (event or sample), in order.
 	SegmentLog = obs.SegmentLog
 	// SegmentManifest is the spill directory's source of truth.
 	SegmentManifest = obs.Manifest
@@ -231,10 +233,10 @@ type (
 func NewSegmentSink(cfg SegmentConfig) (*SegmentSink, error) { return obs.NewSegmentSink(cfg) }
 
 // NewResumeSink resumes an interrupted spill from its manifest alone: the
-// re-executed run's records are cut at the manifest's per-segment line counts
-// and each cut must match its sealed segment's length and CRC32C before any
-// new segment is written. A mismatch, or a run that ends inside the sealed
-// prefix, is a permanent *CorruptSegmentError naming the segment.
+// re-executed run's records are cut at the manifest's per-segment record
+// counts and each cut must match its sealed segment's length and CRC32C
+// before any new segment is written. A mismatch, or a run that ends inside
+// the sealed prefix, is a permanent *CorruptSegmentError naming the segment.
 func NewResumeSink(cfg SegmentConfig, man *SegmentManifest) (*SegmentSink, error) {
 	return obs.NewResumeSink(cfg, man)
 }
@@ -242,23 +244,28 @@ func NewResumeSink(cfg SegmentConfig, man *SegmentManifest) (*SegmentSink, error
 // LoadSegments loads a spill directory's sealed record (complete or not),
 // verifying every sealed segment's length and CRC32C against the manifest; a
 // mismatch is a typed *CorruptSegmentError, never a wrong answer. An
-// incomplete spill's unsealed .part is not read.
+// incomplete spill's unsealed .part is not read. A directory written in
+// another spill format version (version 1 held NDJSON segments) is refused
+// with a *SpillVersionError.
 func LoadSegments(dir string) (*SegmentLog, error) { return obs.LoadSegments(dir) }
 
 // Durable spill storage (DESIGN.md §16): end-to-end checksums on the read
-// path, a scrubber that classifies disk damage and repairs it — derived
-// artifacts rebuilt from segment truth, segment payloads regenerated by
-// deterministic re-execution byte-identically or not at all — and a
-// quarantine verdict for what cannot be healed.
+// path, a scrubber that classifies disk damage and repairs it — commit
+// debris removed, damaged segments regenerated by deterministic
+// re-execution byte-identically or not at all — and a quarantine verdict
+// for what cannot be healed.
 type (
 	// CorruptSegmentError is the typed read-path failure for a segment whose
 	// bytes disagree with the manifest's recorded length or CRC32C.
 	CorruptSegmentError = obs.CorruptSegmentError
+	// SpillVersionError refuses a spill directory of another format
+	// version.
+	SpillVersionError = obs.SpillVersionError
 	// ScrubReport is one spill directory's scan verdict: per-segment status,
 	// classified damage, warnings, and whether re-execution is needed.
 	ScrubReport = scrub.Report
-	// ScrubResult is a repair's outcome: what was removed, rebuilt, and
-	// regenerated, and what damage remains.
+	// ScrubResult is a repair's outcome: what was removed and regenerated,
+	// and what damage remains.
 	ScrubResult = scrub.Result
 	// ScrubRebuild regenerates a spill's record stream by deterministic
 	// re-execution. The bundled tools all pass the one shared hook,
@@ -272,10 +279,9 @@ type (
 // anything; obscheck -fsck is its CLI face.
 func ScrubScan(dir string) (*ScrubReport, error) { return scrub.Scan(dir) }
 
-// ScrubRepair heals a spill directory: commit debris removed, sidecars
-// rebuilt from segment truth, and — when rebuild is non-nil — corrupt
-// segments regenerated by re-execution, accepted only byte-identical to the
-// manifest's checksums.
+// ScrubRepair heals a spill directory: commit debris removed and — when
+// rebuild is non-nil — corrupt segments regenerated by re-execution,
+// accepted only byte-identical to the manifest's checksums.
 func ScrubRepair(dir string, rebuild ScrubRebuild) (*ScrubResult, error) {
 	return scrub.Repair(dir, rebuild)
 }
@@ -284,8 +290,8 @@ func ScrubRepair(dir string, rebuild ScrubRebuild) (*ScrubResult, error) {
 // in the spill stream, exact state reconstruction at any cycle by
 // deterministic re-execution (rewound from the nearest checkpoint),
 // breakpointed re-execution, and an indexed query engine that answers event
-// queries from a spill directory by reading only the segments whose sidecar
-// index might hold matches.
+// queries from a spill directory by decoding only the segments whose
+// container index might hold matches.
 type (
 	// Checkpoint is one rewind anchor recorded in the spill stream when
 	// ObserveConfig.CheckpointEvery is set: cycle, design hash, fault seed,
@@ -305,9 +311,8 @@ type (
 	// EventQueryResult is a query's answer: the matching events plus how many
 	// segments the index allowed the engine to skip.
 	EventQueryResult = query.Result
-	// SegmentIndex is the decoded index section of one segment's .flat
-	// sidecar, built at seal time and rebuilt on demand — a cache, never the
-	// source of truth.
+	// SegmentIndex is the decoded index section of one segment's container,
+	// written when the segment seals.
 	SegmentIndex = obs.SegIndex
 )
 
@@ -320,18 +325,12 @@ func ParseEventQuery(s string) (EventQuery, error) { return query.ParseQuery(s) 
 
 // RunEventQuery answers a query from a spill directory via the per-segment
 // index: segments whose index proves they hold no matches materialize no
-// events. Missing or stale sidecars are rebuilt on the fly and written back
-// best-effort.
+// events.
 func RunEventQuery(dir string, q EventQuery) (*EventQueryResult, error) { return query.Run(dir, q) }
 
 // SpillCheckpoints extracts every checkpoint recorded in a spill directory,
 // in cycle order — the rewind anchors for at-cycle state reconstruction.
 func SpillCheckpoints(dir string) ([]Checkpoint, error) { return query.Checkpoints(dir) }
-
-// EnsureSpillIndex builds or repairs every segment's .flat sidecar (its
-// pinned index and events) under a spill directory, returning how many were
-// rebuilt. Seal-time sidecars and rebuilt ones are byte-identical.
-func EnsureSpillIndex(dir string) (int, error) { return obs.EnsureIndex(dir) }
 
 // Supervision (DESIGN.md §11): bounded-slot admission, per-run cycle budgets
 // and wall-clock watchdogs, panic isolation with DeadlockReport-style
@@ -433,9 +432,9 @@ func CompareRuns(a, b *StallAttribution, sa, sb *MetricsSeries, th DiffThreshold
 }
 
 // CompareSpillDiff diffs two completed segmented spill directories through
-// their sidecar indexes: segments provably free of attribution-relevant
-// records are never opened, so large spills diff far faster than a full
-// double replay while producing the identical report.
+// their segment indexes: segments provably free of attribution-relevant
+// records are never decoded, so large spills diff faster than a full double
+// replay while producing the identical report.
 func CompareSpillDiff(dirA, dirB string, th DiffThresholds) (*DiffReport, *SpillDiffSide, *SpillDiffSide, error) {
 	return diff.CompareSpills(dirA, dirB, th)
 }
