@@ -9,6 +9,7 @@ package oclfpga_test
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -445,6 +446,41 @@ func BenchmarkSimThroughput(b *testing.B) {
 		sort.Float64s(ckptRatios)
 		b.ReportMetric((obsRatios[len(obsRatios)/2]-1)*100, "obs-overhead-pct")
 		b.ReportMetric((ckptRatios[len(ckptRatios)/2]-1)*100, "overhead-pct")
+	})
+	// SimulateSpilled is SimulateCheckpointed's configuration (metrics every
+	// 1024 cycles, checkpoints on the same grid) streamed into a durable
+	// segmented spill at the shipped rotation defaults: recorder, sink flush,
+	// container encoding and file I/O, the path a profiling run with -spill-dir
+	// takes. Each op spills into a fresh directory; removing the previous
+	// op's spill is untimed.
+	b.Run("SimulateSpilled", func(b *testing.B) {
+		dir := filepath.Join(b.TempDir(), "spill")
+		spill := func() *experiments.SimBenchResult {
+			r, err := experiments.SpillSimBench(n, dir, 1024, ckptGrid, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return r
+		}
+		spill() // warm the design memo outside the timed region
+		b.ReportAllocs()
+		b.ResetTimer()
+		var cycles int64
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if err := os.RemoveAll(dir); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			r := spill()
+			if r.ObsEvents == 0 || r.FFJumps == 0 {
+				b.Fatal("recorder inactive or fast-forward lost")
+			}
+			cycles += r.Cycles
+		}
+		if s := b.Elapsed().Seconds(); s > 0 {
+			b.ReportMetric(float64(cycles)/s, "simcycles/s")
+		}
 	})
 }
 

@@ -158,7 +158,7 @@ func TestDiffFaultRegressed(t *testing.T) {
 }
 
 // TestDiffSpillMatchesFullReplay proves the indexed spill walk is exactly the
-// replay route: diffing two same-seed spill directories through the sidecar
+// replay route: diffing two same-seed spill directories through the container
 // indexes yields a byte-identical report to replaying both spills and
 // comparing the reconstructed timelines' attributions — and, the runs being
 // deterministic twins, an all-neutral one.

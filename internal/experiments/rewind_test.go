@@ -172,7 +172,7 @@ func findCapture(caps []RewindCapture, machine int, cycle int64) *RewindCapture 
 }
 
 // TestSpillSimBenchRoundTrip pins the whole time-travel pipeline end to end
-// on the benchmark workload: a checkpointed segmented spill whose sidecar
+// on the benchmark workload: a checkpointed segmented spill whose container
 // indexes answer queries byte-identically to a full scan, whose recorded
 // checkpoints verify against a fresh re-execution, and whose rewound state
 // dump matches the direct one.

@@ -144,7 +144,7 @@ func TestScrubRepairRefusesForeignWorkload(t *testing.T) {
 	}
 }
 
-// TestSwappedSidecarServesOwnEvents leaves a well-formed container of the
+// TestSwappedContainerServesOwnEvents leaves a well-formed container of the
 // same length in one segment's place — a copy of another segment's with the
 // same record count, what an interrupted write leaves behind in a reused
 // spill directory, and the segment's own container with one record changed
@@ -153,7 +153,7 @@ func TestScrubRepairRefusesForeignWorkload(t *testing.T) {
 // diff must refuse the segment rather than answer from the other events,
 // and once scrub has regenerated it by re-execution they answer from its
 // own events again.
-func TestSwappedSidecarServesOwnEvents(t *testing.T) {
+func TestSwappedContainerServesOwnEvents(t *testing.T) {
 	plants := map[string]func(t *testing.T, dir string, man *obs.Manifest) (obs.SegmentInfo, []byte){
 		"another segment's container": func(t *testing.T, dir string, man *obs.Manifest) (obs.SegmentInfo, []byte) {
 			byShape := map[[2]int64]obs.SegmentInfo{}

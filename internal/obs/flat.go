@@ -11,10 +11,10 @@ import (
 )
 
 // The recorder's hot-path storage: one recorded event is a fixed-width
-// six-word record appended to a per-track segmented flat buffer. Nothing on
-// the append path allocates (beyond amortized segment growth), carries a
-// pointer, or materializes a string — the Event struct, its track/name
-// strings, and its detail text exist only at Timeline()/sink-flush time.
+// six-word record appended to a segmented flat log. Nothing on the append
+// path allocates (beyond amortized segment growth), carries a pointer, or
+// materializes a string — the Event struct, its track/name strings, and its
+// detail text exist only at Timeline()/sink-flush time.
 //
 // Three mechanisms make that possible:
 //
@@ -28,13 +28,12 @@ import (
 //     literal), rendered to its string form — through a per-(template, arg)
 //     cache — only when an Event is actually built;
 //
-//   - sharded append with deterministic merge: records land in per-track
-//     shards, each a chain of fixed-size segments (no doubling copies, no
-//     pointers for the GC to scan), stamped with a global sequence number.
-//     Merging by sequence at sample/finalize/fast-forward-jump points
-//     reproduces exactly the order a single append log would have held, so
-//     the encoding is invisible: timelines, NDJSON spills, and Perfetto
-//     output are byte-identical to the pre-flat recorder's.
+//   - one append log: records land in a single chain of fixed-size segments
+//     (no doubling copies, no pointers for the GC to scan) in the order they
+//     arrive, like the paper's ibuffer (§4). Sink flushing, Timeline() and
+//     FlatLog() walk it front to back, so the encoding is invisible:
+//     timelines, NDJSON spills, and Perfetto output are byte-identical to the
+//     pre-flat recorder's.
 
 // ID is an index into a Recorder's intern table. The zero ID is the empty
 // string, so ID fields in sim-side caches can treat 0 as "not yet interned".
@@ -116,7 +115,7 @@ const flagMask = FlagInstant | FlagFFJump
 
 // Flat record layout: recWords little-endian 64-bit words.
 //
-//	w0  sequence number (global append order)
+//	w0  append index (the record's position in the log)
 //	w1  kind ID (low 32) | detail template (bits 32..39) | flags (bits 40..47)
 //	w2  track ID (low 32) | name ID (high 32)
 //	w3  start cycle
@@ -127,21 +126,18 @@ const recWords = 6
 // segRecs is the per-segment record capacity. Power of two so the record
 // index decomposes into (segment, offset) with shifts; 256 records × 48 bytes
 // keeps a segment at 12 KiB — large enough to amortize allocation, small
-// enough that an idle track wastes little.
+// enough that a short run wastes little.
 const (
 	segRecs  = 256
 	segShift = 8
 	segMask  = segRecs - 1
 )
 
-// shard is one track's record storage: a chain of fixed-size segments. Within
-// a shard, records are naturally ordered by sequence number. sunk marks the
-// prefix already streamed to the sink.
-type shard struct {
-	track ID
-	n     int
-	sunk  int
-	segs  [][]uint64
+// recLog is the recorder's record storage: one chain of fixed-size segments
+// holding every record in append order.
+type recLog struct {
+	n    int
+	segs [][]uint64
 }
 
 // segPool recycles record segments across recorders (see Recorder.Release):
@@ -154,36 +150,28 @@ var segPool = sync.Pool{New: func() any { return make([]uint64, segRecs*recWords
 
 // slot returns the next record's backing words, extending the chain as
 // needed.
-func (s *shard) slot() []uint64 {
-	seg := s.n >> segShift
-	if seg == len(s.segs) {
-		s.segs = append(s.segs, segPool.Get().([]uint64))
+func (l *recLog) slot() []uint64 {
+	seg := l.n >> segShift
+	if seg == len(l.segs) {
+		l.segs = append(l.segs, segPool.Get().([]uint64))
 	}
-	off := (s.n & segMask) * recWords
-	s.n++
-	return s.segs[seg][off : off+recWords : off+recWords]
+	off := (l.n & segMask) * recWords
+	l.n++
+	return l.segs[seg][off : off+recWords : off+recWords]
 }
 
 // at returns record i's backing words.
-func (s *shard) at(i int) []uint64 {
+func (l *recLog) at(i int) []uint64 {
 	off := (i & segMask) * recWords
-	return s.segs[i>>segShift][off : off+recWords : off+recWords]
+	return l.segs[i>>segShift][off : off+recWords : off+recWords]
 }
 
-// searchSeq returns the index of the first record with sequence number >= seq
-// (s.n if none). Per-shard seqs are strictly ascending, so this is a binary
-// search.
-func (s *shard) searchSeq(seq uint64) int {
-	lo, hi := 0, s.n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.at(mid)[0] < seq {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// release returns the log's segments to segPool and empties it.
+func (l *recLog) release() {
+	for _, seg := range l.segs {
+		segPool.Put(seg)
 	}
-	return lo
+	*l = recLog{}
 }
 
 // FlatRecord is the decoded-but-uninterned view of one flat record: IDs
@@ -227,13 +215,8 @@ func packRecord(w []uint64, f FlatRecord) {
 	w[5] = f.Arg
 }
 
-// flatRef locates one record for the merge scratch buffer.
-type flatRef struct {
-	shard, idx int32
-}
-
-// FlatLog is a standalone flat record stream: an intern table, the merged
-// (sequence-ordered) records and, for a sealed spill segment, its samples
+// FlatLog is a standalone flat record stream: an intern table, the records
+// in append order and, for a sealed spill segment, its samples
 // and end cycle. It is the unit the binary flat codec round-trips — the
 // durable segment container (segment.go) — and what the codec fuzz target
 // exercises. A recorder snapshot carries no samples and EndCycle -1.

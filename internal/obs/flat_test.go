@@ -192,7 +192,7 @@ func TestHotPathAllocFree(t *testing.T) {
 	track := r.Intern("chan:pipe")
 	name := r.Intern("read-stall")
 	unit := r.Intern("consumer")
-	r.SpanDetailID(kind, track, name, 0, 1, UnitDetail(unit)) // warm the shard
+	r.SpanDetailID(kind, track, name, 0, 1, UnitDetail(unit)) // warm the log
 	var cyc int64
 	if avg := testing.AllocsPerRun(2000, func() {
 		cyc++
@@ -271,7 +271,6 @@ func TestReleaseContract(t *testing.T) {
 	if r.EventCount() == 0 || r.FFJumpCount() == 0 {
 		t.Fatal("counts lost after Release")
 	}
-	mustPanic("VisitFlat", func() { r.VisitFlat(func(FlatRecord) {}) })
 	mustPanic("FlatLog", func() { r.FlatLog() })
 
 	// A released recorder that never materialized must panic rather than

@@ -127,9 +127,8 @@ func ReplayNDJSON(r io.Reader) (*Timeline, *Series, error) {
 
 // ndjsonReader reads the header / payload / fin line stream. It splits
 // newline-terminated lines and tracks their byte offsets, decodes and
-// validates the header once, and decodes each later line once — through the
-// line codec's fast path, or json.Unmarshal for a line outside its layout —
-// holding it to exactly one of e/s/fin. Every rejection is a
+// validates the header once, and decodes each later line once with
+// json.Unmarshal, holding it to exactly one of e/s/fin. Every rejection is a
 // *CorruptSegmentError at the offending line's offset.
 type ndjsonReader struct {
 	data []byte // unread stream bytes
@@ -137,7 +136,6 @@ type ndjsonReader struct {
 
 	hdr ndjsonHeader // the decoded header
 	fin *ndjsonFinal // the fin line, once read
-	dec lineDecoder  // the payload lines' fast-path decoder
 }
 
 func (r *ndjsonReader) corrupt(off int64, reason, expected, got string) *CorruptSegmentError {
@@ -178,7 +176,6 @@ func (r *ndjsonReader) header() error {
 // finalizing: event and sample lines, then the fin line the stream must end
 // with, on a newline.
 func (r *ndjsonReader) feed(sink Sink) error {
-	var ln ndjsonLine
 	for {
 		line, start, ok := r.next()
 		if !ok {
@@ -187,11 +184,9 @@ func (r *ndjsonReader) feed(sink Sink) error {
 		if r.fin != nil {
 			return r.corrupt(start, "structure", "end of file after fin line", "more lines")
 		}
-		if !r.dec.decode(line, &ln) {
-			ln = ndjsonLine{}
-			if err := json.Unmarshal(line, &ln); err != nil {
-				return r.corrupt(start, "garbage", "payload line", err.Error())
-			}
+		var ln ndjsonLine
+		if err := json.Unmarshal(line, &ln); err != nil {
+			return r.corrupt(start, "garbage", "payload line", err.Error())
 		}
 		switch {
 		case ln.E != nil && ln.S == nil && ln.Fin == nil:

@@ -153,28 +153,20 @@ type Config struct {
 //
 // The hot path is allocation-free: Intern track/name strings once, then
 // record through SpanID/InstantID/SpanDetailID — each call packs one
-// fixed-width record into the track's segment chain. The string-typed
+// fixed-width record onto the end of the append log. The string-typed
 // Span/Instant/Add methods remain for rare paths (fault edges, deadlock
 // blame, NDJSON replay) and intern on every call.
 type Recorder struct {
 	design string
 	cfg    Config
 
-	tab    internTable
-	shards []*shard
-	// trackShard maps a track ID to its shard index (-1 until first use),
-	// grown in step with the intern table so lookup is an array index.
-	trackShard []int32
-	// seq is the next global sequence number; records across all shards
-	// carry dense seqs, so append order is recoverable exactly.
-	seq     uint64
-	nEvents int // records without FlagFFJump
-	nJumps  int // records with FlagFFJump
+	tab     internTable
+	log     recLog // every record, in append order
+	nEvents int    // records without FlagFFJump
+	nJumps  int    // records with FlagFFJump
 
-	// Streaming state: everything with seq < flushedSeq has been delivered
-	// to the sink; each shard's sunk cursor marks its delivered prefix.
-	flushedSeq uint64
-	scratch    []flatRef
+	// flushed counts the log's records already delivered to the sink.
+	flushed int
 	// detailCache memoizes rendered detail strings so flushing N stall
 	// spans of the same unit concatenates "unit=" once, not N times.
 	detailCache map[Detail]string
@@ -216,7 +208,6 @@ type window struct {
 // NewRecorder creates a recorder for a run of the named design.
 func NewRecorder(design string, cfg Config) *Recorder {
 	r := &Recorder{design: design, cfg: cfg, tab: newInternTable(), lastSamp: -1}
-	r.trackShard = append(r.trackShard, -1) // the empty string's track
 	r.ffKind = r.Intern(KindFFJump)
 	r.ffTrack = r.Intern("sim:fast-forward")
 	r.ffName = r.Intern("jump")
@@ -228,13 +219,7 @@ func (r *Recorder) SampleEvery() int64 { return r.cfg.SampleEvery }
 
 // Intern returns the recorder-local ID for s, assigning one on first use.
 // Hot-path callers intern their vocabulary once and record by ID.
-func (r *Recorder) Intern(s string) ID {
-	id := r.tab.intern(s)
-	for int(id) >= len(r.trackShard) {
-		r.trackShard = append(r.trackShard, -1)
-	}
-	return id
-}
+func (r *Recorder) Intern(s string) ID { return r.tab.intern(s) }
 
 // Str resolves an interned ID back to its string.
 func (r *Recorder) Str(id ID) string { return r.tab.str(id) }
@@ -245,33 +230,21 @@ func (r *Recorder) Design() string { return r.design }
 // EndCycle returns the cycle the record was finalized at (0 before Finalize).
 func (r *Recorder) EndCycle() int64 { return r.endCycle }
 
-// shardFor returns the track's shard, creating it on first append.
-func (r *Recorder) shardFor(track ID) *shard {
-	si := r.trackShard[track]
-	if si < 0 {
-		si = int32(len(r.shards))
-		r.shards = append(r.shards, &shard{track: track})
-		r.trackShard[track] = si
-	}
-	return r.shards[si]
-}
-
 // appendFlat is the one append path: finalized is checked before anything is
 // built (a post-Finalize arrival costs one counter increment, nothing else),
-// then a fixed-width record lands in the track's shard.
+// then a fixed-width record lands at the end of the log.
 func (r *Recorder) appendFlat(kind, track, name ID, start, end int64, flags uint8, d Detail) {
 	if r.finalized {
 		r.dropped++
 		return
 	}
-	w := r.shardFor(track).slot()
-	w[0] = r.seq
+	w := r.log.slot()
+	w[0] = uint64(r.log.n - 1)
 	w[1] = uint64(kind) | uint64(d.tmpl)<<32 | uint64(flags)<<40
 	w[2] = uint64(track) | uint64(name)<<32
 	w[3] = uint64(start)
 	w[4] = uint64(end)
 	w[5] = d.arg
-	r.seq++
 	if flags&FlagFFJump != 0 {
 		r.nJumps++
 	} else {
@@ -461,7 +434,7 @@ func (r *Recorder) Finalized() bool { return r.finalized }
 // Release is only valid on a finalized recorder (it panics otherwise) and is
 // idempotent. Timeline and Series snapshots materialized before Release stay
 // valid — they are value copies — but paths that would lazily re-read the
-// flat storage (a first Timeline/Series call, VisitFlat, FlatLog) panic after
+// flat storage (a first Timeline/Series call, FlatLog) panic after
 // Release, because the words now belong to someone else.
 func (r *Recorder) Release() {
 	if r.released {
@@ -471,55 +444,17 @@ func (r *Recorder) Release() {
 		panic("obs: Release before Finalize")
 	}
 	r.released = true
-	for _, sh := range r.shards {
-		for _, seg := range sh.segs {
-			segPool.Put(seg)
-		}
-		sh.segs = nil
-	}
-	r.shards = nil
+	r.log.release()
 	for _, c := range r.sampStream.chunks {
 		if cap(c) == sampChunkWords {
 			sampChunkPool.Put(c[:0])
 		}
 	}
 	r.sampStream = wordStream{}
-	r.scratch = nil
 }
 
 // Released reports whether the recorder's storage has been released.
 func (r *Recorder) Released() bool { return r.released }
-
-// fillScratch bucket-fills refs to every record with lo <= seq < hi into the
-// scratch buffer, positioned by sequence. Seqs are dense, so this is the
-// k-way merge without comparisons: one pass over each shard's tail, one
-// ordered walk of the result. advance moves the per-shard sunk cursors —
-// flushing consumes the tail, Timeline materialization must not.
-func (r *Recorder) fillScratch(lo, hi uint64, advance bool) []flatRef {
-	n := int(hi - lo)
-	if cap(r.scratch) < n {
-		r.scratch = make([]flatRef, n)
-	}
-	scratch := r.scratch[:n]
-	for si, sh := range r.shards {
-		start := 0
-		if advance {
-			start = sh.sunk
-			sh.sunk = sh.n
-		} else {
-			// Find the first record with seq >= lo: per-shard seqs are
-			// ascending, so binary-search the boundary.
-			start = sh.searchSeq(lo)
-		}
-		for i := start; i < sh.n; i++ {
-			w := sh.at(i)
-			if w[0] >= lo && w[0] < hi {
-				scratch[w[0]-lo] = flatRef{shard: int32(si), idx: int32(i)}
-			}
-		}
-	}
-	return scratch
-}
 
 // renderDetail resolves a packed detail to its string form through the
 // memoization cache.
@@ -556,19 +491,14 @@ func (r *Recorder) materialize(f FlatRecord) Event {
 	}
 }
 
-// flush streams every pending record to the sink in sequence (= append)
-// order.
+// flush streams every pending record to the sink in append order.
 func (r *Recorder) flush() {
-	if r.seq == r.flushedSeq {
-		return
+	for ; r.flushed < r.log.n; r.flushed++ {
+		r.emitEvent(r.materialize(unpackRecord(r.log.at(r.flushed))))
 	}
-	for _, ref := range r.fillScratch(r.flushedSeq, r.seq, true) {
-		r.emitEvent(r.materialize(unpackRecord(r.shards[ref.shard].at(int(ref.idx)))))
-	}
-	r.flushedSeq = r.seq
 }
 
-// buildTimeline materializes the merged record stream into the Events and
+// buildTimeline materializes the record log into the Events and
 // FFJumps slices, allocated at exact capacity and left nil when empty (the
 // Timeline JSON codec distinguishes null from []).
 func (r *Recorder) buildTimeline() (events, jumps []Event) {
@@ -578,8 +508,8 @@ func (r *Recorder) buildTimeline() (events, jumps []Event) {
 	if r.nJumps > 0 {
 		jumps = make([]Event, 0, r.nJumps)
 	}
-	for _, ref := range r.fillScratch(0, r.seq, false) {
-		f := unpackRecord(r.shards[ref.shard].at(int(ref.idx)))
+	for i := 0; i < r.log.n; i++ {
+		f := unpackRecord(r.log.at(i))
 		if f.IsFFJump() {
 			jumps = append(jumps, r.materialize(f))
 		} else {
@@ -620,31 +550,26 @@ func (r *Recorder) FFJumpCount() int { return r.nJumps }
 // materializing them.
 func (r *Recorder) SampleCount() int { return r.nSamples }
 
-// VisitFlat walks every record (fast-forward jumps included) in append order
-// without materializing Event values — the analyze package's read path.
-func (r *Recorder) VisitFlat(fn func(FlatRecord)) {
-	if r.released {
-		panic("obs: VisitFlat on released recorder")
-	}
-	for _, ref := range r.fillScratch(0, r.seq, false) {
-		fn(unpackRecord(r.shards[ref.shard].at(int(ref.idx))))
-	}
-}
-
 // DetailOf renders a flat record's detail annotation.
 func (r *Recorder) DetailOf(f FlatRecord) string {
 	return r.renderDetail(Detail{tmpl: f.Tmpl, arg: f.Arg})
 }
 
-// FlatLog snapshots the recorder's flat state — the intern table plus the
-// merged record stream — as a standalone, codec-round-trippable value.
+// FlatLog snapshots the recorder's flat state — the intern table plus every
+// record (fast-forward jumps included) in append order, unmaterialized — as a
+// standalone, codec-round-trippable value.
 func (r *Recorder) FlatLog() *FlatLog {
+	if r.released {
+		panic("obs: FlatLog on released recorder")
+	}
 	l := &FlatLog{
 		Strings:  append([]string(nil), r.tab.strs...),
-		Records:  make([]FlatRecord, 0, r.nEvents+r.nJumps),
+		Records:  make([]FlatRecord, r.log.n),
 		EndCycle: -1,
 	}
-	r.VisitFlat(func(f FlatRecord) { l.Records = append(l.Records, f) })
+	for i := range l.Records {
+		l.Records[i] = unpackRecord(r.log.at(i))
+	}
 	return l
 }
 

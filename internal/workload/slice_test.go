@@ -121,7 +121,7 @@ type haltReport struct {
 // FuzzSliceSchedule holds the record to slice invariance: a registry
 // workload driven through an arbitrary RunFor schedule — 1-cycle slices,
 // cuts on the sample and checkpoint grids, long slices, and host-phase
-// commands retried on short budgets — writes a spill (segments, sidecars,
+// commands retried on short budgets — writes a spill (segment containers and
 // manifest) byte-identical to one Execute's.
 func FuzzSliceSchedule(f *testing.F) {
 	names := registryNames(f)

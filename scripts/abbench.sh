@@ -33,11 +33,12 @@ git worktree add --quiet --detach "$TMP/base" "$REF"
 
 # Besides the overhead pair, each side runs the stepped-cycle benchmarks
 # (SimulateSlowPath, and E4StallMonitor, whose ibuffers poll every cycle) so
-# the benchjson -diff table shows per-cycle interpreter cost. E4StallMonitor
-# has no sub-benchmarks, so it needs its own -bench pattern.
+# the benchjson -diff table shows per-cycle interpreter cost, and
+# SimulateSpilled, so it shows the recorder-to-spill path's cost too.
+# E4StallMonitor has no sub-benchmarks, so it needs its own -bench pattern.
 bench() (
     cd "$1"
-    go test -run '^$' -bench 'SimThroughput/(Simulate$|SimulateObserved$|SimulateSlowPath$)' \
+    go test -run '^$' -bench 'SimThroughput/(Simulate$|SimulateObserved$|SimulateSlowPath$|SimulateSpilled$)' \
         -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .
     go test -run '^$' -bench 'E4StallMonitor$' \
         -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .
